@@ -9,13 +9,17 @@
  * MapperConfig::boundPrune off (every candidate pays the full
  * analytical model) and once with it on (candidates that provably
  * cannot beat the best-so-far, or provably overflow a buffer, are
- * discarded after only the O(nodes) bound). The headline metric is
+ * discarded after only the bound, which costs a third to a half of a
+ * full evaluation; a repeat of a pruned candidate reuses its bound
+ * from the EvalCache). The headline metric is
  * candidates considered per second, where considered = fully evaluated
  * + bound-pruned; the acceptance bar (printed at the end, and the
  * process exit code) is >= 2x on at least one workload. The
  * mapper.bound_tightness histogram reports how close the bound runs to
  * the exact model on the candidates that were fully evaluated
- * (100 * bound / actual, in percent).
+ * (100 * bound / actual, in percent). Per run, bound_evals counts the
+ * bounds computed and bound_memo_hits the bounds read back from
+ * bound-only EvalCache entries.
  *
  * Emits the headline numbers as JSON (default BENCH_mapper.json; CI
  * uploads it as an artifact) so throughput regressions are diffable
@@ -45,6 +49,8 @@ struct RunStats
     uint64_t considered = 0; // evaluations + bound-pruned
     uint64_t evaluations = 0;
     uint64_t pruned = 0;
+    uint64_t boundEvals = 0;
+    uint64_t boundMemoHits = 0;
     double bestCycles = 0.0;
     bool found = false;
 };
@@ -55,6 +61,10 @@ runOnce(const Evaluator& model, const MappingSpace& space, int samples,
 {
     MapperConfig cfg;
     cfg.boundPrune = prune;
+    MetricsRegistry& metrics = MetricsRegistry::global();
+    const uint64_t bound_evals0 = metrics.counterValue("mapper.bound_evals");
+    const uint64_t memo_hits0 =
+        metrics.counterValue("mapper.bound_memo_hits");
     const auto t0 = std::chrono::steady_clock::now();
     const MapperResult result =
         exploreTiling(model, space, samples, 0x1235813u, cfg);
@@ -62,6 +72,10 @@ runOnce(const Evaluator& model, const MappingSpace& space, int samples,
     stats.seconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
+    stats.boundEvals =
+        metrics.counterValue("mapper.bound_evals") - bound_evals0;
+    stats.boundMemoHits =
+        metrics.counterValue("mapper.bound_memo_hits") - memo_hits0;
     stats.evaluations = uint64_t(result.evaluations);
     stats.pruned = result.boundPruned;
     stats.considered = stats.evaluations + stats.pruned;
@@ -133,6 +147,8 @@ main(int argc, char** argv)
         json.number(key + ".speedup", speedup);
         json.number(key + ".evaluations_on", double(on.evaluations));
         json.number(key + ".bound_pruned", double(on.pruned));
+        json.number(key + ".bound_evals", double(on.boundEvals));
+        json.number(key + ".bound_memo_hits", double(on.boundMemoHits));
         json.number(key + ".best_cycles_on", on.bestCycles);
         json.number(key + ".best_cycles_off", off.bestCycles);
     }

@@ -23,9 +23,10 @@
  * Candidates are branch-and-bound screened by default: an admissible
  * lower bound (analysis/lowerbound.hpp) discards candidates that
  * provably cannot beat the best-so-far without paying for the full
- * analysis (counters mapper.bound_pruned / mapper.bound_evals, and
- * the mapper.bound_tightness histogram, say how often and how
- * tightly). --no-bound-prune disables the screen.
+ * analysis (counters mapper.bound_pruned / mapper.bound_evals /
+ * mapper.bound_memo_hits, and the mapper.bound_tightness histogram,
+ * say how often and how tightly). --no-bound-prune disables the
+ * screen.
  *
  * --arch loads an architecture spec (see examples/specs/) instead of
  * the built-in Edge preset. --workload loads a workload spec instead

@@ -1,15 +1,29 @@
 #include "analysis/lowerbound.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "analysis/childgroup.hpp"
 #include "analysis/datamovement.hpp"
 #include "analysis/latency.hpp"
 #include "analysis/resource.hpp"
+#include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "core/validate.hpp"
 
 namespace tileflow {
+
+namespace {
+
+std::atomic<int> g_cost_faults{0};
+
+} // namespace
+
+void
+armCostBoundFaultForTesting(int count)
+{
+    g_cost_faults.store(count);
+}
 
 bool
 LowerBoundEvaluator::capacityRejects(const AnalysisTree& tree,
@@ -60,31 +74,29 @@ LowerBoundEvaluator::capacityRejects(const AnalysisTree& tree,
     return false;
 }
 
-LowerBound
-LowerBoundEvaluator::bound(const AnalysisTree& tree) const
+bool
+LowerBoundEvaluator::analyzable(const AnalysisTree& tree) const
 {
-    LowerBound lb;
     if (!tree.hasRoot())
-        return lb;
-
+        return false;
     if (options_.validate) {
         for (const std::string& problem : validateTree(tree, spec_)) {
             // A hard structural problem means the full evaluator
             // rejects before any analysis; there is nothing sound to
             // bound (and the analyzers below assume a sane tree).
             if (!startsWith(problem, "warn:"))
-                return lb;
+                return false;
         }
     }
-    lb.analyzed = true;
+    return true;
+}
 
-    if (capacityRejects(tree, &lb.capacityReason)) {
-        // A definitive full-evaluator verdict: no need to spend even
-        // the compulsory traffic pass on this candidate.
-        lb.capacityReject = true;
-        return lb;
-    }
-
+LowerBound
+LowerBoundEvaluator::costBound(const AnalysisTree& tree) const
+{
+    if (g_cost_faults.load(std::memory_order_relaxed) > 0 &&
+        g_cost_faults.fetch_sub(1) > 0)
+        fatal("injected cost-bound fault");
     // Compulsory traffic only, fed through the REAL latency model:
     // per node, lat = max(child compute, lb_load + lb_store cycles)
     // is monotone in the traffic under fl-arithmetic, so the result
@@ -94,9 +106,27 @@ LowerBoundEvaluator::bound(const AnalysisTree& tree) const
     const DataMovementResult compulsory = dm.analyzeCompulsory(tree);
     const LatencyModel latency(*workload_, *spec_);
     const LatencyResult lat = latency.analyze(tree, compulsory);
+    LowerBound lb;
+    lb.analyzed = true;
     lb.cycles = lat.cycles;
     lb.computeCycles = lat.computeCycles;
     return lb;
+}
+
+LowerBound
+LowerBoundEvaluator::bound(const AnalysisTree& tree) const
+{
+    if (!analyzable(tree))
+        return {};
+    LowerBound lb;
+    if (capacityRejects(tree, &lb.capacityReason)) {
+        // A definitive full-evaluator verdict: no need to spend even
+        // the compulsory traffic pass on this candidate.
+        lb.analyzed = true;
+        lb.capacityReject = true;
+        return lb;
+    }
+    return costBound(tree);
 }
 
 } // namespace tileflow

@@ -4,11 +4,18 @@
  *
  * The full evaluator spends almost all of its time in the
  * data-movement interpreter (resident-rectangle simulation per loop
- * boundary). This evaluator computes, in O(nodes) simulation steps, a
- * cycle count that is provably <= the full model's — bitwise, not
- * just mathematically — so the mapper can discard a candidate whose
- * *bound* already exceeds the best mapping found so far without ever
- * paying for its full evaluation.
+ * boundary). This evaluator computes a cycle count that is provably
+ * <= the full model's — bitwise, not just mathematically — so the
+ * mapper can discard a candidate whose *bound* already exceeds the
+ * best mapping found so far without paying for its full evaluation.
+ *
+ * It is cheaper than that evaluation, not cheap: validation, the
+ * compulsory-traffic pass and the latency model still walk every
+ * node's slices, about 55-90 us per call on the attention and
+ * conv-chain trees (one Xeon core), a third to a half of a full
+ * evaluation. So the mapper's guard runs the cost part before the
+ * capacity screen (the cost part prunes far more often) and
+ * memoizes each pruned candidate's bound in the EvalCache.
  *
  * Three ingredients, each individually admissible:
  *
@@ -30,7 +37,8 @@
  * Seq dirty-eviction write-backs beyond the final one, energy, and
  * all compute/fanout feasibility checks (those stay with the full
  * evaluator — only the *memory capacity* screen is replicated here,
- * because it is the rejection the search pays most often).
+ * because a buffer overflow is the one rejection provable without
+ * the interpreter).
  */
 
 #ifndef TILEFLOW_ANALYSIS_LOWERBOUND_HPP
@@ -106,6 +114,22 @@ class LowerBoundEvaluator
     LowerBound bound(const AnalysisTree& tree) const;
 
     /**
+     * bound()'s first step: false for an empty tree or (when the
+     * options validate) one with a hard structural problem. Nothing
+     * is bounded then; the full evaluator classifies the tree.
+     */
+    bool analyzable(const AnalysisTree& tree) const;
+
+    /**
+     * bound()'s cost part alone — the compulsory-traffic latency
+     * bound, with no validation and no capacity screen. The tree must
+     * be analyzable(). For a capacity-clean tree the result equals
+     * bound()'s bitwise; the mapper's guard runs it before the
+     * capacity screen because it prunes far more often.
+     */
+    LowerBound costBound(const AnalysisTree& tree) const;
+
+    /**
      * The capacity screen alone (no traffic / latency work): true iff
      * some tile's step-footprint lower bound exceeds a finite buffer
      * capacity, which the full evaluator also rejects. Always false
@@ -121,6 +145,14 @@ class LowerBoundEvaluator
     const ArchSpec* spec_;
     EvalOptions options_;
 };
+
+/**
+ * Test hook: the next `count` costBound() calls (process-wide) throw
+ * FatalError instead of bounding, so callers' fall-through paths can
+ * be exercised; 0 disarms. No well-formed tree makes the cost pass
+ * throw on its own.
+ */
+void armCostBoundFaultForTesting(int count);
 
 } // namespace tileflow
 

@@ -118,9 +118,12 @@ void
 ckptWriteCache(CkptWriter& w, const EvalCache& cache)
 {
     std::vector<std::pair<std::vector<int64_t>, CachedEval>> entries;
+    // Bound-only entries are skipped: a resumed search recomputes
+    // those bounds, and the checkpoint format stays the same.
     cache.forEach([&](const std::vector<int64_t>& choices,
                       const CachedEval& value) {
-        entries.emplace_back(choices, value);
+        if (!value.boundOnly)
+            entries.emplace_back(choices, value);
     });
     w.tag("cache");
     w.u64(entries.size());

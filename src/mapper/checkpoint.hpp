@@ -118,7 +118,8 @@ class CkptReader
     bool ok_ = true;
 };
 
-/** Serialize every EvalCache entry (tagged "cache"). */
+/** Serialize every full-verdict EvalCache entry (tagged "cache");
+ *  bound-only entries are not persisted. */
 void ckptWriteCache(CkptWriter& w, const EvalCache& cache);
 
 /** Restore entries via insert() (counters untouched); false + poisoned

@@ -87,18 +87,22 @@ std::optional<CachedEval>
 EvalCache::lookup(const std::vector<int64_t>& choices)
 {
     Shard& shard = shardFor(hashChoices(choices));
+    std::optional<CachedEval> bound_only;
     {
         std::lock_guard<std::mutex> lock(shard.mutex);
         const auto it = shard.map.find(choices);
         if (it != shard.map.end()) {
-            hits_.fetch_add(1, std::memory_order_relaxed);
-            metricHits_.add();
-            return it->second;
+            if (!it->second.boundOnly) {
+                hits_.fetch_add(1, std::memory_order_relaxed);
+                metricHits_.add();
+                return it->second;
+            }
+            bound_only = it->second;
         }
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
     metricMisses_.add();
-    return std::nullopt;
+    return bound_only;
 }
 
 size_t
@@ -143,6 +147,11 @@ EvalCache::insert(const std::vector<int64_t>& choices, CachedEval value)
         std::lock_guard<std::mutex> lock(shard.mutex);
         const auto it = shard.map.find(choices);
         if (it != shard.map.end()) {
+            // A bound says less than a full verdict: keep the verdict
+            // (a tuner that looked up before it landed may still send
+            // the bound).
+            if (value.boundOnly && !it->second.boundOnly)
+                return;
             // Overwrite: the old entry's bytes count as evicted, the
             // new entry's as inserted, keeping both counters exact.
             const size_t oldBytes = entryBytes(it->first, it->second);

@@ -8,7 +8,9 @@
  * the full choice vector — hashed with FNV-1a over its int64 entries,
  * compared element-wise on collision — and stores just the verdict the
  * search loop needs (valid + cycles), so a repeated sample skips the
- * tree build and the entire analysis.
+ * tree build and the entire analysis. A candidate the lower bound
+ * pruned leaves a bound-only entry, so a repeat of it skips the build
+ * and the bound whenever its threshold still prunes.
  *
  * Sharding: the hash picks one of `shards` independently-locked maps,
  * so concurrent workers evaluating different mappings rarely contend.
@@ -59,10 +61,30 @@ struct CachedEval
      * Screened out by the branch-and-bound lower bound before full
      * evaluation (mapper/guard.hpp). Transient guard verdict only: a
      * cost-prune depends on the caller's best-so-far threshold, which
-     * is not part of the cache key, so pruned entries are never
-     * inserted into the cache and never serialized.
+     * is not part of the cache key, so the cache stores what the
+     * verdict was derived from (a bound-only entry, below) instead.
      */
     bool pruned = false;
+
+    /**
+     * Bound-only entry: no full verdict, just the candidate's lower
+     * bound, which — unlike the prune verdict — is a pure function of
+     * the choice vector. A lookup that finds one counts as a miss;
+     * the caller re-judges it against its own threshold exactly as a
+     * fresh bound (guardedEvaluate with BoundPrune::memo). A full
+     * verdict always replaces a bound-only entry; a bound-only insert
+     * never replaces a full verdict. Never serialized.
+     */
+    bool boundOnly = false;
+
+    /** The capacity screen rejected the tree (a threshold-free prune).
+     *  False means it was not run: a clean screen always leads on to
+     *  a full evaluation, whose verdict replaces the entry. */
+    bool capacityReject = false;
+
+    /** LowerBound::cycles of the tree (meaningless when
+     *  `capacityReject` was decided without a cost bound). */
+    double boundCycles = 0.0;
 };
 
 class EvalCache
@@ -93,10 +115,16 @@ class EvalCache
     /** FNV-1a over the bytes of the choice vector's int64 entries. */
     static uint64_t hashChoices(const std::vector<int64_t>& choices);
 
-    /** Find a memoized result; counts a hit or a miss. */
+    /**
+     * Find a memoized result; counts a hit or a miss. A bound-only
+     * entry is returned too but counts as a miss: it is not a verdict.
+     */
     std::optional<CachedEval> lookup(const std::vector<int64_t>& choices);
 
-    /** Memoize a result (last writer wins on a benign race). */
+    /**
+     * Memoize a result (last writer wins on a benign race), except
+     * that a bound-only value never replaces a full verdict.
+     */
     void insert(const std::vector<int64_t>& choices, CachedEval value);
 
     /**

@@ -18,12 +18,14 @@ guardedEvaluateImpl(const EvaluatorT& evaluator, const MappingSpace& space,
                     const std::vector<int64_t>& choices,
                     const BoundPrune* prune)
 {
-    // The single chokepoint every real (non-memoized) search
-    // evaluation passes through, in both the GA and MCTS paths.
-    // Accounting invariant (telemetry_check enforces it):
+    // The single chokepoint every candidate without a cached verdict
+    // passes through, in both the GA and MCTS paths. Accounting
+    // invariants (telemetry_check enforces them):
     //   mapper.candidates == mapper.bound_pruned + mapper.evaluations
-    // — every candidate either prunes on the lower bound or pays a
-    // full evaluation; `mapper.evaluations`, plus the restored-portion
+    //   mapper.bound_evals + mapper.bound_memo_hits >= bound_pruned
+    // — every candidate either prunes on the lower bound (computed,
+    // or read from a bound-only cache entry) or pays a full
+    // evaluation; `mapper.evaluations`, plus the restored-portion
     // credit the engines add on checkpoint resume, always equals
     // MapperResult::evaluations.
     static Counter& candidates =
@@ -36,6 +38,8 @@ guardedEvaluateImpl(const EvaluatorT& evaluator, const MappingSpace& space,
         MetricsRegistry::global().counter("mem.oom_failed_evals");
     static Counter& boundEvals =
         MetricsRegistry::global().counter("mapper.bound_evals");
+    static Counter& boundMemoHits =
+        MetricsRegistry::global().counter("mapper.bound_memo_hits");
     static Counter& boundPruned =
         MetricsRegistry::global().counter("mapper.bound_pruned");
     // Bound/actual ratio in percent per fully evaluated valid
@@ -62,6 +66,25 @@ guardedEvaluateImpl(const EvaluatorT& evaluator, const MappingSpace& space,
         failed.add();
         return out;
     }
+
+    const LowerBoundEvaluator* lbe =
+        prune != nullptr ? prune->bound : nullptr;
+    const CachedEval* memo = lbe != nullptr ? prune->memo : nullptr;
+    if (memo != nullptr) {
+        // A memoized bound stands in for a fresh one and is judged
+        // against this caller's threshold the same way; a prune here
+        // skips even the tree build.
+        boundMemoHits.add();
+        out.boundCycles = memo->boundCycles;
+        out.capacityReject = memo->capacityReject;
+        if (memo->capacityReject ||
+            memo->boundCycles >= prune->bestCycles) {
+            out.pruned = true;
+            boundPruned.add();
+            return out;
+        }
+    }
+
     // A candidate that reaches (or throws before reaching) the full
     // evaluator counts as an evaluation, pruned ones never do.
     bool counted_eval = false;
@@ -71,30 +94,41 @@ guardedEvaluateImpl(const EvaluatorT& evaluator, const MappingSpace& space,
         // it is trying to save).
         const AnalysisTree tree = space.build(choices);
 
-        double lb_cycles = 0.0;
         bool have_bound = false;
-        if (prune != nullptr && prune->bound != nullptr) {
+        if (lbe != nullptr) {
             // A failing bound computation is never a verdict: fall
             // through and let the full evaluator classify the
-            // candidate.
+            // candidate. Either prune below is sound: the candidate's
+            // cycles provably cannot beat the caller's best, or the
+            // full evaluator provably rejects it for capacity. The
+            // cost bound goes first because it prunes far more often;
+            // the verdict equals LowerBoundEvaluator::bound()'s.
             try {
-                const LowerBound lb = prune->bound->bound(tree);
-                if (lb.analyzed) {
-                    have_bound = true;
-                    lb_cycles = lb.cycles;
-                    boundEvals.add();
-                    if (lb.capacityReject ||
-                        lb.cycles >= prune->bestCycles) {
-                        // Sound to discard: either the full evaluator
-                        // provably rejects this tree for capacity, or
-                        // its cycles provably cannot beat the
-                        // caller's best. Not an evaluation, not
-                        // cacheable (the verdict depends on
-                        // `bestCycles`).
+                if (memo != nullptr || lbe->analyzable(tree)) {
+                    bool cost_known = memo != nullptr;
+                    if (memo == nullptr) {
+                        boundEvals.add();
+                        try {
+                            out.boundCycles = lbe->costBound(tree).cycles;
+                            cost_known = true;
+                        } catch (const std::exception&) {
+                            // bound() would still have run the
+                            // capacity screen; so does this.
+                        }
+                        if (cost_known &&
+                            out.boundCycles >= prune->bestCycles) {
+                            out.pruned = true;
+                            boundPruned.add();
+                            return out;
+                        }
+                    }
+                    if (lbe->capacityRejects(tree)) {
+                        out.capacityReject = true;
                         out.pruned = true;
                         boundPruned.add();
                         return out;
                     }
+                    have_bound = cost_known;
                 }
             } catch (const std::exception&) {
             }
@@ -112,7 +146,7 @@ guardedEvaluateImpl(const EvaluatorT& evaluator, const MappingSpace& space,
             out.cycles = full.cycles;
             if (have_bound && full.valid && full.cycles > 0.0) {
                 tightness.observe(
-                    uint64_t(100.0 * lb_cycles / full.cycles));
+                    uint64_t(100.0 * out.boundCycles / full.cycles));
             }
         }
     } catch (const FatalError& e) {

@@ -42,10 +42,17 @@ using FailureHistogram = std::map<std::string, uint64_t>;
  * Branch-and-bound context for guardedEvaluate's bound-first path.
  * When passed (non-null, with a non-null evaluator), the candidate's
  * tree is built once and lower-bounded before full evaluation: a
- * capacity-screen reject, or a bound already >= `bestCycles`, returns
- * a CachedEval with `pruned` set — never fully evaluated, never
- * counted in `mapper.evaluations`, and (because the verdict depends
- * on the caller's threshold) never to be inserted into an EvalCache.
+ * cost bound already >= `bestCycles`, or a capacity-screen reject,
+ * returns a CachedEval with `pruned` set — never fully evaluated and
+ * never counted in `mapper.evaluations`. The pruned verdict carries
+ * the bound (`boundCycles`, `capacityReject`); because the verdict
+ * itself depends on the caller's threshold, callers cache the bound
+ * as a bound-only entry, never the verdict.
+ *
+ * The cost bound runs first and the capacity screen only when the
+ * cost bound does not prune (or throws); the verdict is the same
+ * `capacityReject || bound >= bestCycles` as LowerBoundEvaluator::
+ * bound() gives, in whichever order.
  *
  * Caller contract: `bound` must be constructed from the same
  * workload/spec/options as the evaluator it screens for, and
@@ -59,6 +66,13 @@ struct BoundPrune
 
     /** Prune when the candidate's lower-bound cycles reach this. */
     double bestCycles = std::numeric_limits<double>::infinity();
+
+    /**
+     * The candidate's bound-only EvalCache entry, if the lookup found
+     * one. It replaces the bound computation: when it prunes against
+     * `bestCycles` the tree is not even built.
+     */
+    const CachedEval* memo = nullptr;
 };
 
 /**

@@ -50,6 +50,9 @@ struct PendingSample
     std::vector<int64_t> choices;
     std::vector<SearchNode*> path;
     CachedEval eval;
+
+    /** Bound-only cache entry found at resolve time (BoundPrune). */
+    std::optional<CachedEval> memo;
 };
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -129,11 +132,11 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         // evaluation: pruning it would save one analysis but lose
         // the candidate's actual cycles (and with it `found`), so
         // the no-factor path behaves identically with pruning on or
-        // off.
+        // off. For the same reason a bound-only entry is a miss here.
         CachedEval eval;
         const std::optional<CachedEval> cached =
             cache_ ? cache_->lookup(base) : std::nullopt;
-        if (cached) {
+        if (cached && !cached->boundOnly) {
             eval = *cached;
         } else {
             eval = incremental_
@@ -419,14 +422,15 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
 
         // Resolve the batch against the cache, deduplicating repeats
         // within the batch so each distinct mapping is evaluated at
-        // most once; only the leftovers hit the evaluator.
+        // most once; only the leftovers reach the guard, carrying any
+        // bound-only entry the lookup found.
         std::vector<int> copy_from(pending.size(), -1);
         std::vector<size_t> to_evaluate;
         for (size_t k = 0; k < pending.size(); ++k) {
-            const std::optional<CachedEval> cached =
+            std::optional<CachedEval> cached =
                 cache_ ? cache_->lookup(pending[k].choices)
                        : std::nullopt;
-            if (cached) {
+            if (cached && !cached->boundOnly) {
                 pending[k].eval = *cached;
                 continue;
             }
@@ -436,29 +440,32 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
                     break;
                 }
             }
-            if (copy_from[k] < 0)
+            if (copy_from[k] < 0) {
+                pending[k].memo = std::move(cached);
                 to_evaluate.push_back(k);
+            }
         }
 
         // Branch-and-bound threshold for this batch, captured here on
         // the serial thread: `best` only changes in serial backprop,
         // so every worker sees the same threshold and the trajectory
         // is independent of the pool size.
-        const BoundPrune batch_prune{
-            boundLb_, std::min(best, boundSeed_)};
-        const BoundPrune* prune = boundLb_ ? &batch_prune : nullptr;
+        const double threshold = std::min(best, boundSeed_);
 
         // The guarded boundary: throwing / NaN-poisoned evaluations
         // become tagged infeasible verdicts instead of killing the
         // search (see mapper/guard.hpp).
         auto evaluate_one = [&](size_t i) {
             PendingSample& sample = pending[to_evaluate[i]];
+            const BoundPrune prune{boundLb_, threshold,
+                                   sample.memo ? &*sample.memo : nullptr};
+            const BoundPrune* armed = boundLb_ ? &prune : nullptr;
             sample.eval =
                 incremental_
                     ? guardedEvaluate(*incremental_, *space_,
-                                      sample.choices, prune)
+                                      sample.choices, armed)
                     : guardedEvaluate(*evaluator_, *space_,
-                                      sample.choices, prune);
+                                      sample.choices, armed);
         };
         if (pool_ && to_evaluate.size() > 1) {
             pool_->parallelFor(to_evaluate.size(), evaluate_one);
@@ -468,12 +475,21 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         }
         // Pruned candidates are not evaluations: they must not charge
         // the evaluation budget, and their verdict depends on this
-        // batch's threshold, so they must not enter the cache either
-        // (a later batch with a different best may decide otherwise).
+        // batch's threshold, so only the bound behind it enters the
+        // cache (a later batch with a different best re-judges it).
+        // A candidate pruned from its memo already has its entry.
         int evaluated = 0;
         for (size_t k : to_evaluate) {
-            if (pending[k].eval.pruned) {
+            const CachedEval& eval = pending[k].eval;
+            if (eval.pruned) {
                 result.boundPruned += 1;
+                if (cache_ && !pending[k].memo) {
+                    CachedEval entry;
+                    entry.boundOnly = true;
+                    entry.capacityReject = eval.capacityReject;
+                    entry.boundCycles = eval.boundCycles;
+                    cache_->insert(pending[k].choices, std::move(entry));
+                }
                 continue;
             }
             evaluated += 1;

@@ -19,7 +19,9 @@
  *
  * An optional EvalCache memoizes complete mappings, so resampled
  * leaves skip the tree build and analysis; `MctsResult.evaluations`
- * counts only actual Evaluator::evaluate invocations.
+ * counts only actual Evaluator::evaluate invocations. A pruned leaf
+ * leaves its lower bound as a bound-only entry, which a resample
+ * re-judges against the current threshold without a build.
  *
  * Fault tolerance: every rollout is evaluated through the guarded
  * boundary (mapper/guard.hpp) — a throwing or NaN-poisoned evaluation
@@ -78,8 +80,9 @@ struct MctsResult
     int evaluations = 0;
 
     /** Candidates discarded by the branch-and-bound lower bound —
-     *  never fully evaluated, never cached, never counted in
-     *  `evaluations` (checkpoint-aware, like `evaluations`). */
+     *  never fully evaluated, never counted in `evaluations`, cached
+     *  only as a bound-only entry (checkpoint-aware, like
+     *  `evaluations`). */
     uint64_t boundPruned = 0;
 
     /** EvalCache hits/misses charged to this run (checkpoint-aware:

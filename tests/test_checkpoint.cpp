@@ -201,6 +201,40 @@ TEST(Ckpt, CacheAndHistogramRoundTrip)
     EXPECT_EQ(back.hits(), 2u);
 }
 
+TEST(Ckpt, CacheWriteSkipsBoundOnlyEntries)
+{
+    // Bound-only entries are not persisted: the payload, and so the
+    // checkpoint format, is what a cache of the full verdicts writes.
+    EvalCache full_only;
+    full_only.insert({1, 2, 3}, {true, 1234.5, false, ""});
+    EvalCache mixed;
+    mixed.insert({1, 2, 3}, {true, 1234.5, false, ""});
+    CachedEval bound;
+    bound.boundOnly = true;
+    bound.boundCycles = 99.0;
+    mixed.insert({7, 8}, bound);
+    bound.capacityReject = true;
+    mixed.insert({9}, bound);
+    ASSERT_EQ(mixed.size(), 3u);
+
+    const std::string a = ckptPath("full_only.ckpt");
+    const std::string b = ckptPath("mixed.ckpt");
+    CkptWriter wa("test", 1);
+    ckptWriteCache(wa, full_only);
+    ASSERT_TRUE(wa.writeTo(a));
+    CkptWriter wb("test", 1);
+    ckptWriteCache(wb, mixed);
+    ASSERT_TRUE(wb.writeTo(b));
+    EXPECT_EQ(slurp(a), slurp(b));
+
+    auto r = CkptReader::open(b, "test", 1);
+    ASSERT_TRUE(r.has_value());
+    EvalCache back;
+    ASSERT_TRUE(ckptReadCache(*r, back));
+    EXPECT_EQ(back.size(), 1u);
+    EXPECT_FALSE(back.lookup({7, 8}).has_value());
+}
+
 /** Shared fixture state for the kill+resume end-to-end tests. */
 struct KillResume : testing::Test
 {

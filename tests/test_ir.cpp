@@ -11,6 +11,17 @@
 #include "ir/shapes.hpp"
 
 namespace tileflow {
+
+/**
+ * Prints an attention shape by name. Without it gtest dumps the raw
+ * object bytes, whose std::string data pointer changes with every run,
+ * so the parameterised test names ctest lists would not be stable.
+ */
+void PrintTo(const AttentionShape& shape, std::ostream* os)
+{
+    *os << shape.name;
+}
+
 namespace {
 
 TEST(Tensor, SizeAndBytes)

@@ -11,13 +11,16 @@
  * integration: prune-on and prune-off searches find equal-cost best
  * mappings (GA and MCTS), kill/resume with pruning stays
  * bit-identical, the guard's candidate accounting partitions exactly
- * into pruned + evaluated, and pruned verdicts are never cached.
+ * into pruned + evaluated, and the guard's verdict — cost bound
+ * first, or replayed from a memoized bound-only cache entry — equals
+ * the one a fresh bound() gives at every threshold.
  */
 
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +28,7 @@
 #include "analysis/incremental.hpp"
 #include "analysis/lowerbound.hpp"
 #include "arch/presets.hpp"
+#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
 #include "dataflows/attention.hpp"
@@ -272,6 +276,267 @@ TEST(LowerBound, GuardPrunesAgainstAnUnbeatableThreshold)
 }
 
 // -------------------------------------------------------------------
+// Guard verdicts: cost-first order and memoized bounds
+// -------------------------------------------------------------------
+
+namespace {
+
+/** The bound-only EvalCache entry the MCTS resolve loop stores for a
+ *  pruned guard verdict. */
+CachedEval
+boundOnlyEntry(const CachedEval& pruned)
+{
+    CachedEval entry;
+    entry.boundOnly = true;
+    entry.capacityReject = pruned.capacityReject;
+    entry.boundCycles = pruned.boundCycles;
+    return entry;
+}
+
+struct VerdictStats
+{
+    int trees = 0;
+    int prunes = 0;
+    int capacityRejects = 0;
+    int memoVerdicts = 0;
+};
+
+/**
+ * The guard's verdict on `tree` — computed cost-first, and replayed
+ * from every bound-only entry a pruned verdict leaves — must equal
+ * `capacityReject || bound >= T` from a fresh LowerBoundEvaluator::
+ * bound() at every threshold T; a surviving candidate gets the full
+ * evaluator's verdict. With the cost pass throwing, only the capacity
+ * screen can prune.
+ */
+void
+expectGuardMatchesFreshBound(const Evaluator& model,
+                             const AnalysisTree& tree, Rng& rng,
+                             const std::string& what, VerdictStats& stats)
+{
+    int builds = 0;
+    const MappingSpace space({}, [&](const std::vector<int64_t>&) {
+        ++builds;
+        return tree.clone();
+    });
+    const LowerBoundEvaluator lbe(model);
+    const LowerBound fresh = lbe.bound(tree);
+    const EvalResult full = model.evaluate(tree);
+    const double inf = std::numeric_limits<double>::infinity();
+    ++stats.trees;
+
+    // Thresholds around the cost bound, which the guard computes even
+    // for trees bound() rejects on capacity alone.
+    std::vector<double> thresholds = {inf};
+    if (full.valid)
+        thresholds.push_back(full.cycles);
+    const double base = fresh.analyzed ? lbe.costBound(tree).cycles
+                                       : (full.valid ? full.cycles
+                                                     : 1000.0);
+    thresholds.push_back(base);
+    thresholds.push_back(std::nextafter(base, inf));
+    thresholds.push_back(std::nextafter(base, 0.0));
+    for (int i = 0; i < 3; ++i)
+        thresholds.push_back(base * (0.5 + rng.uniformReal()));
+
+    auto expected = [&](double t) {
+        return fresh.analyzed &&
+               (fresh.capacityReject || fresh.cycles >= t);
+    };
+    auto check = [&](const CachedEval& got, double t, const char* path) {
+        EXPECT_EQ(got.pruned, expected(t))
+            << what << " (" << path << ", T=" << t << ")";
+        if (!got.pruned && !got.failed) {
+            EXPECT_EQ(got.valid, full.valid) << what << " (" << path << ")";
+            if (full.valid) {
+                EXPECT_EQ(got.cycles, full.cycles) << what;
+            }
+        }
+    };
+
+    std::vector<CachedEval> memos;
+    for (double t : thresholds) {
+        const BoundPrune prune{&lbe, t};
+        const CachedEval got = guardedEvaluate(model, space, {}, &prune);
+        check(got, t, "cost-first");
+        if (got.pruned) {
+            ++stats.prunes;
+            memos.push_back(boundOnlyEntry(got));
+        }
+    }
+    if (fresh.capacityReject)
+        ++stats.capacityRejects;
+
+    // Replay each memo against every threshold; one that prunes on
+    // its own never builds the tree. A memo whose capacity screen the
+    // guard had to run (and saw reject) is replayed too.
+    for (size_t m = 0; m < memos.size(); ++m) {
+        for (double t : thresholds) {
+            const CachedEval memo = memos[m];
+            const BoundPrune prune{&lbe, t, &memo};
+            const int builds_before = builds;
+            const CachedEval got =
+                guardedEvaluate(model, space, {}, &prune);
+            check(got, t, "memo");
+            ++stats.memoVerdicts;
+            if (memo.capacityReject || memo.boundCycles >= t) {
+                EXPECT_EQ(builds, builds_before) << what;
+            }
+            if (got.pruned && got.capacityReject != memo.capacityReject)
+                memos.push_back(boundOnlyEntry(got));
+        }
+    }
+
+    // A throwing cost pass leaves the capacity screen as the only
+    // prune, exactly as bound() (screen first) would.
+    armCostBoundFaultForTesting(1);
+    const BoundPrune prune{&lbe, 0.0};
+    const CachedEval got = guardedEvaluate(model, space, {}, &prune);
+    armCostBoundFaultForTesting(0);
+    EXPECT_EQ(got.pruned, fresh.analyzed && fresh.capacityReject)
+        << what << " (cost pass throws)";
+    if (got.pruned) {
+        EXPECT_TRUE(got.capacityReject) << what;
+    } else if (!got.failed) {
+        EXPECT_EQ(got.valid, full.valid) << what;
+    }
+}
+
+/** One mapping drawn uniformly from every knob of `space`. */
+std::vector<int64_t>
+drawChoices(const MappingSpace& space, Rng& rng)
+{
+    std::vector<int64_t> choices;
+    for (const Knob& knob : space.knobs())
+        choices.push_back(rng.choice(knob.choices));
+    return choices;
+}
+
+} // namespace
+
+TEST(LowerBound, GuardVerdictMatchesFreshBoundOnFuzzFamilies)
+{
+    // Every fuzz family on the validation arch, and again with every
+    // on-chip buffer starved to one byte, so the capacity screen
+    // fires at T = +inf too.
+    ArchSpec starved = makeValidationArch();
+    for (size_t i = 0; i + 1 < starved.levels().size(); ++i)
+        starved.levels()[i].capacityBytes = 1;
+
+    Rng rng(0x7E57u);
+    std::set<int> families;
+    VerdictStats stats;
+    for (uint64_t index = 0; index < 28; ++index) {
+        FuzzCase fc = makeFuzzCase(0x3E3Du, index);
+        families.insert(fc.kind);
+        for (const ArchSpec* spec : {&fuzzSpec(), &std::as_const(starved)}) {
+            const Evaluator model(*fc.workload, *spec);
+            for (int m = 0; m < 2; ++m) {
+                if (m > 0 && !mutateOneKnob(rng, *fc.tree))
+                    break;
+                expectGuardMatchesFreshBound(
+                    model, *fc.tree, rng,
+                    concat("case ", index, " mutation ", m, " ",
+                           fc.summary),
+                    stats);
+            }
+        }
+    }
+    EXPECT_EQ(families.size(), 7u);
+    EXPECT_GT(stats.prunes, 0);
+    EXPECT_GT(stats.capacityRejects, 0);
+    EXPECT_GT(stats.memoVerdicts, 0);
+}
+
+TEST(LowerBound, GuardVerdictMatchesFreshBoundOnSearchSpaces)
+{
+    const ArchSpec edge = makeEdgeArch();
+    const Workload attn = buildAttention(attentionShape("Bert-S"), false);
+    const Workload chain = buildConvChain(convChainShape("CC1"));
+    const MappingSpace attn_space = makeAttentionSpace(attn, edge);
+    const MappingSpace chain_space = makeConvChainSpace(chain, edge);
+
+    Rng rng(0x5A5Au);
+    VerdictStats stats;
+    for (const auto& [workload, space] :
+         {std::pair{&attn, &attn_space}, std::pair{&chain, &chain_space}}) {
+        const Evaluator model(*workload, edge);
+        for (int draw = 0; draw < 12; ++draw) {
+            const std::vector<int64_t> choices = drawChoices(*space, rng);
+            AnalysisTree tree(*workload);
+            try {
+                tree = space->build(choices);
+            } catch (const FatalError&) {
+                continue; // the guard's build-failure path is tested elsewhere
+            }
+            expectGuardMatchesFreshBound(
+                model, tree, rng,
+                concat(workload->name(), " draw ", draw), stats);
+        }
+    }
+    EXPECT_GE(stats.trees, 20);
+    EXPECT_GT(stats.prunes, 0);
+    EXPECT_GT(stats.memoVerdicts, 0);
+}
+
+TEST(LowerBound, MemoizedBoundsLeaveTheMctsTrajectoryUnchanged)
+{
+    // A tuner whose cache already holds every bound-only entry a first
+    // run left behind (and no full verdict) must walk the identical
+    // trajectory: a memoized bound decides exactly what a fresh one
+    // would, it only skips the work.
+    const Workload w = buildAttention(attentionShape("Bert-S"), false);
+    const ArchSpec edge = makeEdgeArch();
+    const Evaluator model(w, edge);
+    const MappingSpace space = makeAttentionTilingSpace(w, edge);
+    const LowerBoundEvaluator lbe(model);
+
+    auto run = [&](EvalCache& cache) {
+        Rng rng(0xFACEu);
+        MctsTuner tuner(model, space, rng);
+        tuner.setCache(&cache);
+        tuner.setBatch(8);
+        tuner.setBoundPrune(&lbe);
+        return tuner.tune(space.defaultChoices(), 400);
+    };
+
+    EvalCache first_cache;
+    const MctsResult first = run(first_cache);
+    EvalCache memo_cache;
+    size_t memos = 0;
+    first_cache.forEach([&](const std::vector<int64_t>& choices,
+                            const CachedEval& value) {
+        if (value.boundOnly) {
+            memo_cache.insert(choices, value);
+            ++memos;
+        }
+    });
+    ASSERT_GT(memos, 0u);
+
+    MetricsRegistry& metrics = MetricsRegistry::global();
+    const uint64_t bevals0 = metrics.counterValue("mapper.bound_evals");
+    const uint64_t memo0 = metrics.counterValue("mapper.bound_memo_hits");
+    const MctsResult second = run(memo_cache);
+    const uint64_t bevals =
+        metrics.counterValue("mapper.bound_evals") - bevals0;
+    const uint64_t memo_hits =
+        metrics.counterValue("mapper.bound_memo_hits") - memo0;
+
+    ASSERT_TRUE(first.found);
+    EXPECT_EQ(second.bestChoices, first.bestChoices);
+    EXPECT_EQ(second.bestCycles, first.bestCycles);
+    EXPECT_EQ(second.trace, first.trace);
+    EXPECT_EQ(second.evaluations, first.evaluations);
+    EXPECT_EQ(second.boundPruned, first.boundPruned);
+    // Bound-only entries are misses, so the hit/miss split is the
+    // first run's too.
+    EXPECT_EQ(second.cacheHits, first.cacheHits);
+    EXPECT_EQ(second.cacheMisses, first.cacheMisses);
+    EXPECT_GE(memo_hits, memos);
+    EXPECT_LT(bevals, uint64_t(first.evaluations) + first.boundPruned);
+}
+
+// -------------------------------------------------------------------
 // Search integration: equal-cost bests, accounting, kill/resume
 // -------------------------------------------------------------------
 
@@ -353,6 +618,7 @@ TEST(LowerBound, CandidateAccountingPartitionsExactly)
     const uint64_t pruned0 = metrics.counterValue("mapper.bound_pruned");
     const uint64_t evals0 = metrics.counterValue("mapper.evaluations");
     const uint64_t bevals0 = metrics.counterValue("mapper.bound_evals");
+    const uint64_t memo0 = metrics.counterValue("mapper.bound_memo_hits");
     const uint64_t tight0 =
         metrics.histogram("mapper.bound_tightness").count();
 
@@ -368,6 +634,8 @@ TEST(LowerBound, CandidateAccountingPartitionsExactly)
         metrics.counterValue("mapper.evaluations") - evals0;
     const uint64_t bevals =
         metrics.counterValue("mapper.bound_evals") - bevals0;
+    const uint64_t memo =
+        metrics.counterValue("mapper.bound_memo_hits") - memo0;
     const uint64_t tight =
         metrics.histogram("mapper.bound_tightness").count() - tight0;
 
@@ -376,10 +644,14 @@ TEST(LowerBound, CandidateAccountingPartitionsExactly)
     // The search result reports exactly the registry's deltas.
     EXPECT_EQ(r.boundPruned, pruned);
     EXPECT_EQ(uint64_t(r.evaluations), evals);
-    // Every prune was preceded by a computed bound, and tightness is
-    // only observed for bounded candidates that were then evaluated.
-    EXPECT_GE(bevals, pruned);
+    // Every prune was preceded by a bound, computed or read from a
+    // bound-only cache entry, and tightness is only observed for
+    // bounded candidates that were then evaluated.
+    EXPECT_GE(bevals + memo, pruned);
+    EXPECT_LE(memo, cand);
     EXPECT_LE(tight, evals);
+    // Repeats of pruned mappings reuse the memoized bound.
+    EXPECT_GT(memo, 0u);
 }
 
 TEST(LowerBound, MctsKillResumeWithPruningIsBitIdentical)

@@ -15,7 +15,9 @@
 #include "dataflows/chain.hpp"
 #include "frontend/loader.hpp"
 #include "ir/shapes.hpp"
+#include "common/telemetry.hpp"
 #include "mapper/mapper.hpp"
+#include "mapper/mcts.hpp"
 
 namespace tileflow {
 namespace {
@@ -362,6 +364,101 @@ TEST(Mapper, NoFactorKnobPathCountsOneEvaluation)
     ASSERT_TRUE(r.found);
     EXPECT_EQ(r.evaluations, 1);
     EXPECT_EQ(r.trace.size(), 1u);
+}
+
+TEST(Mapper, NoFactorKnobPathEvaluatesOverABoundOnlyEntry)
+{
+    // The no-factor path never prunes, so a bound-only entry for its
+    // base mapping is a miss: the base is evaluated and its full
+    // verdict replaces the bound.
+    const Workload w = buildAttention(attentionShape("Bert-S"), false);
+    const ArchSpec edge = makeEdgeArch();
+    const Evaluator model(w, edge);
+    const MappingSpace fixed({}, [&](const std::vector<int64_t>&) {
+        return buildAttentionDataflow(w, edge,
+                                      AttentionDataflow::TileFlowDF);
+    });
+    EvalCache cache;
+    CachedEval bound;
+    bound.boundOnly = true;
+    bound.boundCycles = 1.0;
+    cache.insert({}, bound);
+
+    Rng rng(3);
+    MctsTuner tuner(model, fixed, rng);
+    tuner.setCache(&cache);
+    const MctsResult r = tuner.tune({}, 10);
+    ASSERT_TRUE(r.found);
+    EXPECT_EQ(r.evaluations, 1);
+    EXPECT_EQ(r.cacheHits, 0u);
+    EXPECT_EQ(r.cacheMisses, 1u);
+    EXPECT_EQ(r.bestCycles, model.evaluate(fixed.build({})).cycles);
+    const std::optional<CachedEval> now = cache.lookup({});
+    ASSERT_TRUE(now.has_value());
+    EXPECT_FALSE(now->boundOnly);
+    EXPECT_EQ(now->cycles, r.bestCycles);
+}
+
+TEST(EvalCache, BoundOnlyEntriesAreMissesAndYieldToFullVerdicts)
+{
+    MetricsRegistry& metrics = MetricsRegistry::global();
+    const uint64_t inserted0 =
+        metrics.counterValue("evalcache.bytes_inserted");
+    const uint64_t evicted0 =
+        metrics.counterValue("evalcache.bytes_evicted");
+    const double gauge0 = metrics.gauge("evalcache.bytes").value();
+    {
+        EvalCache cache;
+        const std::vector<int64_t> key{4, 2};
+        CachedEval bound;
+        bound.boundOnly = true;
+        bound.boundCycles = 123.0;
+        CachedEval reject = bound;
+        reject.capacityReject = true;
+        const CachedEval full{true, 456.0, false, ""};
+
+        // A bound-only lookup returns the bound but counts a miss.
+        cache.insert(key, bound);
+        std::optional<CachedEval> got = cache.lookup(key);
+        ASSERT_TRUE(got.has_value());
+        EXPECT_TRUE(got->boundOnly);
+        EXPECT_EQ(got->boundCycles, 123.0);
+        EXPECT_EQ(cache.hits(), 0u);
+        EXPECT_EQ(cache.misses(), 1u);
+
+        // A bound may replace a bound (capacity status learned)...
+        cache.insert(key, reject);
+        got = cache.lookup(key);
+        ASSERT_TRUE(got.has_value());
+        EXPECT_TRUE(got->capacityReject);
+
+        // ...a full verdict always replaces a bound...
+        cache.insert(key, full);
+        got = cache.lookup(key);
+        ASSERT_TRUE(got.has_value());
+        EXPECT_FALSE(got->boundOnly);
+        EXPECT_EQ(got->cycles, 456.0);
+        EXPECT_EQ(cache.hits(), 1u);
+
+        // ...and a bound never replaces a full verdict.
+        cache.insert(key, bound);
+        got = cache.lookup(key);
+        ASSERT_TRUE(got.has_value());
+        EXPECT_FALSE(got->boundOnly);
+        EXPECT_EQ(got->cycles, 456.0);
+
+        EXPECT_EQ(cache.size(), 1u);
+        EXPECT_EQ(cache.bytes(), EvalCache::entryBytes(key, full));
+        // The process gauge stays exactly inserted - evicted.
+        const uint64_t inserted =
+            metrics.counterValue("evalcache.bytes_inserted") - inserted0;
+        const uint64_t evicted =
+            metrics.counterValue("evalcache.bytes_evicted") - evicted0;
+        EXPECT_EQ(inserted - evicted, cache.bytes());
+        EXPECT_EQ(metrics.gauge("evalcache.bytes").value() - gauge0,
+                  double(cache.bytes()));
+    }
+    EXPECT_EQ(metrics.gauge("evalcache.bytes").value(), gauge0);
 }
 
 TEST(Mapper, GeneticNoFactorKnobAccountingIsReal)

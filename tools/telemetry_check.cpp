@@ -542,6 +542,33 @@ checkMetrics(const JsonValue& root)
            << ") != mapper.candidates (" << candidates << ")";
         check(bound_pruned + mapper_evals_bb == candidates, os.str());
     }
+    // Every prune stands on a bound the guard computed or read from a
+    // bound-only EvalCache entry, and a memo hit is one candidate.
+    // The guard registers the memo counter with the others, so a
+    // search export that has one has all. A resumed run credits the
+    // killed run's prunes but not the bounds behind them (those were
+    // computed in the killed process), so the first identity is only
+    // checked on unresumed runs.
+    const JsonValue* memo_counter = counters->get("mapper.bound_memo_hits");
+    check(!counters->get("mapper.candidates") || memo_counter,
+          "mapper.candidates present without mapper.bound_memo_hits");
+    const double bound_evals =
+        numberOr(counters->get("mapper.bound_evals"), 0.0);
+    const double memo_hits = numberOr(memo_counter, 0.0);
+    const JsonValue* resumed = result->get("resumed");
+    if (!(resumed && resumed->boolean)) {
+        std::ostringstream os;
+        os << "mapper.bound_evals (" << bound_evals
+           << ") + mapper.bound_memo_hits (" << memo_hits
+           << ") < mapper.bound_pruned (" << bound_pruned << ")";
+        check(bound_evals + memo_hits >= bound_pruned, os.str());
+    }
+    {
+        std::ostringstream os;
+        os << "mapper.bound_memo_hits (" << memo_hits
+           << ") > mapper.candidates (" << candidates << ")";
+        check(memo_hits <= candidates, os.str());
+    }
     const JsonValue* tightness =
         histograms->get("mapper.bound_tightness");
     if (tightness && tightness->isObject()) {
