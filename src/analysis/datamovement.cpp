@@ -388,7 +388,8 @@ DataMovementAnalyzer::tileImpl(const Node* node,
 DataMovementResult
 DataMovementAnalyzer::analyze(const AnalysisTree& tree,
                               const PartialLookup& lookup,
-                              const PartialRecord& record) const
+                              const PartialRecord& record,
+                              TrafficMode mode) const
 {
     DataMovementResult result;
     result.levels.assign(size_t(spec_->numLevels()), LevelTraffic{});
@@ -396,15 +397,22 @@ DataMovementAnalyzer::analyze(const AnalysisTree& tree,
     if (!tree.hasRoot())
         return result;
 
-    // Compute op counts once. pathSpan is cheap and exact (int64), so
-    // op counts are always recomputed, never cached.
-    for (const Node* leaf : tree.root()->opLeaves()) {
+    // Compute op counts once. The spans are cheap and exact (int64),
+    // so op counts are always recomputed, never cached. The
+    // compulsory mode leaves them at zero: utilization, their one
+    // consumer, is not part of the bound.
+    const std::vector<const Node*> leaves =
+        mode == TrafficMode::Exact ? tree.root()->opLeaves()
+                                   : std::vector<const Node*>{};
+    for (const Node* leaf : leaves) {
         const Operator& op = workload_->op(leaf->op());
+        const std::vector<int64_t> spans =
+            pathSpans(tree.root(), leaf, workload_->dims().size());
         double effective = op.opsPerPoint();
         double padded = op.opsPerPoint();
         for (DimId dim : op.dims()) {
             effective *= double(workload_->dim(dim).extent);
-            padded *= double(pathSpan(tree.root(), leaf, dim));
+            padded *= double(spans[size_t(dim)]);
         }
         result.effectiveOps += effective;
         result.paddedOps += padded;
@@ -428,7 +436,8 @@ DataMovementAnalyzer::analyze(const AnalysisTree& tree,
         const DmNodePartial* partial = lookup ? lookup(node) : nullptr;
         DmNodePartial computed;
         if (partial == nullptr) {
-            computed = analyzeTile(node);
+            computed = mode == TrafficMode::Exact ? analyzeTile(node)
+                                                  : compulsoryTile(node);
             if (record)
                 record(node, computed);
             partial = &computed;
@@ -451,52 +460,6 @@ DataMovementAnalyzer::analyze(const AnalysisTree& tree,
             auto& clvl = result.levels[size_t(child_level)];
             clvl.fillBytes += partial->childFill[j];
             clvl.readBytes += partial->childDrain[j];
-        }
-    }
-    return result;
-}
-
-DataMovementResult
-DataMovementAnalyzer::analyzeCompulsory(const AnalysisTree& tree) const
-{
-    DataMovementResult result;
-    result.levels.assign(size_t(spec_->numLevels()), LevelTraffic{});
-
-    if (!tree.hasRoot())
-        return result;
-
-    // Same traversal order and aggregation statements as analyze(),
-    // fed with compulsory-only partials: each per-node and per-level
-    // total is an fl-sum of an in-order subsequence of the exact
-    // sum's non-negative terms, hence bitwise <= it. Op counts are
-    // deliberately not computed — the bound's latency pass reads only
-    // perNode, and utilization (their one consumer) is discarded.
-    std::vector<const Node*> stack{tree.root()};
-    while (!stack.empty()) {
-        const Node* node = stack.back();
-        stack.pop_back();
-        for (const auto& child : node->children())
-            stack.push_back(child.get());
-        if (!node->isTile())
-            continue;
-
-        const DmNodePartial partial = compulsoryTile(node);
-
-        const double executions = double(executionCount(node));
-        result.perNode[node] =
-            NodeTraffic{partial.loadBytes / executions,
-                        partial.storeBytes / executions};
-
-        auto& lvl = result.levels[size_t(node->memLevel())];
-        lvl.readBytes += partial.loadBytes;
-        lvl.updateBytes += partial.storeBytes;
-        for (size_t j = 0; j < partial.childLevels.size(); ++j) {
-            const int child_level = partial.childLevels[j];
-            if (child_level < 0)
-                continue;
-            auto& clvl = result.levels[size_t(child_level)];
-            clvl.fillBytes += partial.childFill[j];
-            clvl.readBytes += partial.childDrain[j];
         }
     }
     return result;

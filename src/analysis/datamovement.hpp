@@ -101,6 +101,13 @@ struct DmNodePartial
     std::vector<int> childLevels;
 };
 
+/** Which per-node traffic DataMovementAnalyzer::analyze aggregates. */
+enum class TrafficMode
+{
+    Exact,      ///< analyzeTile: the full Sec. 5.1 traffic
+    Compulsory, ///< compulsoryTile: the lower bound's traffic
+};
+
 /** The Sec. 5.1 analyzer. Stateless apart from workload/arch refs. */
 class DataMovementAnalyzer
 {
@@ -127,10 +134,17 @@ class DataMovementAnalyzer
      * partials in the identical order with identical values, so the
      * result is bit-identical to a fresh full analysis (the
      * incremental evaluator's property tests assert this).
+     *
+     * In Compulsory mode the partials are compulsoryTile's and the op
+     * counts stay zero (the lower bound's latency pass never reads
+     * them): each per-node and per-level total is then an fl-sum of
+     * an in-order subsequence of the exact sum's non-negative terms,
+     * hence bitwise <= it.
      */
     DataMovementResult analyze(const AnalysisTree& tree,
                                const PartialLookup& lookup,
-                               const PartialRecord& record) const;
+                               const PartialRecord& record,
+                               TrafficMode mode = TrafficMode::Exact) const;
 
     /** Whole-run traffic of one Tile node (the per-node hot path). */
     DmNodePartial analyzeTile(const Node* node) const;
@@ -145,13 +159,6 @@ class DataMovementAnalyzer
      * lower-bound evaluator (analysis/lowerbound.hpp) rests on this.
      */
     DmNodePartial compulsoryTile(const Node* node) const;
-
-    /**
-     * Like analyze(tree) but aggregated from compulsoryTile partials:
-     * a per-node / per-level traffic lower bound. Op counts are left
-     * at zero — the lower bound's latency pass never reads them.
-     */
-    DataMovementResult analyzeCompulsory(const AnalysisTree& tree) const;
 
   private:
     DmNodePartial tileImpl(const Node* node, bool compulsory_only) const;

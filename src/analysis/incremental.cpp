@@ -13,26 +13,129 @@
 
 namespace tileflow {
 
-namespace {
-
-/**
- * Per-Tile-node working state for one evaluate() call. `cached` is the
- * one cache lookup the pre-pass performs; the fresh* flags say which
- * partials this evaluation computed itself and therefore owes back to
- * the cache.
- */
-struct Slot
+SubtreeSlots::SubtreeSlots(SubtreeCache* cache, const AnalysisTree& tree,
+                           SubtreeKind kind)
+    : cache_(cache)
 {
-    SubtreeKey key;
-    std::optional<SubtreePartial> cached;
-    SubtreePartial fresh;
-    bool freshDm = false;
-    bool freshFp = false;
-    bool freshLat = false;  ///< memory-pass latency
-    bool freshPure = false; ///< pure-compute-pass latency
-};
+    if (cache_ == nullptr || !tree.hasRoot())
+        return;
+    const std::vector<TileKey> keys = tileKeys(tree.root());
+    slots_.resize(keys.size());
+    index_.reserve(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+        Slot& slot = slots_[i];
+        slot.key = SubtreeKey{keys[i].hash, keys[i].context, kind};
+        slot.cached = cache_->lookup(slot.key);
+        index_.emplace(keys[i].node, i);
+    }
 
-} // namespace
+    memo_.lookup = [this](const Node* node,
+                          bool with_memory) -> const double* {
+        Slot& slot = slotOf(node);
+        if (!slot.cached || !slot.cached->hasLatency)
+            return nullptr;
+        return with_memory ? &slot.cached->cycles
+                           : &slot.cached->computeCycles;
+    };
+    memo_.record = [this](const Node* node, bool with_memory,
+                          double lat) {
+        Slot& slot = slotOf(node);
+        if (with_memory) {
+            slot.fresh.cycles = lat;
+            slot.freshLat = true;
+        } else {
+            slot.fresh.computeCycles = lat;
+            slot.freshPure = true;
+        }
+    };
+}
+
+DataMovementAnalyzer::PartialLookup
+SubtreeSlots::dmLookup()
+{
+    if (cache_ == nullptr)
+        return {};
+    return [this](const Node* node) -> const DmNodePartial* {
+        Slot& slot = slotOf(node);
+        return slot.cached ? &slot.cached->dm : nullptr;
+    };
+}
+
+DataMovementAnalyzer::PartialRecord
+SubtreeSlots::dmRecord()
+{
+    if (cache_ == nullptr)
+        return {};
+    return [this](const Node* node, const DmNodePartial& partial) {
+        Slot& slot = slotOf(node);
+        slot.fresh.dm = partial;
+        slot.freshDm = true;
+    };
+}
+
+ResourceAnalyzer::FootprintLookup
+SubtreeSlots::footprintLookup()
+{
+    if (cache_ == nullptr)
+        return {};
+    return [this](const Node* node) -> const int64_t* {
+        Slot& slot = slotOf(node);
+        return slot.cached ? &slot.cached->footprintBytes : nullptr;
+    };
+}
+
+ResourceAnalyzer::FootprintRecord
+SubtreeSlots::footprintRecord()
+{
+    if (cache_ == nullptr)
+        return {};
+    return [this](const Node* node, int64_t footprint) {
+        Slot& slot = slotOf(node);
+        slot.fresh.footprintBytes = footprint;
+        slot.freshFp = true;
+    };
+}
+
+const LatencyMemo*
+SubtreeSlots::latencyMemo() const
+{
+    return cache_ != nullptr ? &memo_ : nullptr;
+}
+
+void
+SubtreeSlots::flush()
+{
+    for (Slot& slot : slots_) {
+        if (!slot.freshDm && !slot.freshFp && !slot.freshLat &&
+            !slot.freshPure)
+            continue; // fully served from cache; nothing new
+        // Every pass that runs the dm analyzer visits every Tile node,
+        // so a slot without fresh dm was a hit. The bound's pass
+        // computes no footprint; its entries keep footprintBytes 0.
+        SubtreePartial merged;
+        merged.dm = slot.freshDm ? std::move(slot.fresh.dm)
+                                 : slot.cached->dm;
+        if (slot.freshFp)
+            merged.footprintBytes = slot.fresh.footprintBytes;
+        else if (slot.cached)
+            merged.footprintBytes = slot.cached->footprintBytes;
+        if (slot.freshLat && slot.freshPure) {
+            merged.hasLatency = true;
+            merged.cycles = slot.fresh.cycles;
+            merged.computeCycles = slot.fresh.computeCycles;
+        } else if (!slot.freshLat && !slot.freshPure && slot.cached &&
+                   slot.cached->hasLatency) {
+            merged.hasLatency = true;
+            merged.cycles = slot.cached->cycles;
+            merged.computeCycles = slot.cached->computeCycles;
+        }
+        // A lone freshLat (memory pass recomputed under a pure-pass
+        // ancestor hit, e.g. after this node's entry was evicted)
+        // stays hasLatency = false: its pure-pass twin was never
+        // computed and storing a zero would poison later hits.
+        cache_->insert(slot.key, merged);
+    }
+}
 
 EvalResult
 IncrementalEvaluator::evaluate(const AnalysisTree& tree) const
@@ -91,131 +194,36 @@ IncrementalEvaluator::evaluate(const AnalysisTree& tree) const
         }
     }
 
-    // Pre-pass: exactly ONE cache lookup per Tile node, so
-    // subtree_hits + subtree_misses == subtree_lookups by construction
-    // (tools/telemetry_check enforces it).
-    std::vector<Slot> slots;
-    std::unordered_map<const Node*, size_t> index;
-    if (tree.hasRoot()) {
-        std::vector<const Node*> stack{tree.root()};
-        while (!stack.empty()) {
-            const Node* node = stack.back();
-            stack.pop_back();
-            for (const auto& child : node->children())
-                stack.push_back(child.get());
-            if (!node->isTile())
-                continue;
-            Slot slot;
-            slot.key =
-                SubtreeKey{subtreeHash(node), contextSignature(node)};
-            slot.cached = cache_->lookup(slot.key);
-            index.emplace(node, slots.size());
-            slots.push_back(std::move(slot));
-        }
-    }
-    auto slotOf = [&](const Node* node) -> Slot& {
-        return slots[index.at(node)];
-    };
-
-    // Give freshly computed partials back to the cache. Runs before
-    // every post-resource return, so even an enforcement-failed
-    // evaluation contributes its dm/footprint work (latency fields are
-    // marked absent and upgraded by a later evaluation that reaches
-    // the phase — last writer wins).
-    auto flush = [&]() {
-        for (Slot& slot : slots) {
-            if (!slot.freshDm && !slot.freshFp && !slot.freshLat &&
-                !slot.freshPure)
-                continue; // fully served from cache; nothing new
-            SubtreePartial merged;
-            merged.dm = slot.freshDm ? std::move(slot.fresh.dm)
-                                     : slot.cached->dm;
-            merged.footprintBytes = slot.freshFp
-                                        ? slot.fresh.footprintBytes
-                                        : slot.cached->footprintBytes;
-            if (slot.freshLat && slot.freshPure) {
-                merged.hasLatency = true;
-                merged.cycles = slot.fresh.cycles;
-                merged.computeCycles = slot.fresh.computeCycles;
-            } else if (!slot.freshLat && !slot.freshPure &&
-                       slot.cached && slot.cached->hasLatency) {
-                merged.hasLatency = true;
-                merged.cycles = slot.cached->cycles;
-                merged.computeCycles = slot.cached->computeCycles;
-            }
-            // A lone freshLat (memory pass recomputed under a pure-pass
-            // ancestor hit, e.g. after this node's entry was evicted)
-            // stays hasLatency = false: its pure-pass twin was never
-            // computed and storing a zero would poison later hits.
-            cache_->insert(slot.key, merged);
-        }
-    };
+    SubtreeSlots slots(cache_, tree, SubtreeKind::Eval);
 
     {
         const TraceSpan phase("evaluate.data_movement", "analysis");
         const DataMovementAnalyzer dm_analyzer(workload, spec);
-        result.dm = dm_analyzer.analyze(
-            tree,
-            [&](const Node* node) -> const DmNodePartial* {
-                Slot& slot = slotOf(node);
-                return slot.cached ? &slot.cached->dm : nullptr;
-            },
-            [&](const Node* node, const DmNodePartial& partial) {
-                Slot& slot = slotOf(node);
-                slot.fresh.dm = partial;
-                slot.freshDm = true;
-            });
+        result.dm = dm_analyzer.analyze(tree, slots.dmLookup(),
+                                        slots.dmRecord());
     }
 
     {
         const TraceSpan phase("evaluate.resource", "analysis");
         const ResourceAnalyzer resource_analyzer(workload, spec);
         result.resources = resource_analyzer.analyze(
-            tree, options.enforceMemory,
-            [&](const Node* node) -> const int64_t* {
-                Slot& slot = slotOf(node);
-                return slot.cached ? &slot.cached->footprintBytes
-                                   : nullptr;
-            },
-            [&](const Node* node, int64_t footprint) {
-                Slot& slot = slotOf(node);
-                slot.fresh.footprintBytes = footprint;
-                slot.freshFp = true;
-            });
+            tree, options.enforceMemory, slots.footprintLookup(),
+            slots.footprintRecord());
     }
 
     if ((options.enforceMemory && !result.resources.fitsMemory) ||
         (options.enforceCompute && !result.resources.fitsCompute)) {
         result.problems = enforcementProblems(options, result.resources);
         invalid.add();
-        flush();
+        slots.flush();
         return result;
     }
 
     {
         const TraceSpan phase("evaluate.latency", "analysis");
         const LatencyModel latency_model(workload, spec);
-        LatencyMemo memo;
-        memo.lookup = [&](const Node* node,
-                          bool with_memory) -> const double* {
-            Slot& slot = slotOf(node);
-            if (!slot.cached || !slot.cached->hasLatency)
-                return nullptr;
-            return with_memory ? &slot.cached->cycles
-                               : &slot.cached->computeCycles;
-        };
-        memo.record = [&](const Node* node, bool with_memory,
-                          double lat) {
-            Slot& slot = slotOf(node);
-            if (with_memory) {
-                slot.fresh.cycles = lat;
-                slot.freshLat = true;
-            } else {
-                slot.fresh.computeCycles = lat;
-                slot.freshPure = true;
-            }
-        };
-        result.latency = latency_model.analyze(tree, result.dm, &memo);
+        result.latency =
+            latency_model.analyze(tree, result.dm, slots.latencyMemo());
         result.cycles = result.latency.cycles;
         result.utilization = result.latency.utilization;
     }
@@ -227,7 +235,7 @@ IncrementalEvaluator::evaluate(const AnalysisTree& tree) const
     }
 
     result.valid = true;
-    flush();
+    slots.flush();
     return result;
 }
 

@@ -31,10 +31,80 @@
 #ifndef TILEFLOW_ANALYSIS_INCREMENTAL_HPP
 #define TILEFLOW_ANALYSIS_INCREMENTAL_HPP
 
+#include <optional>
+#include <unordered_map>
+#include <vector>
+
 #include "analysis/evaluator.hpp"
 #include "analysis/subtreecache.hpp"
 
 namespace tileflow {
+
+/**
+ * One analysis pass's view of a SubtreeCache, shared by the
+ * incremental evaluator (SubtreeKind::Eval) and the lower bound's
+ * cost pass (SubtreeKind::Bound).
+ *
+ * The constructor is the pre-pass: exactly ONE cache lookup per Tile
+ * node, under the keys of one tileKeys() walk, so subtree_hits +
+ * subtree_misses == subtree_lookups by construction
+ * (tools/telemetry_check enforces it). The hooks serve the cached
+ * partials to the analyzers and collect the fresh ones; flush() gives
+ * the fresh ones back to the cache. With a null cache every hook is
+ * empty, latencyMemo() is null and flush() does nothing: the
+ * analyzers then run exactly as their hook-less overloads.
+ *
+ * Per-call state: the hooks capture `this`, so an instance lives on
+ * the stack of one analysis and is neither copied nor moved.
+ */
+class SubtreeSlots
+{
+  public:
+    SubtreeSlots(SubtreeCache* cache, const AnalysisTree& tree,
+                 SubtreeKind kind);
+
+    SubtreeSlots(const SubtreeSlots&) = delete;
+    SubtreeSlots& operator=(const SubtreeSlots&) = delete;
+
+    DataMovementAnalyzer::PartialLookup dmLookup();
+    DataMovementAnalyzer::PartialRecord dmRecord();
+    ResourceAnalyzer::FootprintLookup footprintLookup();
+    ResourceAnalyzer::FootprintRecord footprintRecord();
+    const LatencyMemo* latencyMemo() const;
+
+    /**
+     * Insert every slot that computed something fresh. Callable
+     * before a post-resource early return too, so even an
+     * enforcement-failed evaluation contributes its dm/footprint work
+     * (its latency fields stay absent until a later pass records
+     * them — last writer wins).
+     */
+    void flush();
+
+  private:
+    /**
+     * Per-Tile-node working state. `cached` is the pre-pass lookup;
+     * the fresh* flags say which partials this pass computed itself
+     * and therefore owes back to the cache.
+     */
+    struct Slot
+    {
+        SubtreeKey key;
+        std::optional<SubtreePartial> cached;
+        SubtreePartial fresh;
+        bool freshDm = false;
+        bool freshFp = false;
+        bool freshLat = false;  ///< memory-pass latency
+        bool freshPure = false; ///< pure-compute-pass latency
+    };
+
+    Slot& slotOf(const Node* node) { return slots_[index_.at(node)]; }
+
+    SubtreeCache* cache_;
+    std::vector<Slot> slots_;
+    std::unordered_map<const Node*, size_t> index_;
+    LatencyMemo memo_;
+};
 
 /**
  * Thread-safety: evaluate() is reentrant, like Evaluator's. All

@@ -5,6 +5,7 @@
 
 #include "analysis/childgroup.hpp"
 #include "analysis/datamovement.hpp"
+#include "analysis/incremental.hpp"
 #include "analysis/latency.hpp"
 #include "analysis/resource.hpp"
 #include "common/logging.hpp"
@@ -102,10 +103,15 @@ LowerBoundEvaluator::costBound(const AnalysisTree& tree) const
     // is monotone in the traffic under fl-arithmetic, so the result
     // is bitwise <= the full model's cycles. The pure-compute pass
     // (the roofline) reads no traffic and comes along for free.
+    SubtreeSlots slots(cache_, tree, SubtreeKind::Bound);
     const DataMovementAnalyzer dm(*workload_, *spec_);
-    const DataMovementResult compulsory = dm.analyzeCompulsory(tree);
+    const DataMovementResult compulsory =
+        dm.analyze(tree, slots.dmLookup(), slots.dmRecord(),
+                   TrafficMode::Compulsory);
     const LatencyModel latency(*workload_, *spec_);
-    const LatencyResult lat = latency.analyze(tree, compulsory);
+    const LatencyResult lat =
+        latency.analyze(tree, compulsory, slots.latencyMemo());
+    slots.flush();
     LowerBound lb;
     lb.analyzed = true;
     lb.cycles = lat.cycles;

@@ -9,13 +9,17 @@
  * mapper can discard a candidate whose *bound* already exceeds the
  * best mapping found so far without paying for its full evaluation.
  *
- * It is cheaper than that evaluation, not cheap: validation, the
+ * It is cheaper than that evaluation, not cheap: cold, validation, the
  * compulsory-traffic pass and the latency model still walk every
- * node's slices, about 55-90 us per call on the attention and
- * conv-chain trees (one Xeon core), a third to a half of a full
+ * node's slices, about 60-80 us per call on the attention and
+ * conv-chain trees (one Xeon vCPU), a third to a half of a full
  * evaluation. So the mapper's guard runs the cost part before the
  * capacity screen (the cost part prunes far more often) and
- * memoizes each pruned candidate's bound in the EvalCache.
+ * memoizes each pruned candidate's bound in the EvalCache. Given the
+ * search's SubtreeCache, the cost part is also incremental per Tile
+ * node, like the full evaluation: after a single-knob mutation only
+ * the changed node's ancestor spine is re-bounded (about 12 us instead
+ * of 67 us per call on bench_incremental's Bert-S stream).
  *
  * Three ingredients, each individually admissible:
  *
@@ -52,6 +56,8 @@
 
 namespace tileflow {
 
+class SubtreeCache;
+
 /** What the lower-bound evaluator can say about one mapping. */
 struct LowerBound
 {
@@ -81,24 +87,37 @@ struct LowerBound
 
 /**
  * The bound computer. Like Evaluator it is stateless after
- * construction and safe to share across threads. It must be
- * constructed with the SAME workload/spec/options as the full
- * evaluator it screens for — the capacity screen in particular is
- * only sound against an evaluator that enforces memory capacities.
+ * construction and safe to share across threads (the optional
+ * SubtreeCache is internally synchronized). It must be constructed
+ * with the SAME workload/spec/options as the full evaluator it screens
+ * for — the capacity screen in particular is only sound against an
+ * evaluator that enforces memory capacities.
+ *
+ * With a SubtreeCache, costBound() is incremental: each Tile node's
+ * compulsory traffic partial and bound-pass latencies are looked up
+ * under its (subtreeHash, contextSignature) key tagged
+ * SubtreeKind::Bound, and fresh ones are recorded, exactly as the
+ * incremental evaluator does for the full model (the two share
+ * SubtreeSlots and may share one cache). Cached partials are the
+ * values a fresh pass computes, so the bound is bit-identical with or
+ * without the cache; a null cache runs the same code with empty hooks.
  */
 class LowerBoundEvaluator
 {
   public:
     LowerBoundEvaluator(const Workload& workload, const ArchSpec& spec,
-                        EvalOptions options = {})
-        : workload_(&workload), spec_(&spec), options_(options)
+                        EvalOptions options = {},
+                        SubtreeCache* cache = nullptr)
+        : workload_(&workload), spec_(&spec), options_(options),
+          cache_(cache)
     {
     }
 
     /** Convenience: mirror the full evaluator's configuration. */
-    explicit LowerBoundEvaluator(const Evaluator& model)
+    explicit LowerBoundEvaluator(const Evaluator& model,
+                                 SubtreeCache* cache = nullptr)
         : LowerBoundEvaluator(model.workload(), model.spec(),
-                              model.options())
+                              model.options(), cache)
     {
     }
 
@@ -144,6 +163,7 @@ class LowerBoundEvaluator
     const Workload* workload_;
     const ArchSpec* spec_;
     EvalOptions options_;
+    SubtreeCache* cache_;
 };
 
 /**

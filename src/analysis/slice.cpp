@@ -19,29 +19,69 @@ StepGeometry::StepGeometry(const Workload& workload, const Node* node,
 
     const size_t num_dims = workload.dims().size();
     units_.assign(num_dims, 1);
-    spatialSpan_.assign(num_dims, 1);
 
     std::vector<int64_t> full_spatial(num_dims, 1);
+    std::vector<int64_t> spatial_span(num_dims, 1);
     for (const Loop& loop : node->loops()) {
         if (loop.isTemporal()) {
             temporal_.push_back(loop);
         } else {
             full_spatial[size_t(loop.dim)] *= loop.extent;
             if (include_node_spatial)
-                spatialSpan_[size_t(loop.dim)] *= loop.extent;
+                spatial_span[size_t(loop.dim)] *= loop.extent;
         }
     }
 
-    // unit(d) = spatial extent at this node times the largest d-span of
-    // any child subtree (always including spatial: temporal steps
-    // advance past all spatial instances).
-    for (size_t d = 0; d < num_dims; ++d) {
-        int64_t child_span = 1;
-        for (const auto& child : node->children())
-            child_span = std::max(child_span,
-                                  subtreeSpan(child.get(), DimId(d)));
-        units_[d] = full_spatial[d] * child_span;
+    // One leaf-to-child walk per Op leaf yields every dim's span at
+    // once. unit(d) = spatial extent at this node times the largest
+    // d-span of any child subtree (always including spatial: temporal
+    // steps advance past all spatial instances). The slice span
+    // continues the same product through the node's own loops and
+    // divides them back out — pathSpan(node, leaf, d)'s arithmetic,
+    // saturation included — then scales by the included spatial
+    // extent.
+    std::vector<int64_t> child_span(num_dims, 1);
+    for (const auto& child : node->children()) {
+        for (const Node* leaf : child->opLeaves()) {
+            std::vector<int64_t> span =
+                pathSpans(child.get(), leaf, num_dims);
+            for (size_t d = 0; d < num_dims; ++d)
+                child_span[d] = std::max(child_span[d], span[d]);
+            for (const Loop& loop : node->loops()) {
+                if (size_t(loop.dim) < num_dims) {
+                    int64_t& below = span[size_t(loop.dim)];
+                    below = mulSat(below, loop.extent);
+                }
+            }
+            for (const Loop& loop : node->loops()) {
+                if (size_t(loop.dim) < num_dims)
+                    span[size_t(loop.dim)] /= loop.extent;
+            }
+            for (size_t d = 0; d < num_dims; ++d)
+                span[d] *= spatial_span[d];
+            leaves_.push_back(leaf);
+            leafSpans_.insert(leafSpans_.end(), span.begin(), span.end());
+        }
     }
+    for (size_t d = 0; d < num_dims; ++d)
+        units_[d] = full_spatial[d] * child_span[d];
+}
+
+const int64_t*
+StepGeometry::spanRow(const Node* leaf) const
+{
+    for (size_t i = 0; i < leaves_.size(); ++i) {
+        if (leaves_[i] == leaf)
+            return &leafSpans_[i * units_.size()];
+    }
+    panic("StepGeometry: leaf is not inside the node");
+}
+
+std::vector<int64_t>
+StepGeometry::leafSpan(const Node* leaf) const
+{
+    const int64_t* row = spanRow(leaf);
+    return std::vector<int64_t>(row, row + units_.size());
 }
 
 HyperRect
@@ -64,19 +104,7 @@ StepGeometry::slice(const Node* leaf, const TensorAccess& access,
             panic("StepGeometry::slice: dim_base rank mismatch");
         base = dim_base;
     }
-    std::vector<int64_t> span(num_dims, 1);
-
-    // Span below the node: loops on the path from the node's child down
-    // to the leaf (pathSpan from the node includes the node's own loops,
-    // so divide those back out), times the node's spatial extent.
-    for (size_t d = 0; d < num_dims; ++d) {
-        int64_t below = pathSpan(node_, leaf, DimId(d));
-        for (const Loop& loop : node_->loops()) {
-            if (loop.dim == DimId(d))
-                below /= loop.extent;
-        }
-        span[d] = below * spatialSpan_[d];
-    }
+    const std::vector<int64_t> span = leafSpan(leaf);
 
     for (size_t k = 0; k < temporal_.size(); ++k) {
         const Loop& loop = temporal_[k];

@@ -74,6 +74,14 @@ class StepGeometry
     int64_t unit(DimId dim) const { return units_[size_t(dim)]; }
 
     /**
+     * Per-dim span of every slice of `leaf` (a descendant Op node):
+     * pathSpan(node, leaf, d) with the node's own d-extents divided
+     * back out, times the node's included spatial d-extent. Computed
+     * for every leaf at construction, in the same walk as unit().
+     */
+    std::vector<int64_t> leafSpan(const Node* leaf) const;
+
+    /**
      * Index vector for the step just *before* temporal loop `k`
      * (position into temporalLoops()) advances.
      *
@@ -110,11 +118,14 @@ class StepGeometry
                         const TensorAccess& access) const;
 
   private:
+    const int64_t* spanRow(const Node* leaf) const;
+
     const Workload* workload_;
     const Node* node_;
     std::vector<Loop> temporal_;
     std::vector<int64_t> units_;        // per workload dim
-    std::vector<int64_t> spatialSpan_;  // per workload dim, at this node
+    std::vector<const Node*> leaves_;   // the node's Op leaves
+    std::vector<int64_t> leafSpans_;    // per leaf, per workload dim
 };
 
 } // namespace tileflow

@@ -8,7 +8,9 @@
  * data-movement simulation, step-footprint geometry, and per-execution
  * latency — keyed on (subtreeHash, contextSignature), so re-evaluating
  * a mutated tree recomputes only the changed node's ancestor spine
- * while untouched sibling subtrees are served from cache.
+ * while untouched sibling subtrees are served from cache. The lower
+ * bound's compulsory-traffic partials live in the same cache under
+ * SubtreeKind::Bound keys, with the same caps, byte gauge and shrink.
  *
  * Key contract (see core/tree.hpp): two Tile nodes with equal
  * subtreeHash and equal contextSignature produce bit-identical
@@ -20,8 +22,9 @@
  * evaluation (the tier-1 property test asserts this per fuzz family).
  *
  * Counters (MetricsRegistry): analysis.subtree_lookups / _hits /
- * _misses / _inserts / _evictions. Each evaluated Tile node performs
- * exactly one lookup, so hits + misses == lookups always holds.
+ * _misses / _inserts / _evictions, over both kinds of entry. Each Tile
+ * node of an evaluated or bounded tree performs exactly one lookup
+ * (SubtreeSlots), so hits + misses == lookups always holds.
  */
 
 #ifndef TILEFLOW_ANALYSIS_SUBTREECACHE_HPP
@@ -42,15 +45,29 @@
 
 namespace tileflow {
 
-/** Cache key: structural identity + ancestor-loop context. */
+/**
+ * Which analysis pass memoized an entry. The lower bound's entries
+ * hold compulsory traffic and the latencies it yields, so they must
+ * never answer a full evaluation's lookup for the same node (or the
+ * other way round).
+ */
+enum class SubtreeKind : uint8_t
+{
+    Eval,  ///< IncrementalEvaluator: exact partials
+    Bound, ///< LowerBoundEvaluator::costBound: compulsory partials
+};
+
+/** Cache key: structural identity + ancestor-loop context + kind. */
 struct SubtreeKey
 {
     uint64_t hash = 0;    ///< subtreeHash(node)
     uint64_t context = 0; ///< contextSignature(node)
+    SubtreeKind kind = SubtreeKind::Eval;
 
     bool operator==(const SubtreeKey& other) const
     {
-        return hash == other.hash && context == other.context;
+        return hash == other.hash && context == other.context &&
+               kind == other.kind;
     }
 };
 
@@ -147,8 +164,11 @@ class SubtreeCache
     {
         size_t operator()(const SubtreeKey& key) const
         {
-            // hash already mixes the whole subtree; fold in context.
-            return size_t(key.hash ^ (key.context * 0x9e3779b97f4a7c15ULL));
+            // hash already mixes the whole subtree; fold in context
+            // and kind.
+            return size_t(key.hash ^
+                          (key.context * 0x9e3779b97f4a7c15ULL) ^
+                          (uint64_t(key.kind) * 0xc2b2ae3d27d4eb4fULL));
         }
     };
 

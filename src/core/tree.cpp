@@ -28,10 +28,6 @@ AnalysisTree::str() const
     return root_ ? root_->str() : std::string("(empty tree)\n");
 }
 
-namespace {
-
-/** a * b clamped to int64 max — spans of adversarially large (but
- *  individually representable) loop extents must saturate, not wrap. */
 int64_t
 mulSat(int64_t a, int64_t b)
 {
@@ -40,8 +36,6 @@ mulSat(int64_t a, int64_t b)
         return std::numeric_limits<int64_t>::max();
     return int64_t(wide);
 }
-
-} // namespace
 
 int64_t
 pathSpan(const Node* subtree, const Node* leaf, DimId dim)
@@ -62,6 +56,28 @@ pathSpan(const Node* subtree, const Node* leaf, DimId dim)
         cursor = cursor->parent();
     }
     panic("pathSpan: leaf is not inside the given subtree");
+}
+
+std::vector<int64_t>
+pathSpans(const Node* subtree, const Node* leaf, size_t num_dims)
+{
+    if (!leaf->isOp())
+        panic("pathSpans: leaf argument must be an Op node");
+    std::vector<int64_t> spans(num_dims, 1);
+    for (const Node* cursor = leaf; cursor != nullptr;
+         cursor = cursor->parent()) {
+        if (cursor->isTile()) {
+            for (const auto& loop : cursor->loops()) {
+                if (size_t(loop.dim) < num_dims) {
+                    int64_t& span = spans[size_t(loop.dim)];
+                    span = mulSat(span, loop.extent);
+                }
+            }
+        }
+        if (cursor == subtree)
+            return spans;
+    }
+    panic("pathSpans: leaf is not inside the given subtree");
 }
 
 int64_t
@@ -147,10 +163,11 @@ fnvMix(uint64_t hash, uint64_t value)
     return hash;
 }
 
+/** A node's own equalTrees fields, before its children's hashes. */
 uint64_t
-hashSubtreeInto(uint64_t hash, const Node* node)
+hashOwnFields(const Node* node)
 {
-    hash = fnvMix(hash, uint64_t(node->type()));
+    uint64_t hash = fnvMix(kFnvOffset, uint64_t(node->type()));
     switch (node->type()) {
       case NodeType::Tile:
         hash = fnvMix(hash, uint64_t(node->memLevel()));
@@ -168,9 +185,42 @@ hashSubtreeInto(uint64_t hash, const Node* node)
         hash = fnvMix(hash, uint64_t(int64_t(node->op())));
         break;
     }
-    hash = fnvMix(hash, uint64_t(node->numChildren()));
+    return fnvMix(hash, uint64_t(node->numChildren()));
+}
+
+/** Extend a context hash by one ancestor (the child's view of it). */
+uint64_t
+extendContext(uint64_t hash, const Node* ancestor)
+{
+    hash = fnvMix(hash, uint64_t(ancestor->type()));
+    if (ancestor->isTile()) {
+        hash = fnvMix(hash, uint64_t(ancestor->memLevel()));
+        hash = fnvMix(hash, uint64_t(ancestor->loops().size()));
+        for (const Loop& loop : ancestor->loops()) {
+            hash = fnvMix(hash, uint64_t(loop.dim));
+            hash = fnvMix(hash, uint64_t(loop.kind));
+            hash = fnvMix(hash, uint64_t(loop.extent));
+        }
+    }
+    // Scope kinds are deliberately NOT hashed — see tree.hpp.
+    return hash;
+}
+
+/** tileKeys' walk: records `node`'s Tile keys (preorder) and returns
+ *  its subtreeHash. */
+uint64_t
+collectTileKeys(const Node* node, uint64_t context,
+                std::vector<TileKey>& out)
+{
+    const size_t slot = out.size();
+    if (node->isTile())
+        out.push_back(TileKey{node, 0, context});
+    const uint64_t child_context = extendContext(context, node);
+    uint64_t hash = hashOwnFields(node);
     for (const auto& child : node->children())
-        hash = hashSubtreeInto(hash, child.get());
+        hash = fnvMix(hash, collectTileKeys(child.get(), child_context, out));
+    if (node->isTile())
+        out[slot].hash = hash;
     return hash;
 }
 
@@ -179,7 +229,10 @@ hashSubtreeInto(uint64_t hash, const Node* node)
 uint64_t
 subtreeHash(const Node* node)
 {
-    return hashSubtreeInto(kFnvOffset, node);
+    uint64_t hash = hashOwnFields(node);
+    for (const auto& child : node->children())
+        hash = fnvMix(hash, subtreeHash(child.get()));
+    return hash;
 }
 
 uint64_t
@@ -193,21 +246,18 @@ contextSignature(const Node* node)
         chain.push_back(cursor);
 
     uint64_t hash = kFnvOffset;
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-        const Node* ancestor = *it;
-        hash = fnvMix(hash, uint64_t(ancestor->type()));
-        if (ancestor->isTile()) {
-            hash = fnvMix(hash, uint64_t(ancestor->memLevel()));
-            hash = fnvMix(hash, uint64_t(ancestor->loops().size()));
-            for (const Loop& loop : ancestor->loops()) {
-                hash = fnvMix(hash, uint64_t(loop.dim));
-                hash = fnvMix(hash, uint64_t(loop.kind));
-                hash = fnvMix(hash, uint64_t(loop.extent));
-            }
-        }
-        // Scope kinds are deliberately NOT hashed — see tree.hpp.
-    }
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it)
+        hash = extendContext(hash, *it);
     return hash;
+}
+
+std::vector<TileKey>
+tileKeys(const Node* root)
+{
+    std::vector<TileKey> keys;
+    if (root != nullptr)
+        collectTileKeys(root, contextSignature(root), keys);
+    return keys;
 }
 
 const Node*

@@ -66,6 +66,18 @@ int64_t pathSpan(const Node* subtree, const Node* leaf, DimId dim);
 int64_t subtreeSpan(const Node* subtree, DimId dim);
 
 /**
+ * pathSpan(subtree, leaf, d) for every workload dim d < num_dims, from
+ * ONE leaf-to-subtree walk. Each entry takes the same saturating
+ * products in the same order as pathSpan, so it is equal to it.
+ */
+std::vector<int64_t> pathSpans(const Node* subtree, const Node* leaf,
+                               size_t num_dims);
+
+/** a * b clamped to the int64 maximum: spans of huge (but each
+ *  representable) loop extents saturate instead of wrapping. */
+int64_t mulSat(int64_t a, int64_t b);
+
+/**
  * Number of times `node` executes in total: the product of temporal
  * steps and spatial instances of all strict ancestors.
  */
@@ -87,12 +99,14 @@ bool equalTrees(const Node* a, const Node* b);
 bool equalTrees(const AnalysisTree& a, const AnalysisTree& b);
 
 /**
- * 64-bit FNV-1a structural hash over exactly the attributes
- * equalTrees compares: node type, memory level, loop list (dim, kind,
- * extent, order), scope kind, op id and child shapes. Therefore
- * equalTrees(a, b) implies subtreeHash(a) == subtreeHash(b). The
- * incremental evaluator (analysis/incremental.hpp) keys its per-node
- * partial cache on this hash.
+ * 64-bit Merkle hash over exactly the attributes equalTrees compares:
+ * a node's hash is the FNV-1a fold of its own fields (node type,
+ * memory level, loop list (dim, kind, extent, order), scope kind, op
+ * id, child count) followed by each child's subtreeHash in child
+ * order. Therefore equalTrees(a, b) implies
+ * subtreeHash(a) == subtreeHash(b). The incremental evaluator
+ * (analysis/incremental.hpp) keys its per-node partial cache on this
+ * hash.
  */
 uint64_t subtreeHash(const Node* node);
 
@@ -109,6 +123,22 @@ uint64_t subtreeHash(const Node* node);
  * produce bit-identical per-node analysis partials.
  */
 uint64_t contextSignature(const Node* node);
+
+/** The cache key parts of one Tile node. */
+struct TileKey
+{
+    const Node* node = nullptr;
+    uint64_t hash = 0;    ///< subtreeHash(node)
+    uint64_t context = 0; ///< contextSignature(node)
+};
+
+/**
+ * subtreeHash and contextSignature of every Tile node at or under
+ * `root`, in preorder, from ONE walk: hashes are folded bottom-up from
+ * the children's hashes, contexts top-down by extending the parent's
+ * FNV state. The values equal the single-node functions'.
+ */
+std::vector<TileKey> tileKeys(const Node* root);
 
 } // namespace tileflow
 

@@ -123,8 +123,10 @@ GeneticMapper::run()
 
     // Admissible lower bounds for the offspring prescreen's capacity
     // check and (when config_.boundPrune) the tuners' branch-and-bound
-    // screen; mirrors the evaluator's workload/spec/options.
-    const LowerBoundEvaluator lower_bound(*evaluator_);
+    // screen; mirrors the evaluator's workload/spec/options and shares
+    // the incremental evaluator's SubtreeCache, when there is one.
+    const LowerBoundEvaluator lower_bound(
+        *evaluator_, incremental_ ? &incremental_->cache() : nullptr);
 
     // Declared before the lambdas that read it: `best` is only
     // written serially at generation boundaries (and by the restore

@@ -70,7 +70,8 @@ exploreTiling(const Evaluator& evaluator, const MappingSpace& space,
     const StopControl stop(Deadline::afterMs(config.timeBudgetMs),
                            config.cancel, config.maxEvaluations);
 
-    const LowerBoundEvaluator lower_bound(evaluator);
+    const LowerBoundEvaluator lower_bound(
+        evaluator, config.incremental ? &subtree_cache : nullptr);
 
     MctsTuner tuner(evaluator, space, rng);
     if (config.incremental)

@@ -5,6 +5,10 @@
  * Evaluator facade.
  */
 
+#include <algorithm>
+#include <limits>
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "analysis/evaluator.hpp"
@@ -12,6 +16,7 @@
 #include "arch/presets.hpp"
 #include "core/notation.hpp"
 #include "ir/builders.hpp"
+#include "oracle/fuzz.hpp"
 
 namespace tileflow {
 namespace {
@@ -61,6 +66,123 @@ TEST(Slice, UnitsAndAdvances)
     // advances: i outer (2), j inner (4).
     EXPECT_EQ(geom.advances(0), 1);     // (2-1) * 1
     EXPECT_EQ(geom.advances(1), 3 * 2); // (4-1) * 2
+}
+
+/**
+ * The one-walk spans behind StepGeometry::slice and unit() against the
+ * per-dim pathSpan / subtreeSpan reference, for every Tile node of
+ * `tree`, with and without the node's spatial loops. Slices are
+ * compared too unless the spans saturate (projecting those would
+ * overflow). Returns the number of (node, leaf) pairs checked.
+ */
+int
+expectSpansMatchReference(const Workload& w, const AnalysisTree& tree,
+                          bool compare_slices)
+{
+    const size_t num_dims = w.dims().size();
+    int checked = 0;
+    std::vector<const Node*> stack{tree.root()};
+    while (!stack.empty()) {
+        const Node* node = stack.back();
+        stack.pop_back();
+        for (const auto& child : node->children())
+            stack.push_back(child.get());
+        for (const Node* leaf : node->opLeaves()) {
+            const std::vector<int64_t> spans =
+                pathSpans(node, leaf, num_dims);
+            for (size_t d = 0; d < num_dims; ++d)
+                EXPECT_EQ(spans[d], pathSpan(node, leaf, DimId(d)));
+        }
+        if (!node->isTile())
+            continue;
+
+        for (bool include_spatial : {true, false}) {
+            const StepGeometry geom(w, node, include_spatial);
+            for (size_t d = 0; d < num_dims; ++d) {
+                int64_t spatial = 1;
+                for (const Loop& loop : node->loops()) {
+                    if (loop.isSpatial() && loop.dim == DimId(d))
+                        spatial *= loop.extent;
+                }
+                int64_t child_span = 1;
+                for (const auto& child : node->children())
+                    child_span = std::max(
+                        child_span, subtreeSpan(child.get(), DimId(d)));
+                EXPECT_EQ(geom.unit(DimId(d)), spatial * child_span);
+            }
+            for (const Node* leaf : node->opLeaves()) {
+                std::vector<int64_t> ref(num_dims, 1);
+                for (size_t d = 0; d < num_dims; ++d) {
+                    int64_t below = pathSpan(node, leaf, DimId(d));
+                    int64_t spatial = 1;
+                    for (const Loop& loop : node->loops()) {
+                        if (loop.dim != DimId(d))
+                            continue;
+                        below /= loop.extent;
+                        if (loop.isSpatial() && include_spatial)
+                            spatial *= loop.extent;
+                    }
+                    ref[d] = below * spatial;
+                }
+                EXPECT_EQ(geom.leafSpan(leaf), ref);
+                ++checked;
+                if (!compare_slices)
+                    continue;
+                const Operator& op = w.op(leaf->op());
+                const std::vector<int64_t> zero_idx(
+                    geom.temporalLoops().size(), 0);
+                const std::vector<int64_t> zero_base(num_dims, 0);
+                for (const auto& access : op.accesses()) {
+                    EXPECT_TRUE(geom.slice(leaf, access, zero_idx) ==
+                                op.sliceOf(access, zero_base, ref));
+                }
+            }
+        }
+    }
+    return checked;
+}
+
+TEST(Slice, OneWalkSpansMatchPathSpanReference)
+{
+    std::set<int> families;
+    int checked = 0;
+    int saturated = 0;
+    for (uint64_t index = 0; index < 28; ++index) {
+        const FuzzCase fc = makeFuzzCase(0x5BA4u, index);
+        families.insert(fc.kind);
+        checked += expectSpansMatchReference(*fc.workload, *fc.tree,
+                                             /*compare_slices=*/true);
+
+        // Same tree with every loop temporal and 2^40 long: any two
+        // loops of one dim on a path saturate mulSat, and the spans
+        // must saturate (then divide) exactly as pathSpan does.
+        AnalysisTree huge = fc.tree->clone();
+        std::vector<Node*> nodes{huge.root()};
+        while (!nodes.empty()) {
+            Node* node = nodes.back();
+            nodes.pop_back();
+            for (const auto& child : node->children())
+                nodes.push_back(child.get());
+            if (!node->isTile())
+                continue;
+            for (Loop& loop : node->loops()) {
+                loop.kind = LoopKind::Temporal;
+                loop.extent = int64_t(1) << 40;
+            }
+        }
+        const std::vector<const Node*> leaves = huge.root()->opLeaves();
+        for (size_t d = 0; d < fc.workload->dims().size(); ++d) {
+            for (const Node* leaf : leaves) {
+                saturated += pathSpan(huge.root(), leaf, DimId(d)) ==
+                             std::numeric_limits<int64_t>::max();
+            }
+        }
+        checked += expectSpansMatchReference(*fc.workload, huge,
+                                             /*compare_slices=*/false);
+    }
+    EXPECT_EQ(families.size(), 7u);
+    EXPECT_GT(checked, 100);
+    EXPECT_GT(saturated, 0) << "no span saturated";
 }
 
 TEST(Slice, AdvancesForSkipsIrrelevantLoops)

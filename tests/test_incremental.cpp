@@ -327,6 +327,77 @@ TEST(SubtreeHash, AncestorLoopChangeChangesDescendantContext)
     FAIL() << "no fuzz case with nested Tile nodes found";
 }
 
+TEST(SubtreeHash, OneWalkKeysEqualSingleNodeFunctions)
+{
+    // tileKeys() folds hashes bottom-up and contexts top-down in one
+    // walk; every key must equal the single-node functions', on every
+    // fuzz family and along single-knob mutation streams.
+    Rng rng(0x7EE5u);
+    std::set<int> families;
+    int keys_checked = 0;
+    for (uint64_t index = 0; index < 28; ++index) {
+        FuzzCase fc = makeFuzzCase(0xB1Du, index);
+        families.insert(fc.kind);
+        for (int m = 0; m < 4; ++m) {
+            if (m > 0 && !mutateOneKnob(rng, *fc.tree))
+                break;
+            std::vector<const Node*> expected; // Tile nodes, preorder
+            std::vector<const Node*> stack{fc.tree->root()};
+            while (!stack.empty()) {
+                const Node* node = stack.back();
+                stack.pop_back();
+                if (node->isTile())
+                    expected.push_back(node);
+                for (size_t c = node->numChildren(); c-- > 0;)
+                    stack.push_back(node->child(c));
+            }
+            const std::vector<TileKey> keys = tileKeys(fc.tree->root());
+            ASSERT_EQ(keys.size(), expected.size()) << fc.summary;
+            for (size_t i = 0; i < keys.size(); ++i) {
+                EXPECT_EQ(keys[i].node, expected[i]) << fc.summary;
+                EXPECT_EQ(keys[i].hash, subtreeHash(keys[i].node))
+                    << fc.summary;
+                EXPECT_EQ(keys[i].context,
+                          contextSignature(keys[i].node))
+                    << fc.summary;
+                ++keys_checked;
+            }
+            // A subtree's walk keeps the full tree's contexts.
+            for (const TileKey& key : keys) {
+                const std::vector<TileKey> sub = tileKeys(key.node);
+                ASSERT_FALSE(sub.empty());
+                EXPECT_EQ(sub.front().hash, key.hash);
+                EXPECT_EQ(sub.front().context, key.context);
+            }
+        }
+    }
+    EXPECT_EQ(families.size(), 7u);
+    EXPECT_GT(keys_checked, 100);
+    EXPECT_TRUE(tileKeys(nullptr).empty());
+}
+
+TEST(SubtreeCache, KindTagSeparatesBoundAndEvalEntries)
+{
+    SubtreeCache cache(1, 0);
+    SubtreePartial eval_entry;
+    eval_entry.footprintBytes = 7;
+    const SubtreeKey eval_key{0x1234u, 0x5678u};
+    const SubtreeKey bound_key{0x1234u, 0x5678u, SubtreeKind::Bound};
+    EXPECT_EQ(eval_key.kind, SubtreeKind::Eval);
+    cache.insert(eval_key, eval_entry);
+    EXPECT_FALSE(cache.lookup(bound_key).has_value());
+    SubtreePartial bound_entry;
+    bound_entry.cycles = 3.0;
+    bound_entry.hasLatency = true;
+    cache.insert(bound_key, bound_entry);
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.lookup(eval_key)->footprintBytes, 7);
+    EXPECT_EQ(cache.lookup(bound_key)->cycles, 3.0);
+    EXPECT_EQ(cache.bytes(), SubtreeCache::entryBytes(eval_key, eval_entry) +
+                                 SubtreeCache::entryBytes(bound_key,
+                                                          bound_entry));
+}
+
 // -------------------------------------------------------------------
 // SubtreeCache unit tests
 // -------------------------------------------------------------------

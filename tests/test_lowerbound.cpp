@@ -18,6 +18,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <utility>
@@ -217,8 +218,9 @@ TEST(LowerBound, ScreenNeverFiresWhenMemoryUnenforced)
         const Evaluator full(*fc.workload, starved, no_memory);
         const EvalResult r = full.evaluate(*fc.tree);
         const LowerBound lb = lbe.bound(*fc.tree);
-        if (r.valid && lb.analyzed)
+        if (r.valid && lb.analyzed) {
             EXPECT_LE(lb.cycles, r.cycles) << fc.summary;
+        }
     }
 }
 
@@ -477,6 +479,175 @@ TEST(LowerBound, GuardVerdictMatchesFreshBoundOnSearchSpaces)
     EXPECT_GE(stats.trees, 20);
     EXPECT_GT(stats.prunes, 0);
     EXPECT_GT(stats.memoVerdicts, 0);
+}
+
+// -------------------------------------------------------------------
+// Incremental cost bound: SubtreeCache-served partials
+// -------------------------------------------------------------------
+
+namespace {
+
+bool
+sameBits(double a, double b)
+{
+    uint64_t x = 0;
+    uint64_t y = 0;
+    std::memcpy(&x, &a, sizeof x);
+    std::memcpy(&y, &b, sizeof y);
+    return x == y;
+}
+
+struct MemoStats
+{
+    int bounds = 0;
+    int evaluations = 0;
+    int looseBounds = 0;    ///< bound < full cycles: compulsory != exact
+    uint64_t boundHits = 0; ///< cache hits taken by memoized bounds
+};
+
+/**
+ * Bound `tree` through `memo` (whose SubtreeCache `inc` shares) and
+ * through a fresh uncached evaluator, and evaluate it incrementally on
+ * the same cache: the memoized bound must equal the fresh one bit for
+ * bit, and the incremental evaluation the full one. `step` alternates
+ * the order (and repeats the bound, all warm), so bound entries and
+ * evaluation entries for the same nodes meet in both orders — an
+ * aliased entry would hand one pass the other's partials.
+ */
+void
+expectMemoizedBoundMatchesFresh(const Evaluator& model,
+                                const LowerBoundEvaluator& memo,
+                                const IncrementalEvaluator& inc,
+                                const AnalysisTree& tree, int step,
+                                const std::string& what, MemoStats& stats)
+{
+    const LowerBoundEvaluator fresh(model);
+    const bool analyzable = fresh.analyzable(tree);
+    LowerBound reference;
+    if (analyzable)
+        reference = fresh.costBound(tree);
+
+    auto bound = [&]() {
+        if (!analyzable)
+            return;
+        const uint64_t hits_before = inc.cache().hits();
+        const LowerBound got = memo.costBound(tree);
+        stats.boundHits += inc.cache().hits() - hits_before;
+        ++stats.bounds;
+        EXPECT_TRUE(got.analyzed) << what;
+        EXPECT_TRUE(sameBits(got.cycles, reference.cycles))
+            << what << ": " << got.cycles << " vs " << reference.cycles;
+        EXPECT_TRUE(sameBits(got.computeCycles, reference.computeCycles))
+            << what << ": " << got.computeCycles << " vs "
+            << reference.computeCycles;
+    };
+    auto evaluate = [&]() {
+        const EvalResult got = inc.evaluate(tree);
+        const EvalResult full = model.evaluate(tree);
+        ++stats.evaluations;
+        EXPECT_EQ(got.valid, full.valid) << what;
+        EXPECT_EQ(got.problems, full.problems) << what;
+        EXPECT_TRUE(sameBits(got.cycles, full.cycles))
+            << what << ": " << got.cycles << " vs " << full.cycles;
+        EXPECT_TRUE(sameBits(got.energyPJ, full.energyPJ)) << what;
+        if (analyzable && full.valid && reference.cycles < full.cycles)
+            ++stats.looseBounds;
+    };
+
+    if (step % 2 == 0) {
+        bound();
+        evaluate();
+    } else {
+        evaluate();
+        bound();
+    }
+    if (step % 3 == 0)
+        bound();
+}
+
+/** Change one knob of `choices` to another of its values. */
+void
+mutateOneChoice(const MappingSpace& space, Rng& rng,
+                std::vector<int64_t>& choices)
+{
+    for (int attempt = 0; attempt < 16; ++attempt) {
+        const size_t knob = rng.index(space.knobs().size());
+        const int64_t next = rng.choice(space.knobs()[knob].choices);
+        if (next != choices[knob]) {
+            choices[knob] = next;
+            return;
+        }
+    }
+}
+
+} // namespace
+
+TEST(LowerBound, MemoizedCostBoundBitIdenticalToFresh)
+{
+    // Single-knob mutation streams through one shared SubtreeCache per
+    // stream, both unbounded and at a 16-entry cap (so bound and
+    // evaluation entries also evict each other).
+    Rng rng(0xB0DEu);
+    std::set<int> families;
+    MemoStats stats;
+    for (size_t cap : {size_t(0), size_t(16)}) {
+        for (uint64_t index = 0; index < 28; ++index) {
+            FuzzCase fc = makeFuzzCase(0x3E30u, index);
+            families.insert(fc.kind);
+            const Evaluator model(*fc.workload, fuzzSpec());
+            SubtreeCache cache(cap == 0 ? 16 : 1, cap);
+            const IncrementalEvaluator inc(model, cache);
+            const LowerBoundEvaluator memo(model, &cache);
+            for (int m = 0; m < 8; ++m) {
+                if (m > 0 && !mutateOneKnob(rng, *fc.tree))
+                    break;
+                expectMemoizedBoundMatchesFresh(
+                    model, memo, inc, *fc.tree, m,
+                    concat("cap ", cap, " case ", index, " mutation ", m,
+                           " ", fc.summary),
+                    stats);
+            }
+        }
+    }
+    EXPECT_EQ(families.size(), 7u);
+
+    const ArchSpec edge = makeEdgeArch();
+    const Workload attn = buildAttention(attentionShape("Bert-S"), false);
+    const Workload chain = buildConvChain(convChainShape("CC1"));
+    const MappingSpace attn_space = makeAttentionSpace(attn, edge);
+    const MappingSpace chain_space = makeConvChainSpace(chain, edge);
+    int space_trees = 0;
+    for (const auto& [workload, space] :
+         {std::pair{&attn, &attn_space}, std::pair{&chain, &chain_space}}) {
+        const Evaluator model(*workload, edge);
+        SubtreeCache cache;
+        const IncrementalEvaluator inc(model, cache);
+        const LowerBoundEvaluator memo(model, &cache);
+        for (int stream = 0; stream < 3; ++stream) {
+            std::vector<int64_t> choices = drawChoices(*space, rng);
+            for (int m = 0; m < 10; ++m) {
+                if (m > 0)
+                    mutateOneChoice(*space, rng, choices);
+                AnalysisTree tree(*workload);
+                try {
+                    tree = space->build(choices);
+                } catch (const FatalError&) {
+                    continue;
+                }
+                ++space_trees;
+                expectMemoizedBoundMatchesFresh(
+                    model, memo, inc, tree, m,
+                    concat(workload->name(), " stream ", stream,
+                           " mutation ", m),
+                    stats);
+            }
+        }
+    }
+    EXPECT_GE(space_trees, 40);
+    EXPECT_GT(stats.bounds, 300);
+    EXPECT_GT(stats.boundHits, 0u) << "no memoized bound hit the cache";
+    EXPECT_GT(stats.looseBounds, 0)
+        << "every bound was exact: an aliased entry would go unseen";
 }
 
 TEST(LowerBound, MemoizedBoundsLeaveTheMctsTrajectoryUnchanged)

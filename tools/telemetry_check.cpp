@@ -581,7 +581,8 @@ checkMetrics(const JsonValue& root)
 
     // Incremental-evaluation counters (DESIGN.md §4.6). The subtree
     // cache performs exactly one lookup per Tile node per incremental
-    // evaluation, so hits and misses must partition lookups exactly.
+    // evaluation and per memoized cost bound, so hits and misses must
+    // partition lookups exactly.
     const double sub_lookups =
         numberOr(counters->get("analysis.subtree_lookups"), 0.0);
     const double sub_hits =
