@@ -1,6 +1,8 @@
 #include "analysis/datamovement.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "analysis/childgroup.hpp"
 #include "analysis/slice.hpp"
@@ -24,16 +26,93 @@ struct StepTraffic
         : childFill(num_children, 0.0), childDrain(num_children, 0.0)
     {
     }
+
+    void
+    reset()
+    {
+        readBytes = 0.0;
+        writeBytes = 0.0;
+        std::fill(childFill.begin(), childFill.end(), 0.0);
+        std::fill(childDrain.begin(), childDrain.end(), 0.0);
+    }
 };
+
+/** What a (child, tensor) with no resident entry holds. */
+const HyperRect kNoResident;
 
 /** Resident buffer entry of one (child, tensor). */
 struct Resident
 {
+    int child = 0;
+    TensorId tensor = 0;
     HyperRect rect;
     bool dirty = false;
 };
 
-using ResidentMap = std::map<std::pair<int, TensorId>, Resident>;
+/**
+ * The resident entries of one simulation, kept sorted by (child,
+ * tensor) in a flat vector: a group holds a handful of entries, and
+ * the vector is reused across the node's simulations. Seq evictions
+ * walk it in key order, which fixes the floating-point order of the
+ * drain sums.
+ */
+class ResidentTable
+{
+  public:
+    size_t size() const { return entries_.size(); }
+    const Resident& operator[](size_t i) const { return entries_[i]; }
+    void clear() { entries_.clear(); }
+    void erase(size_t i) { entries_.erase(entries_.begin() + long(i)); }
+
+    /** The entry of (child, tensor), or nullptr. */
+    Resident*
+    find(int child, TensorId tensor)
+    {
+        const size_t i = lowerBound(child, tensor);
+        return i < entries_.size() && entries_[i].child == child &&
+                       entries_[i].tensor == tensor
+                   ? &entries_[i]
+                   : nullptr;
+    }
+
+    /** Insert or overwrite the entry of (child, tensor). */
+    void
+    set(int child, TensorId tensor, const HyperRect& rect, bool dirty)
+    {
+        if (Resident* entry = find(child, tensor)) {
+            entry->rect = rect;
+            entry->dirty = dirty;
+            return;
+        }
+        entries_.insert(entries_.begin() + long(lowerBound(child, tensor)),
+                        Resident{child, tensor, rect, dirty});
+    }
+
+    /** Position of the first entry with a key above (child, tensor). */
+    size_t
+    upperBound(int child, TensorId tensor) const
+    {
+        size_t i = lowerBound(child, tensor);
+        while (i < entries_.size() && entries_[i].child == child &&
+               entries_[i].tensor == tensor)
+            ++i;
+        return i;
+    }
+
+  private:
+    size_t
+    lowerBound(int child, TensorId tensor) const
+    {
+        size_t i = 0;
+        while (i < entries_.size() &&
+               std::make_pair(entries_[i].child, entries_[i].tensor) <
+                   std::make_pair(child, tensor))
+            ++i;
+        return i;
+    }
+
+    std::vector<Resident> entries_;
+};
 
 /** Relevance of a dim to an access (reduction dims revisit writes). */
 bool
@@ -97,8 +176,9 @@ enum class PassKind { All, RetainedOnly, StreamedOnly };
 void
 simulateStep(const Workload& workload, const StepGeometry& geom,
              const ChildGroup& group, const std::vector<int64_t>& idx,
-             ResidentMap& residents, StepTraffic* sink, int boundary,
-             bool conservative, PassKind pass, int64_t stream_threshold)
+             ResidentTable& residents, StepTraffic* sink, int boundary,
+             bool conservative, PassKind pass,
+             const std::vector<char>& streamed)
 {
     const double executions = double(executionCount(geom.node()));
     const double step_weight =
@@ -116,15 +196,7 @@ simulateStep(const Workload& workload, const StepGeometry& geom,
         return double(geom.advancesFor(size_t(boundary), op, access)) *
                execs;
     };
-    std::vector<int64_t> zero_idx(geom.temporalLoops().size(), 0);
-    auto streamed = [&](const Node* leaf, const TensorAccess& access) {
-        if (stream_threshold <= 0)
-            return false;
-        const int64_t bytes =
-            geom.slice(leaf, access, zero_idx).volume() *
-            dataTypeBytes(workload.tensor(access.tensor).dtype);
-        return 4 * bytes > stream_threshold;
-    };
+    size_t visit = 0; // position in `streamed`
     for (size_t j = 0; j < group.children.size(); ++j) {
         const ChildInfo& child = group.children[j];
         if (child.passthrough)
@@ -134,30 +206,35 @@ simulateStep(const Workload& workload, const StepGeometry& geom,
             // Seq: children take the same buffer in turns. When child j
             // starts, other children's residents are evicted unless
             // child j consumes the same tensor (then ownership moves).
-            for (auto it = residents.begin(); it != residents.end();) {
-                if (it->first.first == int(j)) {
-                    ++it;
+            for (size_t i = 0; i < residents.size();) {
+                if (residents[i].child == int(j)) {
+                    ++i;
                     continue;
                 }
-                const TensorId tensor = it->first.second;
+                // A copy: moving it to child j reorders the table.
+                const Resident entry = residents[i];
                 bool used_by_j = false;
                 for (const Node* leaf : child.leaves) {
                     const Operator& op = workload.op(leaf->op());
-                    for (const auto& access : op.accesses())
-                        used_by_j = used_by_j || access.tensor == tensor;
+                    for (const auto& access : op.accesses()) {
+                        used_by_j =
+                            used_by_j || access.tensor == entry.tensor;
+                    }
                 }
+                residents.erase(i);
                 if (used_by_j) {
-                    residents[{int(j), tensor}] = it->second;
-                } else if (it->second.dirty && sink) {
+                    residents.set(int(j), entry.tensor, entry.rect,
+                                  entry.dirty);
+                } else if (entry.dirty && sink) {
                     // Dirty eviction: write the displaced data upward.
                     const double bytes =
-                        step_weight * double(it->second.rect.volume()) *
+                        step_weight * double(entry.rect.volume()) *
                         double(dataTypeBytes(
-                            workload.tensor(tensor).dtype));
+                            workload.tensor(entry.tensor).dtype));
                     sink->writeBytes += bytes;
-                    sink->childDrain[size_t(it->first.first)] += bytes;
+                    sink->childDrain[size_t(entry.child)] += bytes;
                 }
-                it = residents.erase(it);
+                i = residents.upperBound(entry.child, entry.tensor);
             }
         }
 
@@ -165,7 +242,7 @@ simulateStep(const Workload& workload, const StepGeometry& geom,
             const Operator& op = workload.op(leaf->op());
             for (const auto& access : op.accesses()) {
                 if (pass != PassKind::All &&
-                    streamed(leaf, access) !=
+                    bool(streamed[visit++]) !=
                         (pass == PassKind::StreamedOnly)) {
                     continue;
                 }
@@ -173,15 +250,13 @@ simulateStep(const Workload& workload, const StepGeometry& geom,
                 const double elem_bytes =
                     double(dataTypeBytes(workload.tensor(tensor).dtype));
                 const HyperRect slice = geom.slice(leaf, access, idx);
-                auto key = std::make_pair(int(j), tensor);
 
                 if (!access.isWrite) {
                     // Locally produced data never crosses this level.
                     if (producedInside(workload, tensor, child))
                         continue;
-                    auto it = residents.find(key);
-                    const HyperRect prev =
-                        it == residents.end() ? HyperRect() : it->second.rect;
+                    Resident* it = residents.find(int(j), tensor);
+                    const HyperRect& prev = it ? it->rect : kNoResident;
                     if (sink) {
                         const double bytes =
                             weight_for(op, access) *
@@ -190,10 +265,8 @@ simulateStep(const Workload& workload, const StepGeometry& geom,
                         sink->readBytes += bytes;
                         sink->childFill[j] += bytes;
                     }
-                    const bool same_rect =
-                        it != residents.end() && it->second.rect == slice;
-                    if (sink && it != residents.end() &&
-                        it->second.dirty && !same_rect) {
+                    const bool same_rect = it && it->rect == slice;
+                    if (sink && it && it->dirty && !same_rect) {
                         // A read replacing a dirty resident with a
                         // different slice displaces the written data —
                         // it must drain upward like a Seq eviction, not
@@ -204,17 +277,14 @@ simulateStep(const Workload& workload, const StepGeometry& geom,
                         sink->writeBytes += bytes;
                         sink->childDrain[j] += bytes;
                     }
-                    const bool dirty = it != residents.end() &&
-                                       it->second.dirty && same_rect;
-                    residents[key] = Resident{slice, dirty};
+                    const bool dirty = it && it->dirty && same_rect;
+                    residents.set(int(j), tensor, slice, dirty);
                 } else {
-                    auto it = residents.find(key);
-                    const HyperRect prev =
-                        it == residents.end() ? HyperRect() : it->second.rect;
+                    Resident* it = residents.find(int(j), tensor);
+                    const HyperRect& prev = it ? it->rect : kNoResident;
                     const bool escapes =
                         escapesChild(workload, tensor, child);
-                    if (sink && escapes && it != residents.end() &&
-                        it->second.dirty) {
+                    if (sink && escapes && it && it->dirty) {
                         const double bytes =
                             weight_for(op, access) *
                             double(prev.differenceVolume(slice)) *
@@ -222,7 +292,7 @@ simulateStep(const Workload& workload, const StepGeometry& geom,
                         sink->writeBytes += bytes;
                         sink->childDrain[j] += bytes;
                     }
-                    residents[key] = Resident{slice, true};
+                    residents.set(int(j), tensor, slice, true);
                 }
             }
         }
@@ -289,23 +359,48 @@ DataMovementAnalyzer::tileImpl(const Node* node,
         else
             passes = {PassKind::RetainedOnly, PassKind::StreamedOnly};
 
+        // Per (child, leaf, access) in simulateStep's visit order: is
+        // the step slice too large to retain? Only the two-pass split
+        // reads it.
         std::vector<int64_t> zero(geom.temporalLoops().size(), 0);
+        std::vector<char> streamed;
+        if (passes.size() > 1) {
+            for (const ChildInfo& child : group.children) {
+                if (child.passthrough)
+                    continue;
+                for (const Node* leaf : child.leaves) {
+                    const Operator& op = workload_->op(leaf->op());
+                    for (const auto& access : op.accesses()) {
+                        const int64_t bytes =
+                            geom.slice(leaf, access, zero).volume() *
+                            dataTypeBytes(
+                                workload_->tensor(access.tensor).dtype);
+                        streamed.push_back(4 * bytes > stream_threshold);
+                    }
+                }
+            }
+        }
+
+        StepTraffic traffic(num_children);
+        ResidentTable residents;
+        auto accumulate = [&]() {
+            load += traffic.readBytes;
+            store += traffic.writeBytes;
+            for (size_t j = 0; j < num_children; ++j) {
+                child_fill[j] += traffic.childFill[j];
+                child_drain[j] += traffic.childDrain[j];
+            }
+        };
         for (PassKind pass : passes) {
             const bool adjacent =
                 conservative || pass == PassKind::StreamedOnly;
 
             // Initial (compulsory) step.
-            StepTraffic init(num_children);
-            ResidentMap residents;
+            traffic.reset();
+            residents.clear();
             simulateStep(*workload_, geom, group, zero, residents,
-                         &init, -1, conservative, pass,
-                         stream_threshold);
-            load += init.readBytes;
-            store += init.writeBytes;
-            for (size_t j = 0; j < num_children; ++j) {
-                child_fill[j] += init.childFill[j];
-                child_drain[j] += init.childDrain[j];
-            }
+                         &traffic, -1, conservative, pass, streamed);
+            accumulate();
 
             // One boundary type per temporal loop; contributions
             // arrive pre-weighted by the advance counts. The
@@ -317,22 +412,15 @@ DataMovementAnalyzer::tileImpl(const Node* node,
                  ++k) {
                 if (geom.advances(k) == 0)
                     continue;
-                StepTraffic boundary(num_children);
-                ResidentMap state;
+                traffic.reset();
+                residents.clear();
                 simulateStep(*workload_, geom, group,
-                             geom.beforeAdvance(k, adjacent), state,
-                             nullptr, -1, conservative, pass,
-                             stream_threshold);
+                             geom.beforeAdvance(k, adjacent), residents,
+                             nullptr, -1, conservative, pass, streamed);
                 simulateStep(*workload_, geom, group,
-                             geom.afterAdvance(k), state, &boundary,
-                             int(k), conservative, pass,
-                             stream_threshold);
-                load += boundary.readBytes;
-                store += boundary.writeBytes;
-                for (size_t j = 0; j < num_children; ++j) {
-                    child_fill[j] += boundary.childFill[j];
-                    child_drain[j] += boundary.childDrain[j];
-                }
+                             geom.afterAdvance(k), residents, &traffic,
+                             int(k), conservative, pass, streamed);
+                accumulate();
             }
         }
 
@@ -350,22 +438,19 @@ DataMovementAnalyzer::tileImpl(const Node* node,
                         !escapesChild(*workload_, access.tensor, child)) {
                         continue;
                     }
-                    const int64_t slice_bytes =
-                        geom.slice(leaf, access, zero).volume() *
-                        dataTypeBytes(
-                            workload_->tensor(access.tensor).dtype);
-                    const bool streamed = stream_threshold > 0 &&
-                                          4 * slice_bytes >
-                                              stream_threshold;
+                    const int64_t volume =
+                        geom.slice(leaf, access, zero).volume();
+                    const int64_t elem_bytes = dataTypeBytes(
+                        workload_->tensor(access.tensor).dtype);
+                    const bool streamed_slice =
+                        stream_threshold > 0 &&
+                        4 * (volume * elem_bytes) > stream_threshold;
                     const double execs =
-                        (conservative || streamed)
+                        (conservative || streamed_slice)
                             ? executions
                             : relevantExecutions(node, op, access);
                     const double bytes =
-                        execs *
-                        double(geom.slice(leaf, access, zero).volume()) *
-                        double(dataTypeBytes(
-                            workload_->tensor(access.tensor).dtype));
+                        execs * double(volume) * double(elem_bytes);
                     store += bytes;
                     child_drain[j] += bytes;
                 }

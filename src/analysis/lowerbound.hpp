@@ -11,15 +11,15 @@
  *
  * It is cheaper than that evaluation, not cheap: cold, validation, the
  * compulsory-traffic pass and the latency model still walk every
- * node's slices, about 60-80 us per call on the attention and
- * conv-chain trees (one Xeon vCPU), a third to a half of a full
- * evaluation. So the mapper's guard runs the cost part before the
+ * node's slices, about 30-45 us per cold call on bench_incremental's
+ * Bert-S and Bert-L streams (one Xeon vCPU), a third to a half of a
+ * full evaluation. So the mapper's guard runs the cost part before the
  * capacity screen (the cost part prunes far more often) and
  * memoizes each pruned candidate's bound in the EvalCache. Given the
  * search's SubtreeCache, the cost part is also incremental per Tile
  * node, like the full evaluation: after a single-knob mutation only
- * the changed node's ancestor spine is re-bounded (about 12 us instead
- * of 67 us per call on bench_incremental's Bert-S stream).
+ * the changed node's ancestor spine is re-bounded (about 10-15 us per
+ * call on the same streams).
  *
  * Three ingredients, each individually admissible:
  *

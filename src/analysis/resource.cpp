@@ -1,7 +1,8 @@
 #include "analysis/resource.hpp"
 
 #include <algorithm>
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "analysis/childgroup.hpp"
 #include "analysis/slice.hpp"
@@ -135,6 +136,8 @@ stepFootprint(const Workload& workload, const Node* tile,
             zero.push_back(0);
     }
 
+    std::vector<std::pair<TensorId, HyperRect>> slices;
+    std::vector<HyperRect> rects;
     int64_t total = 0;
     for (const Node* child : children) {
         if (subtreeLevel(child) >= tile->memLevel())
@@ -168,19 +171,30 @@ stepFootprint(const Workload& workload, const Node* tile,
         // Dedupe multiple accesses of one tensor inside the child by
         // taking the exact union volume of their slices (a bounding box
         // would bill the gaps between disjoint or L-shaped slices as
-        // staged bytes).
-        std::map<TensorId, std::vector<HyperRect>> per_tensor;
+        // staged bytes). Slices are grouped by sorting on the tensor.
+        slices.clear();
         for (const Node* leaf : leaves) {
             const Operator& op = workload.op(leaf->op());
             for (const auto& access : op.accesses()) {
-                if (!crosses_boundary(access.tensor))
-                    continue;
-                per_tensor[access.tensor].push_back(
-                    geom.slice(leaf, access, zero));
+                if (crosses_boundary(access.tensor))
+                    slices.push_back(
+                        {access.tensor, geom.slice(leaf, access, zero)});
             }
         }
+        std::sort(slices.begin(), slices.end(),
+                  [](const auto& a, const auto& b) {
+                      return a.first < b.first;
+                  });
         int64_t child_bytes = 0;
-        for (const auto& [tensor, rects] : per_tensor) {
+        for (size_t first = 0, last = 0; first < slices.size();
+             first = last) {
+            const TensorId tensor = slices[first].first;
+            rects.clear();
+            for (last = first;
+                 last < slices.size() && slices[last].first == tensor;
+                 ++last) {
+                rects.push_back(slices[last].second);
+            }
             // In exact mode, the union volume of the slices; the
             // lower-bound mode takes the largest single slice instead
             // (the union contains each slice, so this is an exact

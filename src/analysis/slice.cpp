@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "common/smallbuf.hpp"
 #include "common/telemetry.hpp"
 
 namespace tileflow {
@@ -97,15 +98,14 @@ StepGeometry::slice(const Node* leaf, const TensorAccess& access,
                     const std::vector<int64_t>& temporal_idx,
                     const std::vector<int64_t>& dim_base) const
 {
-    const size_t num_dims = workload_->dims().size();
-    std::vector<int64_t> base(num_dims, 0);
+    const size_t num_dims = units_.size();
+    SmallBuffer<int64_t, 16> base(num_dims, 0);
     if (!dim_base.empty()) {
         if (dim_base.size() != num_dims)
             panic("StepGeometry::slice: dim_base rank mismatch");
-        base = dim_base;
+        for (size_t d = 0; d < num_dims; ++d)
+            base[d] = dim_base[d];
     }
-    const std::vector<int64_t> span = leafSpan(leaf);
-
     for (size_t k = 0; k < temporal_.size(); ++k) {
         const Loop& loop = temporal_[k];
         base[size_t(loop.dim)] +=
@@ -113,7 +113,7 @@ StepGeometry::slice(const Node* leaf, const TensorAccess& access,
     }
 
     const Operator& op = workload_->op(leaf->op());
-    return op.sliceOf(access, base, span);
+    return op.sliceOf(access, base.data(), spanRow(leaf));
 }
 
 std::vector<int64_t>

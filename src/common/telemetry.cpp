@@ -132,8 +132,11 @@ Histogram::reset()
 MetricsRegistry&
 MetricsRegistry::global()
 {
-    static MetricsRegistry registry;
-    return registry;
+    // Never destroyed: the workers of the shared mapper pools
+    // (ThreadPool::shared) outlive main() and may still be recording a
+    // finished task's run time while static destructors run.
+    static MetricsRegistry* registry = new MetricsRegistry();
+    return *registry;
 }
 
 Counter&
@@ -378,12 +381,23 @@ struct TraceBuffer
 {
     std::mutex mutex;
     std::vector<TraceEvent> events;
+    /** Oldest event once the buffer is full (events wrap around). */
+    size_t head = 0;
     uint64_t dropped = 0;
     uint32_t tid = 0;
+
+    void
+    clear()
+    {
+        events.clear();
+        head = 0;
+    }
 };
 
 // Capped so a forgotten long trace cannot eat unbounded memory
-// (~48 MB/thread at the cap); overflow is counted, not silent.
+// (~48 MB/thread at the cap). A full buffer overwrites its oldest
+// event, so the trace keeps the latest window of each thread's
+// activity; overflow is counted, not silent.
 constexpr size_t kMaxEventsPerBuffer = size_t(1) << 20;
 
 struct BufferDirectory
@@ -439,7 +453,7 @@ traceShrink(MemPressure level)
             continue;
         freed += buf->events.capacity() * sizeof(TraceEvent);
         buf->dropped += buf->events.size();
-        buf->events.clear();
+        buf->clear();
         buf->events.shrink_to_fit();
     }
     return freed;
@@ -478,6 +492,8 @@ pushEvent(const TraceEvent& ev)
     TraceBuffer& buf = threadBuffer();
     std::lock_guard<std::mutex> lock(buf.mutex);
     if (buf.events.size() >= kMaxEventsPerBuffer) {
+        buf.events[buf.head] = ev;
+        buf.head = (buf.head + 1) % buf.events.size();
         ++buf.dropped;
         return;
     }
@@ -536,7 +552,7 @@ clearTrace()
     std::lock_guard<std::mutex> lock(dir.mutex);
     for (const auto& buf : dir.buffers) {
         std::lock_guard<std::mutex> blk(buf->mutex);
-        buf->events.clear();
+        buf->clear();
         buf->dropped = 0;
     }
 }
@@ -563,7 +579,10 @@ writeChromeTrace(const std::string& path)
     bool first = true;
     for (const auto& buf : buffers) {
         std::lock_guard<std::mutex> lock(buf->mutex);
-        for (const TraceEvent& ev : buf->events) {
+        // Oldest first: a full buffer starts at its wrap point.
+        for (size_t i = 0; i < buf->events.size(); ++i) {
+            const TraceEvent& ev =
+                buf->events[(buf->head + i) % buf->events.size()];
             if (!first)
                 std::fputc(',', f);
             first = false;

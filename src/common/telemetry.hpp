@@ -231,7 +231,8 @@ void traceCounter(const char* name, double value);
 /** Events buffered so far across all threads (dropped excluded). */
 size_t traceEventCount();
 
-/** Complete events dropped because a thread buffer hit its cap. */
+/** Events lost because a thread buffer hit its cap (a full buffer
+ *  overwrites its oldest event) or was flushed under memory pressure. */
 uint64_t traceDroppedCount();
 
 /** Drop all buffered events (tests; also useful between runs). */

@@ -1,6 +1,7 @@
 #include "common/threadpool.hpp"
 
 #include <cstdlib>
+#include <map>
 #include <string>
 
 namespace tileflow {
@@ -42,6 +43,23 @@ ThreadPool::defaultThreadCount()
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? size_t(hw) : 1;
+}
+
+ThreadPool&
+ThreadPool::shared(size_t threads)
+{
+    if (threads == 0)
+        threads = defaultThreadCount();
+    // Leaked on purpose, so no pool can go away under a running search
+    // and no exit path has to join workers (the metrics they report to
+    // are never destroyed either).
+    static std::mutex mutex;
+    static auto* pools = new std::map<size_t, ThreadPool*>();
+    std::lock_guard<std::mutex> lock(mutex);
+    ThreadPool*& pool = (*pools)[threads];
+    if (pool == nullptr)
+        pool = new ThreadPool(threads);
+    return *pool;
 }
 
 bool

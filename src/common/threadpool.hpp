@@ -15,6 +15,8 @@
  *
  * The worker count defaults to the TILEFLOW_THREADS environment
  * variable, falling back to std::thread::hardware_concurrency().
+ * The mapper runs on ThreadPool::shared(), one persistent pool per
+ * worker count.
  */
 
 #ifndef TILEFLOW_COMMON_THREADPOOL_HPP
@@ -51,6 +53,18 @@ class ThreadPool
     /** TILEFLOW_THREADS if set (clamped to >= 1), else
      *  hardware_concurrency(), else 1. */
     static size_t defaultThreadCount();
+
+    /**
+     * The process-wide pool of `threads` workers (0 means
+     * defaultThreadCount()), started on first use and intentionally
+     * never torn down. Searches share it instead of starting their
+     * own workers, so a process runs one set of worker threads (and
+     * trace tids) per worker count however many searches it makes.
+     * Idle workers block on the queue's condition variable. Several
+     * threads may search on one pool at once: each waits only for its
+     * own tasks. A process that fork()s must exec() before searching.
+     */
+    static ThreadPool& shared(size_t threads);
 
     /** True when the calling thread is one of this pool's workers. */
     bool onWorkerThread() const;

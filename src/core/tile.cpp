@@ -90,18 +90,26 @@ Node::loopExtent(DimId dim, LoopKind kind) const
     return 1;
 }
 
+namespace {
+
+void
+appendOpLeaves(const Node* node, std::vector<const Node*>& leaves)
+{
+    if (node->isOp()) {
+        leaves.push_back(node);
+        return;
+    }
+    for (const auto& child : node->children())
+        appendOpLeaves(child.get(), leaves);
+}
+
+} // namespace
+
 std::vector<const Node*>
 Node::opLeaves() const
 {
     std::vector<const Node*> leaves;
-    if (isOp()) {
-        leaves.push_back(this);
-        return leaves;
-    }
-    for (const auto& child : children_) {
-        auto sub = child->opLeaves();
-        leaves.insert(leaves.end(), sub.begin(), sub.end());
-    }
+    appendOpLeaves(this, leaves);
     return leaves;
 }
 

@@ -195,6 +195,13 @@ class WorkloadParser
             lex_.next();
             tensor.dtype = DataType::Fp32;
         }
+        if (tensor.rank() > kMaxRank) {
+            diags_.error("W512", name.loc,
+                         concat("tensor ", quoted(name.text), " has rank ",
+                                tensor.rank(), "; at most ", kMaxRank,
+                                " is supported"));
+            return;
+        }
         if (workload_.findTensor(name.text) >= 0) {
             diags_.error("W504", name.loc,
                          concat("duplicate tensor ",

@@ -5,30 +5,45 @@
 #include <sstream>
 
 #include "common/logging.hpp"
+#include "common/smallbuf.hpp"
 
 namespace tileflow {
 
-HyperRect::HyperRect(std::vector<int64_t> begins, std::vector<int64_t> ends)
-    : begins_(std::move(begins)), ends_(std::move(ends))
+HyperRect::HyperRect(size_t rank) : rank_(rank)
 {
-    if (begins_.size() != ends_.size())
-        panic("HyperRect: begins/ends rank mismatch (", begins_.size(),
-              " vs ", ends_.size(), ")");
+    // Unreachable from any input: Workload::addTensor rejects tensors
+    // of higher rank, and every slice has its tensor's rank.
+    if (rank > kMaxRank)
+        panic("HyperRect: rank ", rank, " exceeds kMaxRank (", kMaxRank,
+              ")");
+}
+
+HyperRect::HyperRect(const std::vector<int64_t>& begins,
+                     const std::vector<int64_t>& ends)
+    : HyperRect(begins.size())
+{
+    if (begins.size() != ends.size())
+        panic("HyperRect: begins/ends rank mismatch (", begins.size(),
+              " vs ", ends.size(), ")");
+    for (size_t d = 0; d < rank_; ++d)
+        setDim(d, begins[d], ends[d]);
 }
 
 HyperRect
 HyperRect::fromExtents(const std::vector<int64_t>& extents)
 {
-    std::vector<int64_t> begins(extents.size(), 0);
-    return HyperRect(std::move(begins), extents);
+    HyperRect rect(extents.size());
+    for (size_t d = 0; d < extents.size(); ++d)
+        rect.setDim(d, 0, extents[d]);
+    return rect;
 }
 
 bool
 HyperRect::empty() const
 {
-    if (begins_.empty())
+    if (rank_ == 0)
         return true;
-    for (size_t d = 0; d < begins_.size(); ++d) {
+    for (size_t d = 0; d < rank_; ++d) {
         if (ends_[d] <= begins_[d])
             return true;
     }
@@ -45,7 +60,7 @@ HyperRect::volume() const
     // the first wrap instead of silently corrupting data-movement
     // volumes on large fused workloads.
     __int128 vol = 1;
-    for (size_t d = 0; d < begins_.size(); ++d) {
+    for (size_t d = 0; d < rank_; ++d) {
         vol *= __int128(ends_[d] - begins_[d]);
         // Overflow here is a property of the (possibly user-supplied)
         // problem sizes, not an internal invariant violation, so it is
@@ -65,15 +80,15 @@ HyperRect::intersect(const HyperRect& other) const
     if (rank() != other.rank())
         panic("HyperRect::intersect: rank mismatch (", rank(), " vs ",
               other.rank(), ")");
-    std::vector<int64_t> begins(rank());
-    std::vector<int64_t> ends(rank());
-    for (size_t d = 0; d < rank(); ++d) {
-        begins[d] = std::max(begins_[d], other.begins_[d]);
-        ends[d] = std::min(ends_[d], other.ends_[d]);
-        if (ends[d] <= begins[d])
+    HyperRect out(rank_);
+    for (size_t d = 0; d < rank_; ++d) {
+        const int64_t begin = std::max(begins_[d], other.begins_[d]);
+        const int64_t end = std::min(ends_[d], other.ends_[d]);
+        if (end <= begin)
             return HyperRect();
+        out.setDim(d, begin, end);
     }
-    return HyperRect(std::move(begins), std::move(ends));
+    return out;
 }
 
 int64_t
@@ -91,13 +106,12 @@ HyperRect::boundingUnion(const HyperRect& other) const
         return *this;
     if (rank() != other.rank())
         panic("HyperRect::boundingUnion: rank mismatch");
-    std::vector<int64_t> begins(rank());
-    std::vector<int64_t> ends(rank());
-    for (size_t d = 0; d < rank(); ++d) {
-        begins[d] = std::min(begins_[d], other.begins_[d]);
-        ends[d] = std::max(ends_[d], other.ends_[d]);
+    HyperRect out(rank_);
+    for (size_t d = 0; d < rank_; ++d) {
+        out.setDim(d, std::min(begins_[d], other.begins_[d]),
+                   std::max(ends_[d], other.ends_[d]));
     }
-    return HyperRect(std::move(begins), std::move(ends));
+    return out;
 }
 
 HyperRect
@@ -107,13 +121,10 @@ HyperRect::shifted(const std::vector<int64_t>& offset) const
         return *this;
     if (offset.size() != rank())
         panic("HyperRect::shifted: offset rank mismatch");
-    std::vector<int64_t> begins(rank());
-    std::vector<int64_t> ends(rank());
-    for (size_t d = 0; d < rank(); ++d) {
-        begins[d] = begins_[d] + offset[d];
-        ends[d] = ends_[d] + offset[d];
-    }
-    return HyperRect(std::move(begins), std::move(ends));
+    HyperRect out(rank_);
+    for (size_t d = 0; d < rank_; ++d)
+        out.setDim(d, begins_[d] + offset[d], ends_[d] + offset[d]);
+    return out;
 }
 
 bool
@@ -135,50 +146,62 @@ HyperRect::operator==(const HyperRect& other) const
 {
     if (empty() && other.empty())
         return true;
-    return begins_ == other.begins_ && ends_ == other.ends_;
+    if (rank_ != other.rank_)
+        return false;
+    for (size_t d = 0; d < rank_; ++d) {
+        if (begins_[d] != other.begins_[d] || ends_[d] != other.ends_[d])
+            return false;
+    }
+    return true;
 }
 
 int64_t
 unionVolume(const std::vector<HyperRect>& rects)
 {
-    std::vector<const HyperRect*> live;
+    SmallBuffer<const HyperRect*, 16> live(rects.size(), nullptr);
+    size_t num_live = 0;
     for (const HyperRect& r : rects) {
         if (!r.empty())
-            live.push_back(&r);
+            live[num_live++] = &r;
     }
-    if (live.empty())
+    if (num_live == 0)
         return 0;
-    const size_t rank = live.front()->rank();
-    for (const HyperRect* r : live) {
-        if (r->rank() != rank)
+    const size_t rank = live[0]->rank();
+    for (size_t i = 0; i < num_live; ++i) {
+        if (live[i]->rank() != rank)
             panic("unionVolume: rank mismatch (", rank, " vs ",
-                  r->rank(), ")");
+                  live[i]->rank(), ")");
     }
 
-    // Per dimension, the sorted distinct cut coordinates.
-    std::vector<std::vector<int64_t>> cuts(rank);
+    // Per dimension, the sorted distinct cut coordinates: dim d's list
+    // starts at cuts[d * stride] and holds num_cuts[d] entries.
+    const size_t stride = 2 * num_live;
+    SmallBuffer<int64_t, 128> cuts(rank * stride, 0);
+    std::array<size_t, kMaxRank> num_cuts{};
     for (size_t d = 0; d < rank; ++d) {
-        for (const HyperRect* r : live) {
-            cuts[d].push_back(r->begin(d));
-            cuts[d].push_back(r->end(d));
+        int64_t* first = cuts.data() + d * stride;
+        for (size_t i = 0; i < num_live; ++i) {
+            first[2 * i] = live[i]->begin(d);
+            first[2 * i + 1] = live[i]->end(d);
         }
-        std::sort(cuts[d].begin(), cuts[d].end());
-        cuts[d].erase(std::unique(cuts[d].begin(), cuts[d].end()),
-                      cuts[d].end());
+        std::sort(first, first + stride);
+        num_cuts[d] = size_t(std::unique(first, first + stride) - first);
     }
+    auto cut = [&](size_t d, size_t i) { return cuts[d * stride + i]; };
 
     // Odometer over grid cells; a cell is in the union iff its lower
     // corner is inside some rectangle.
-    std::vector<size_t> cell(rank, 0);
+    std::array<size_t, kMaxRank> cell{};
     int64_t total = 0;
     while (true) {
         __int128 cell_vol = 1;
         for (size_t d = 0; d < rank; ++d)
-            cell_vol *= __int128(cuts[d][cell[d] + 1] - cuts[d][cell[d]]);
-        for (const HyperRect* r : live) {
+            cell_vol *= __int128(cut(d, cell[d] + 1) - cut(d, cell[d]));
+        for (size_t i = 0; i < num_live; ++i) {
+            const HyperRect* r = live[i];
             bool inside = true;
             for (size_t d = 0; d < rank && inside; ++d) {
-                const int64_t lo = cuts[d][cell[d]];
+                const int64_t lo = cut(d, cell[d]);
                 inside = r->begin(d) <= lo && lo < r->end(d);
             }
             if (inside) {
@@ -191,7 +214,7 @@ unionVolume(const std::vector<HyperRect>& rects)
             }
         }
         size_t d = 0;
-        while (d < rank && ++cell[d] + 1 >= cuts[d].size()) {
+        while (d < rank && ++cell[d] + 1 >= num_cuts[d]) {
             cell[d] = 0;
             ++d;
         }

@@ -10,17 +10,25 @@
  *
  * The quantity the analysis needs is |new − old| = vol(new) −
  * vol(new ∩ old), which HyperRect provides exactly.
+ *
+ * Slices are built and compared millions of times per search, so a
+ * rectangle keeps its bounds inline (no heap storage) up to kMaxRank
+ * dimensions; Workload::addTensor rejects tensors of higher rank.
  */
 
 #ifndef TILEFLOW_GEOM_HYPERRECT_HPP
 #define TILEFLOW_GEOM_HYPERRECT_HPP
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 namespace tileflow {
+
+/** Highest rank a HyperRect (and so a workload tensor) can have. */
+constexpr size_t kMaxRank = 8;
 
 /**
  * An axis-aligned box of tensor elements, [begin, end) per dimension.
@@ -35,13 +43,18 @@ class HyperRect
     HyperRect() = default;
 
     /** Construct from per-dimension [begin, end) pairs. */
-    HyperRect(std::vector<int64_t> begins, std::vector<int64_t> ends);
+    HyperRect(const std::vector<int64_t>& begins,
+              const std::vector<int64_t>& ends);
+
+    /** A rank-`rank` rectangle with every dimension [0, 0); fill it in
+     *  place with setDim(). */
+    explicit HyperRect(size_t rank);
 
     /** A rectangle anchored at the origin with the given extents. */
     static HyperRect fromExtents(const std::vector<int64_t>& extents);
 
     /** Number of dimensions (0 for the canonical empty rectangle). */
-    size_t rank() const { return begins_.size(); }
+    size_t rank() const { return rank_; }
 
     bool empty() const;
 
@@ -51,6 +64,14 @@ class HyperRect
     int64_t begin(size_t dim) const { return begins_[dim]; }
     int64_t end(size_t dim) const { return ends_[dim]; }
     int64_t extent(size_t dim) const { return ends_[dim] - begins_[dim]; }
+
+    /** Set dimension `dim` (< rank()) to [begin, end). */
+    void
+    setDim(size_t dim, int64_t begin, int64_t end)
+    {
+        begins_[dim] = begin;
+        ends_[dim] = end;
+    }
 
     /**
      * Intersection with another rectangle.
@@ -77,8 +98,9 @@ class HyperRect
     std::string str() const;
 
   private:
-    std::vector<int64_t> begins_;
-    std::vector<int64_t> ends_;
+    std::array<int64_t, kMaxRank> begins_{};
+    std::array<int64_t, kMaxRank> ends_{};
+    size_t rank_ = 0;
 };
 
 /**

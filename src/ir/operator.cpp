@@ -74,12 +74,10 @@ Operator::outputTensors() const
 }
 
 HyperRect
-Operator::sliceOf(const TensorAccess& access,
-                  const std::vector<int64_t>& base,
-                  const std::vector<int64_t>& span) const
+Operator::sliceOf(const TensorAccess& access, const int64_t* base,
+                  const int64_t* span) const
 {
-    std::vector<int64_t> begins(access.projection.size());
-    std::vector<int64_t> ends(access.projection.size());
+    HyperRect rect(access.projection.size());
     for (size_t d = 0; d < access.projection.size(); ++d) {
         int64_t lo = 0;
         int64_t hi = 0; // inclusive upper bound
@@ -89,10 +87,9 @@ Operator::sliceOf(const TensorAccess& access,
             lo += term.coeff * b;
             hi += term.coeff * (b + s - 1);
         }
-        begins[d] = lo;
-        ends[d] = hi + 1;
+        rect.setDim(d, lo, hi + 1);
     }
-    return HyperRect(std::move(begins), std::move(ends));
+    return rect;
 }
 
 } // namespace tileflow

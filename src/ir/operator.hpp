@@ -103,9 +103,15 @@ class Operator
      * [base[d], base[d] + span[d]). base/span are indexed by workload
      * DimId; dims the operator does not use are ignored.
      */
-    HyperRect sliceOf(const TensorAccess& access,
-                      const std::vector<int64_t>& base,
-                      const std::vector<int64_t>& span) const;
+    HyperRect sliceOf(const TensorAccess& access, const int64_t* base,
+                      const int64_t* span) const;
+
+    HyperRect
+    sliceOf(const TensorAccess& access, const std::vector<int64_t>& base,
+            const std::vector<int64_t>& span) const
+    {
+        return sliceOf(access, base.data(), span.data());
+    }
 
   private:
     std::string name_;

@@ -27,6 +27,9 @@ Workload::addTensor(Tensor tensor)
             fatal("Workload ", name_, ": duplicate tensor name '",
                   tensor.name, "'");
     }
+    if (tensor.rank() > kMaxRank)
+        fatal("Workload ", name_, ": tensor '", tensor.name, "' has rank ",
+              tensor.rank(), "; at most ", kMaxRank, " is supported");
     tensors_.push_back(std::move(tensor));
     return TensorId(tensors_.size() - 1);
 }

@@ -33,7 +33,8 @@ class Workload
     /** Register an iteration dim; returns its id. Names must be unique. */
     DimId addDim(const std::string& name, int64_t extent);
 
-    /** Register a tensor; returns its id. Names must be unique. */
+    /** Register a tensor; returns its id. Names must be unique and the
+     *  rank at most kMaxRank (fatal() otherwise). */
     TensorId addTensor(Tensor tensor);
 
     /** Append an operator (must respect topological order). */

@@ -88,12 +88,10 @@ GeneticMapper::run()
     // with the workers'.
     Rng rng(config_.seed);
 
-    std::unique_ptr<ThreadPool> own_pool;
     ThreadPool* pool = pool_;
     if (!pool) {
-        own_pool = std::make_unique<ThreadPool>(
+        pool = &ThreadPool::shared(
             config_.threads > 0 ? size_t(config_.threads) : 0);
-        pool = own_pool.get();
     }
     std::unique_ptr<EvalCache> own_cache;
     EvalCache* cache = cache_;

@@ -61,7 +61,8 @@ struct GeneticConfig
     /** MCTS rollout batch size (see MctsTuner::setBatch). */
     int mctsBatch = 8;
 
-    /** Worker threads when the mapper owns its pool; 0 means
+    /** Worker threads when no pool is passed in (the mapper then
+     *  runs on ThreadPool::shared(threads)); 0 means
      *  ThreadPool::defaultThreadCount() (TILEFLOW_THREADS). */
     int threads = 0;
 
@@ -175,7 +176,8 @@ class GeneticMapper
   public:
     /**
      * `pool` / `cache` may be shared with other components; when null
-     * the mapper creates its own (pool sized by config.threads).
+     * the mapper uses ThreadPool::shared(config.threads) and a cache
+     * of its own.
      */
     GeneticMapper(const Evaluator& evaluator, const MappingSpace& space,
                   GeneticConfig config = {}, ThreadPool* pool = nullptr,

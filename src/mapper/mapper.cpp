@@ -23,7 +23,8 @@ exploreSpace(const Evaluator& evaluator, const MappingSpace& space,
     ga.progressIntervalMs = config.progressIntervalMs;
     ga.boundPrune = config.boundPrune;
 
-    ThreadPool pool(config.threads > 0 ? size_t(config.threads) : 0);
+    ThreadPool& pool =
+        ThreadPool::shared(config.threads > 0 ? size_t(config.threads) : 0);
     EvalCache cache(16, config.evalCacheCap, config.evalCacheBytesCap);
     SubtreeCache subtree_cache(16, config.subtreeCacheCap,
                                config.subtreeCacheBytesCap);
@@ -61,7 +62,8 @@ exploreTiling(const Evaluator& evaluator, const MappingSpace& space,
               int samples, uint64_t seed, const MapperConfig& config)
 {
     Rng rng(seed);
-    ThreadPool pool(config.threads > 0 ? size_t(config.threads) : 0);
+    ThreadPool& pool =
+        ThreadPool::shared(config.threads > 0 ? size_t(config.threads) : 0);
     EvalCache cache(16, config.evalCacheCap, config.evalCacheBytesCap);
     SubtreeCache subtree_cache(16, config.subtreeCacheCap,
                                config.subtreeCacheBytesCap);

@@ -3,9 +3,10 @@
  * The TileFlow mapper facade (Sec. 6): genetic algorithm over the
  * ordering/binding space combined with MCTS over tiling tables.
  *
- * Exploration runs on a fixed-size ThreadPool (sized by
- * MapperConfig::threads, defaulting to TILEFLOW_THREADS /
- * hardware_concurrency) with a sharded EvalCache memoizing repeated
+ * Exploration runs on the process-wide ThreadPool::shared() pool of
+ * MapperConfig::threads workers (defaulting to TILEFLOW_THREADS /
+ * hardware_concurrency), whose workers persist across searches, with
+ * a sharded EvalCache memoizing repeated
  * mapping evaluations. For a fixed seed the result is bit-identical
  * across thread counts; only the wall clock changes.
  *

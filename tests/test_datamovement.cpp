@@ -5,12 +5,18 @@
  * first-principles reuse properties of matmul tilings.
  */
 
+#include <cmath>
+#include <cstring>
+#include <iomanip>
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "analysis/datamovement.hpp"
 #include "arch/presets.hpp"
 #include "core/notation.hpp"
 #include "core/validate.hpp"
+#include "frontend/workloadspec.hpp"
 #include "ir/builders.hpp"
 
 namespace tileflow {
@@ -136,6 +142,68 @@ TEST(DataMovement, PaddedOpsReflectImperfectFactors)
     const DataMovementResult dm = analyzer.analyze(tree);
     EXPECT_DOUBLE_EQ(dm.effectiveOps, 60.0 * 32.0 * 16.0);
     EXPECT_DOUBLE_EQ(dm.paddedOps, 64.0 * 32.0 * 16.0);
+}
+
+TEST(DataMovement, SeqEvictionDrainsInResidentKeyOrder)
+{
+    // Child 0 of a Seq group leaves five residents when child 1
+    // starts: X (clean, moves to child 1, which reads it), Y (clean,
+    // dropped) and A, B, C (dirty, drained upward). The drained bytes
+    // are 2^54, 2 and 4, large enough that the double sum depends on
+    // the order: evicting in (child, tensor) key order, then adding
+    // the final write-backs, gives exactly 2^55; the orders
+    // (A, C, B), (B, C, A), (C, A, B) and (C, B, A) give 2^55 + 16.
+    const std::string text = R"(
+        workload "seqdrain" {
+          dim a 134217728
+          dim b 67108864
+          dim c 2
+          dim d 1
+          tensor A [a, b]
+          tensor B [d]
+          tensor C [c]
+          tensor X [c]
+          tensor Y [c]
+          tensor D [c]
+          op p vector {
+            dims a, b, c, d
+            read X [c]
+            read Y [c]
+            write A [a, b]
+            write B [d]
+            write C [c]
+          }
+          op q vector {
+            dims c
+            read X [c]
+            write D [c]
+          }
+        }
+    )";
+    DiagnosticEngine diags;
+    const std::optional<Workload> workload = parseWorkloadSpec(text, diags);
+    ASSERT_TRUE(workload.has_value()) << diags.render(text, "seqdrain.wl");
+    const AnalysisTree tree = parseNotation(*workload, R"(
+        tile @L1 [] {
+          seq {
+            tile @L0 [a:t134217728, b:t67108864, c:t2] { op p }
+            tile @L0 [c:t2] { op q }
+          }
+        }
+    )");
+    const ArchSpec spec = makeValidationArch();
+    const DmNodePartial partial =
+        DataMovementAnalyzer(*workload, spec).analyzeTile(tree.root());
+    ASSERT_EQ(partial.childDrain.size(), 2u);
+    const double expected = std::ldexp(1.0, 55);
+    EXPECT_EQ(std::memcmp(&partial.childDrain[0], &expected,
+                          sizeof expected),
+              0)
+        << std::setprecision(17) << partial.childDrain[0];
+    // The test can tell the orders apart: evicting C, B, A instead.
+    const double big = std::ldexp(1.0, 54);
+    const double reversed = (((((0.0 + 4.0) + 2.0) + big) + big) + 2.0) + 4.0;
+    EXPECT_NE(reversed, expected);
 }
 
 } // namespace

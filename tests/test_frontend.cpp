@@ -292,6 +292,32 @@ TEST(FrontendLimits, SubscriptDimOutsideOpDimSetIsADiagnostic)
     EXPECT_EQ(diags.diagnostics()[0].code, "W511");
 }
 
+TEST(FrontendLimits, TensorRankAboveMaxRankIsALocatedDiagnostic)
+{
+    // One dim more than a HyperRect can hold: reported at the tensor's
+    // name, not thrown from Workload::addTensor.
+    std::string shape = "i";
+    for (size_t d = 1; d <= kMaxRank; ++d)
+        shape += ", i";
+    DiagnosticEngine diags;
+    auto w = parseWorkloadSpec(concat("workload \"x\" {\n"
+                                      "  dim i 2\n"
+                                      "  tensor T [",
+                                      shape,
+                                      "]\n"
+                                      "}\n"),
+                               diags);
+    EXPECT_FALSE(w.has_value());
+    ASSERT_GE(diags.diagnostics().size(), 1u);
+    const Diagnostic& d = diags.diagnostics()[0];
+    EXPECT_EQ(d.code, "W512");
+    EXPECT_EQ(d.loc.line, 3);
+    EXPECT_EQ(d.loc.col, 10);
+    EXPECT_NE(d.message.find(concat("rank ", kMaxRank + 1)),
+              std::string::npos)
+        << d.message;
+}
+
 TEST(FrontendLimits, ArchFanoutProductOverflowIsADiagnostic)
 {
     std::string text = "arch \"big\" {\n";

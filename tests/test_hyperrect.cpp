@@ -170,6 +170,49 @@ TEST_P(HyperRectProperty, SetAlgebraInvariants)
 INSTANTIATE_TEST_SUITE_P(Seeds, HyperRectProperty,
                          ::testing::Range(0, 8));
 
+TEST(HyperRect, MaxRankIsSupported)
+{
+    std::vector<int64_t> begins(kMaxRank, 1);
+    std::vector<int64_t> ends(kMaxRank, 3);
+    const HyperRect r(begins, ends);
+    EXPECT_EQ(r.rank(), kMaxRank);
+    EXPECT_EQ(r.volume(), int64_t(1) << kMaxRank);
+
+    ends.back() = 2;
+    const HyperRect smaller(begins, ends);
+    EXPECT_EQ(r.intersect(smaller), smaller);
+    EXPECT_EQ(r.differenceVolume(smaller), int64_t(1) << (kMaxRank - 1));
+    EXPECT_EQ(unionVolume({r, smaller}), r.volume());
+    EXPECT_TRUE(r.contains(smaller));
+    EXPECT_EQ(smaller.boundingUnion(r), r);
+    EXPECT_EQ(r.shifted(std::vector<int64_t>(kMaxRank, -1)).begin(0), 0);
+}
+
+TEST(HyperRect, EqualityAndEmptinessAcrossRanks)
+{
+    for (size_t rank = 1; rank <= kMaxRank; ++rank) {
+        const HyperRect box = HyperRect::fromExtents(
+            std::vector<int64_t>(rank, 2));
+        EXPECT_FALSE(box.empty()) << rank;
+        EXPECT_EQ(box, HyperRect::fromExtents(std::vector<int64_t>(rank, 2)));
+        // Equal bounds in the shared dims, different ranks: unequal.
+        if (rank > 1) {
+            EXPECT_FALSE(box == HyperRect::fromExtents(
+                                    std::vector<int64_t>(rank - 1, 2)))
+                << rank;
+        }
+        // A collapsed dimension empties the box, and every empty box
+        // equals every other, whatever the rank.
+        std::vector<int64_t> extents(rank, 2);
+        extents[rank - 1] = 0;
+        const HyperRect flat = HyperRect::fromExtents(extents);
+        EXPECT_TRUE(flat.empty()) << rank;
+        EXPECT_EQ(flat, HyperRect());
+        EXPECT_EQ(flat.volume(), 0);
+        EXPECT_FALSE(flat == box);
+    }
+}
+
 TEST(HyperRect, VolumeNearInt64MaxIsExact)
 {
     // 2^62 elements fit in int64 and must not trip the guard.

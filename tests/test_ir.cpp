@@ -4,11 +4,16 @@
  * builders and the Table 2/3 shape registries.
  */
 
+#include <algorithm>
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hpp"
+#include "common/rng.hpp"
 #include "ir/builders.hpp"
 #include "ir/shapes.hpp"
+#include "oracle/fuzz.hpp"
 
 namespace tileflow {
 
@@ -87,6 +92,64 @@ TEST(Operator, SliceOfHaloProjection)
     const HyperRect a = op.sliceOf(op.accesses()[0], base, span);
     EXPECT_EQ(a.extent(1), 4 + 3 - 1); // halo widens the slice
     EXPECT_EQ(a.volume(), 4 * 6);
+}
+
+TEST(Operator, PointerAndVectorSliceOfAgreeOnEveryFuzzFamily)
+{
+    std::set<int> families;
+    Rng rng(0x511CE);
+    for (uint64_t index = 0; index < 40; ++index) {
+        const FuzzCase fc = makeFuzzCase(0x511CE, index);
+        families.insert(fc.kind);
+        const Workload& w = *fc.workload;
+        for (const Tensor& tensor : w.tensors())
+            EXPECT_LE(tensor.rank(), 4u) << fc.summary;
+        std::vector<int64_t> base(w.dims().size());
+        std::vector<int64_t> span(w.dims().size());
+        for (int draw = 0; draw < 8; ++draw) {
+            for (size_t d = 0; d < base.size(); ++d) {
+                base[d] = rng.uniformInt(0, w.dims()[d].extent - 1);
+                span[d] = rng.uniformInt(0, w.dims()[d].extent);
+            }
+            for (const Operator& op : w.ops()) {
+                for (const TensorAccess& access : op.accesses()) {
+                    const HyperRect a = op.sliceOf(access, base, span);
+                    const HyperRect b =
+                        op.sliceOf(access, base.data(), span.data());
+                    ASSERT_EQ(a.rank(), access.projection.size());
+                    ASSERT_EQ(b.rank(), access.projection.size());
+                    // Reference: the affine image of the index box.
+                    for (size_t d = 0; d < a.rank(); ++d) {
+                        int64_t lo = 0;
+                        int64_t hi = 0;
+                        for (const AccessTerm& t : access.projection[d]) {
+                            const size_t v = size_t(t.dim);
+                            lo += t.coeff * base[v];
+                            hi += t.coeff *
+                                  (base[v] + std::max<int64_t>(span[v], 1));
+                            hi -= t.coeff;
+                        }
+                        EXPECT_EQ(a.begin(d), lo);
+                        EXPECT_EQ(a.end(d), hi + 1);
+                        EXPECT_EQ(b.begin(d), lo);
+                        EXPECT_EQ(b.end(d), hi + 1);
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(families.size(), 7u);
+}
+
+TEST(Workload, TensorRankAboveMaxRankRejected)
+{
+    Workload w("wide");
+    EXPECT_NO_THROW(
+        w.addTensor(Tensor{"ok", std::vector<int64_t>(kMaxRank, 2)}));
+    EXPECT_THROW(
+        w.addTensor(Tensor{"wide", std::vector<int64_t>(kMaxRank + 1, 2)}),
+        FatalError);
+    EXPECT_EQ(w.tensors().size(), 1u);
 }
 
 TEST(Workload, DuplicateDimNameRejected)

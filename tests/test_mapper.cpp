@@ -8,6 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "arch/presets.hpp"
 #include "core/validate.hpp"
@@ -522,6 +530,96 @@ TEST(Mapper, InvalidStructuresPenalizedNotFatal)
         const MapperResult r = exploreSpace(model, space, cfg);
         (void)r;
     });
+}
+
+// -------------------------------------------------------------------
+// Searches share one persistent worker pool per worker count
+// -------------------------------------------------------------------
+
+MapperConfig
+smallSearch(uint64_t seed, int threads)
+{
+    MapperConfig cfg;
+    cfg.rounds = 2;
+    cfg.population = 4;
+    cfg.tilingSamples = 6;
+    cfg.seed = seed;
+    cfg.threads = threads;
+    return cfg;
+}
+
+TEST(MapperPool, SearchesReuseOnePoolOfWorkers)
+{
+    const Workload w = buildAttention(attentionShape("Bert-S"), false);
+    const ArchSpec edge = makeEdgeArch();
+    const Evaluator model(w, edge);
+    const MappingSpace space = makeAttentionSpace(w, edge);
+    const int threads = 3;
+
+    std::vector<double> best;
+    const std::string path = testing::TempDir() + "pool_reuse_trace.json";
+    {
+        const bool before = tracingEnabled();
+        setTracingEnabled(true);
+        clearTrace();
+        for (uint64_t i = 0; i < 5; ++i) {
+            const MapperResult r =
+                exploreSpace(model, space, smallSearch(40 + i, threads));
+            ASSERT_TRUE(r.found);
+            best.push_back(r.bestCycles);
+        }
+        ASSERT_TRUE(writeChromeTrace(path));
+        clearTrace();
+        setTracingEnabled(before);
+    }
+
+    // Every event comes from this thread or one of the pool's workers:
+    // a pool per search would add `threads` new tids per search.
+    std::ifstream in(path);
+    const std::string json((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    const std::string key = "\"tid\":";
+    std::set<long> tids;
+    for (size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + key.size())) {
+        tids.insert(std::strtol(json.c_str() + at + key.size(), nullptr, 10));
+    }
+    EXPECT_GE(tids.size(), 2u);
+    EXPECT_LE(tids.size(), size_t(threads) + 1);
+
+    for (uint64_t i = 0; i < 5; ++i) {
+        const MapperResult serial =
+            exploreSpace(model, space, smallSearch(40 + i, 1));
+        EXPECT_EQ(serial.bestCycles, best[i]) << "search " << i;
+    }
+}
+
+TEST(MapperPool, ConcurrentSearchesOnOnePoolBothFinish)
+{
+    const Workload w = buildAttention(attentionShape("Bert-S"), false);
+    const ArchSpec edge = makeEdgeArch();
+    const Evaluator model(w, edge);
+    const MappingSpace space = makeAttentionSpace(w, edge);
+
+    const double want_a = exploreSpace(model, space, smallSearch(7, 1))
+                              .bestCycles;
+    const double want_b = exploreSpace(model, space, smallSearch(8, 1))
+                              .bestCycles;
+    // 0 until the search finds a mapping.
+    double got_a = 0.0;
+    double got_b = 0.0;
+    std::thread a([&] {
+        got_a = exploreSpace(model, space, smallSearch(7, 2)).bestCycles;
+    });
+    std::thread b([&] {
+        got_b = exploreSpace(model, space, smallSearch(8, 2)).bestCycles;
+    });
+    a.join();
+    b.join();
+    EXPECT_GT(want_a, 0.0);
+    EXPECT_EQ(got_a, want_a);
+    EXPECT_EQ(got_b, want_b);
 }
 
 } // namespace
