@@ -9,16 +9,20 @@
  *            [--time-budget-ms N] [--max-evals N] [--checkpoint PATH]
  *            [--arch FILE] [--workload FILE]
  *            [--trace-out FILE] [--metrics-out FILE] [--progress-ms N]
- *            [--no-incremental] [--no-bound-prune]
+ *            [--no-bound-prune]
  *            [--subtree-cache-cap N] [--eval-cache-cap N]
  *            [--mem-soft-mb N] [--mem-hard-mb N]
  *
- * Candidate evaluations run through the subtree-memoized incremental
- * path by default (bit-identical results, higher throughput; counters
- * analysis.subtree_hits/misses say how much re-analysis was skipped).
- * --no-incremental selects the plain evaluator;
- * --subtree-cache-cap / --eval-cache-cap bound the per-shard entry
- * counts of the two caches (0 = unbounded).
+ * `rounds` must be a positive integer and every N a non-negative
+ * integer; a malformed number or an unknown --option is an error (exit
+ * status 2), so a misspelled argument never runs a silently different
+ * search.
+ *
+ * Candidate evaluations memoize per-subtree analysis partials
+ * (counters analysis.subtree_hits/misses say how much re-analysis was
+ * skipped; results are bit-identical to evaluation without the
+ * cache). --subtree-cache-cap / --eval-cache-cap bound the per-shard
+ * entry counts of the two caches (0 = unbounded).
  *
  * Candidates are branch-and-bound screened by default: an admissible
  * lower bound (analysis/lowerbound.hpp) discards candidates that
@@ -59,9 +63,11 @@
  * deadline remaining) at the search's stop-polling points.
  */
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "arch/presets.hpp"
@@ -165,10 +171,31 @@ main(int argc, char** argv)
             }
             return argv[++i];
         };
+        // A number that does not parse whole, or is out of range, is
+        // an error: never a silently different search.
+        auto integer = [](const std::string& what, const char* text,
+                          long long min, long long max) {
+            char* end = nullptr;
+            errno = 0;
+            const long long n = std::strtoll(text, &end, 10);
+            if (end == text || *end != '\0' || errno == ERANGE ||
+                n < min || n > max) {
+                std::fprintf(stderr,
+                             "%s must be an integer in [%lld, %lld], "
+                             "got '%s'\n",
+                             what.c_str(), min, max, text);
+                std::exit(2);
+            }
+            return n;
+        };
+        auto count = [&]() {
+            return integer(arg, value(), 0,
+                           std::numeric_limits<long long>::max());
+        };
         if (arg == "--time-budget-ms") {
-            cfg.timeBudgetMs = std::atoll(value());
+            cfg.timeBudgetMs = count();
         } else if (arg == "--max-evals") {
-            cfg.maxEvaluations = std::atoll(value());
+            cfg.maxEvaluations = count();
         } else if (arg == "--checkpoint") {
             cfg.checkpointPath = value();
         } else if (arg == "--trace-out") {
@@ -176,28 +203,30 @@ main(int argc, char** argv)
         } else if (arg == "--metrics-out") {
             metrics_path = value();
         } else if (arg == "--progress-ms") {
-            cfg.progressIntervalMs = std::atoll(value());
-        } else if (arg == "--no-incremental") {
-            cfg.incremental = false;
+            cfg.progressIntervalMs = count();
         } else if (arg == "--no-bound-prune") {
             cfg.boundPrune = false;
         } else if (arg == "--subtree-cache-cap") {
-            cfg.subtreeCacheCap = size_t(std::atoll(value()));
+            cfg.subtreeCacheCap = size_t(count());
         } else if (arg == "--eval-cache-cap") {
-            cfg.evalCacheCap = size_t(std::atoll(value()));
+            cfg.evalCacheCap = size_t(count());
         } else if (arg == "--mem-soft-mb") {
-            mem_soft_mb = std::atoll(value());
+            mem_soft_mb = count();
         } else if (arg == "--mem-hard-mb") {
-            mem_hard_mb = std::atoll(value());
+            mem_hard_mb = count();
         } else if (arg == "--arch") {
             arch_path = value();
         } else if (arg == "--workload") {
             workload_path = value();
+        } else if (arg.compare(0, 2, "--") == 0) {
+            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
+            return 2;
         } else if (positional == 0) {
             name = arg;
             ++positional;
         } else if (positional == 1) {
-            cfg.rounds = std::atoi(arg.c_str());
+            cfg.rounds = int(integer("rounds", arg.c_str(), 1,
+                                     std::numeric_limits<int>::max()));
             ++positional;
         } else {
             std::fprintf(stderr, "unexpected argument '%s'\n",

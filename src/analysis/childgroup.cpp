@@ -17,6 +17,18 @@ subtreeLevel(const Node* node)
     return level;
 }
 
+int
+stagingLevel(const Node* tile)
+{
+    int level = -1;
+    for (const auto& child : tile->children()) {
+        const int cl = subtreeLevel(child.get());
+        if (cl < tile->memLevel())
+            level = std::max(level, cl);
+    }
+    return std::max(level, 0);
+}
+
 ChildGroup
 childGroupOf(const Node* tile)
 {

@@ -40,6 +40,14 @@ struct ChildGroup
 /** Highest Tile memory level in the subtree (-1 for a bare Op leaf). */
 int subtreeLevel(const Node* node);
 
+/**
+ * The memory level whose buffers one step of `tile` stages data in:
+ * the highest child subtree level below the tile's own, at least 0
+ * (registers for L0 tiles). Step footprints are checked against its
+ * capacity.
+ */
+int stagingLevel(const Node* tile);
+
 /** Flatten a Tile node: unwrap a single Scope child into its binding
  *  and children, otherwise treat direct children as Seq-bound. */
 ChildGroup childGroupOf(const Node* tile);

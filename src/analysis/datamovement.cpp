@@ -6,6 +6,7 @@
 
 #include "analysis/childgroup.hpp"
 #include "analysis/slice.hpp"
+#include "analysis/subtreecache.hpp"
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 
@@ -301,12 +302,6 @@ simulateStep(const Workload& workload, const StepGeometry& geom,
 
 } // namespace
 
-DataMovementResult
-DataMovementAnalyzer::analyze(const AnalysisTree& tree) const
-{
-    return analyze(tree, PartialLookup{}, PartialRecord{});
-}
-
 DmNodePartial
 DataMovementAnalyzer::analyzeTile(const Node* node) const
 {
@@ -472,9 +467,7 @@ DataMovementAnalyzer::tileImpl(const Node* node,
 
 DataMovementResult
 DataMovementAnalyzer::analyze(const AnalysisTree& tree,
-                              const PartialLookup& lookup,
-                              const PartialRecord& record,
-                              TrafficMode mode) const
+                              SubtreeSlots* slots, TrafficMode mode) const
 {
     DataMovementResult result;
     result.levels.assign(size_t(spec_->numLevels()), LevelTraffic{});
@@ -518,13 +511,14 @@ DataMovementAnalyzer::analyze(const AnalysisTree& tree,
         if (!node->isTile())
             continue;
 
-        const DmNodePartial* partial = lookup ? lookup(node) : nullptr;
+        const DmNodePartial* partial =
+            slots ? slots->dmLookup(node) : nullptr;
         DmNodePartial computed;
         if (partial == nullptr) {
             computed = mode == TrafficMode::Exact ? analyzeTile(node)
                                                   : compulsoryTile(node);
-            if (record)
-                record(node, computed);
+            if (slots)
+                slots->dmRecord(node, computed);
             partial = &computed;
         }
 

@@ -26,7 +26,6 @@
 #ifndef TILEFLOW_ANALYSIS_DATAMOVEMENT_HPP
 #define TILEFLOW_ANALYSIS_DATAMOVEMENT_HPP
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,6 +34,8 @@
 #include "core/tree.hpp"
 
 namespace tileflow {
+
+class SubtreeSlots;
 
 /** Byte counters for one memory level. */
 struct LevelTraffic
@@ -85,7 +86,7 @@ struct DataMovementResult
  * Whole-run traffic contribution of one Tile node — the expensive part
  * of the analysis (resident-rectangle simulation per loop boundary).
  * The values depend only on the node's subtree and its ancestor Tile
- * loops, so the incremental evaluator caches them under
+ * loops, so memoized evaluation caches them under
  * (subtreeHash, contextSignature); see analysis/subtreecache.hpp.
  */
 struct DmNodePartial
@@ -117,23 +118,12 @@ class DataMovementAnalyzer
     {
     }
 
-    DataMovementResult analyze(const AnalysisTree& tree) const;
-
-    /** Cached per-node partial for a Tile node, or nullptr to compute
-     *  it fresh. */
-    using PartialLookup = std::function<const DmNodePartial*(const Node*)>;
-
-    /** Invoked with every freshly computed per-node partial. */
-    using PartialRecord =
-        std::function<void(const Node*, const DmNodePartial&)>;
-
     /**
-     * Like analyze(tree), but per-Tile-node contributions can be
-     * served from / recorded into a cache. The aggregation loop is
-     * shared with the plain overload and accumulates cached and fresh
-     * partials in the identical order with identical values, so the
-     * result is bit-identical to a fresh full analysis (the
-     * incremental evaluator's property tests assert this).
+     * Analyze the whole tree. `slots` (nullable) serves per-Tile-node
+     * partials from / records them into a SubtreeCache. Cached and
+     * fresh partials feed the same accumulation statements in the same
+     * order, so the result is bit-identical with or without it (the
+     * memoized-evaluation property tests assert this).
      *
      * In Compulsory mode the partials are compulsoryTile's and the op
      * counts stay zero (the lower bound's latency pass never reads
@@ -142,8 +132,7 @@ class DataMovementAnalyzer
      * hence bitwise <= it.
      */
     DataMovementResult analyze(const AnalysisTree& tree,
-                               const PartialLookup& lookup,
-                               const PartialRecord& record,
+                               SubtreeSlots* slots = nullptr,
                                TrafficMode mode = TrafficMode::Exact) const;
 
     /** Whole-run traffic of one Tile node (the per-node hot path). */

@@ -5,6 +5,7 @@
 #include <new>
 #include <sstream>
 
+#include "analysis/subtreecache.hpp"
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "common/telemetry.hpp"
@@ -12,23 +13,35 @@
 
 namespace tileflow {
 
+Counter&
+evaluationCounter(const SubtreeCache* cache)
+{
+    static Counter& full =
+        MetricsRegistry::global().counter("analysis.evaluations");
+    static Counter& memoized =
+        MetricsRegistry::global().counter("analysis.incremental_evals");
+    return cache != nullptr ? memoized : full;
+}
+
 EvalResult
-Evaluator::evaluate(const AnalysisTree& tree) const
+Evaluator::evaluate(const AnalysisTree& tree, SubtreeCache* cache) const
 {
     // Always-on metrics (handles resolved once; ~ns per call) plus
     // per-phase spans that cost one relaxed load when tracing is off.
-    static Counter& calls =
-        MetricsRegistry::global().counter("analysis.evaluations");
     static Counter& invalid =
         MetricsRegistry::global().counter("analysis.invalid_mappings");
-    static Histogram& latency_hist =
+    static Histogram& full_ns =
         MetricsRegistry::global().histogram("analysis.evaluate_ns");
-    calls.add();
-    const ScopedLatency timer(latency_hist);
+    static Histogram& memoized_ns = MetricsRegistry::global().histogram(
+        "analysis.incremental_evaluate_ns");
+    evaluationCounter(cache).add();
+    const ScopedLatency timer(cache != nullptr ? memoized_ns : full_ns);
     const TraceSpan span("evaluate", "analysis");
 
     EvalResult result;
 
+    // Injected faults are decided on the tree alone, so they never
+    // depend on whether a cache is in use.
     if (const FaultInjector* injector = faultInjector()) {
         switch (injector->decide(tree)) {
         case FaultKind::Throw:
@@ -54,7 +67,7 @@ Evaluator::evaluate(const AnalysisTree& tree) const
         }
     }
 
-    if (options_.validate) {
+    {
         const TraceSpan phase("evaluate.validate", "analysis");
         for (const std::string& problem : validateTree(tree, spec_)) {
             if (!startsWith(problem, "warn:")) {
@@ -67,32 +80,35 @@ Evaluator::evaluate(const AnalysisTree& tree) const
         }
     }
 
+    SubtreeSlots slots(cache, tree, SubtreeKind::Eval);
+
     {
         // Slice geometry is computed inside this walk (StepGeometry
         // per Tile node); the span covers both.
         const TraceSpan phase("evaluate.data_movement", "analysis");
         const DataMovementAnalyzer dm_analyzer(*workload_, *spec_);
-        result.dm = dm_analyzer.analyze(tree);
+        result.dm = dm_analyzer.analyze(tree, &slots);
     }
 
     {
         const TraceSpan phase("evaluate.resource", "analysis");
         const ResourceAnalyzer resource_analyzer(*workload_, *spec_);
-        result.resources =
-            resource_analyzer.analyze(tree, options_.enforceMemory);
+        result.resources = resource_analyzer.analyze(
+            tree, options_.enforceMemory, &slots);
     }
 
     if ((options_.enforceMemory && !result.resources.fitsMemory) ||
         (options_.enforceCompute && !result.resources.fitsCompute)) {
         result.problems = enforcementProblems(options_, result.resources);
         invalid.add();
+        slots.flush();
         return result;
     }
 
     {
         const TraceSpan phase("evaluate.latency", "analysis");
         const LatencyModel latency_model(*workload_, *spec_);
-        result.latency = latency_model.analyze(tree, result.dm);
+        result.latency = latency_model.analyze(tree, result.dm, &slots);
         result.cycles = result.latency.cycles;
         result.utilization = result.latency.utilization;
     }
@@ -104,6 +120,7 @@ Evaluator::evaluate(const AnalysisTree& tree) const
     }
 
     result.valid = true;
+    slots.flush();
     return result;
 }
 

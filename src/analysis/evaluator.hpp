@@ -3,6 +3,11 @@
  * Evaluator: the one-call facade tying together validation, data
  * movement, resource usage, latency and energy (Fig. 3's "tree-based
  * analysis" box). This is the main entry point of the public API.
+ *
+ * There is one evaluation body. Given a SubtreeCache it memoizes each
+ * Tile node's analysis partials (analysis/subtreecache.hpp); without
+ * one it computes them all. The result is bit-identical with or
+ * without a cache.
  */
 
 #ifndef TILEFLOW_ANALYSIS_EVALUATOR_HPP
@@ -32,10 +37,6 @@ struct EvalOptions
 
     /** Reject mappings whose PE / sub-core demand exceeds the spec. */
     bool enforceCompute = true;
-
-    /** Run structural validation first (disable in hot search loops
-     *  that construct trees from trusted builders). */
-    bool validate = true;
 };
 
 /** Everything the model can say about one mapping. */
@@ -70,12 +71,22 @@ struct EvalResult
  * class(es) whose enforcement actually gated the result. A mapping
  * rejected for a memory overflow under enforceCompute = false must
  * not drag unrelated (unenforced) compute violations into
- * EvalResult::problems, and vice versa. Shared by Evaluator and
- * IncrementalEvaluator so the two paths can never drift.
+ * EvalResult::problems, and vice versa.
  */
 std::vector<std::string>
 enforcementProblems(const EvalOptions& options,
                     const ResourceResult& resources);
+
+class Counter;
+class SubtreeCache;
+
+/**
+ * The counter Evaluator::evaluate bumps per call:
+ * `analysis.incremental_evals` with a SubtreeCache,
+ * `analysis.evaluations` without. The search engines credit restored
+ * evaluations to it on checkpoint resume.
+ */
+Counter& evaluationCounter(const SubtreeCache* cache);
 
 /**
  * The performance model of TileFlow.
@@ -125,8 +136,8 @@ class Evaluator
 
     /**
      * Seeded std::bad_alloc injection, keyed on the same structural
-     * tree hash as FaultInjector so a candidate faults identically on
-     * the plain and incremental paths. The TILEFLOW_ALLOC_FAULT
+     * tree hash as FaultInjector so a candidate faults identically
+     * with or without a SubtreeCache. The TILEFLOW_ALLOC_FAULT
      * environment variable (read at construction) is the fallback
      * when no injector is set programmatically.
      */
@@ -144,8 +155,17 @@ class Evaluator
                               : allocEnvInjector_.get();
     }
 
-    /** Evaluate one mapping end to end. */
-    EvalResult evaluate(const AnalysisTree& tree) const;
+    /**
+     * Evaluate one mapping end to end: fault hooks, validation, data
+     * movement, resource (an enforcement failure returns here),
+     * latency, energy. `cache` (nullable, internally synchronized)
+     * memoizes per-Tile-node partials; the result is bit-identical
+     * with or without it. Telemetry: with a cache the call counts in
+     * `analysis.incremental_evals` / `analysis.incremental_evaluate_ns`,
+     * without one in `analysis.evaluations` / `analysis.evaluate_ns`.
+     */
+    EvalResult evaluate(const AnalysisTree& tree,
+                        SubtreeCache* cache = nullptr) const;
 
   private:
     const Workload* workload_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "analysis/subtreecache.hpp"
 #include "common/logging.hpp"
 
 namespace tileflow {
@@ -16,7 +17,7 @@ struct LatencyContext
     const DataMovementResult* dm;
     LatencyResult* result;
     bool withMemory = true;
-    const LatencyMemo* memo = nullptr;
+    SubtreeSlots* slots = nullptr;
 };
 
 /** Cycles for one temporal step of a level-0 tile running `op`. */
@@ -130,9 +131,8 @@ latencyOf(const LatencyContext& ctx, const Node* node)
         panic("latencyOf: expected a Tile node");
 
     const double* cached =
-        ctx.memo && ctx.memo->lookup
-            ? ctx.memo->lookup(node, ctx.withMemory)
-            : nullptr;
+        ctx.slots ? ctx.slots->latencyLookup(node, ctx.withMemory)
+                  : nullptr;
 
     // The pure pass does no accounting, so a hit skips the subtree.
     if (cached != nullptr && !ctx.withMemory)
@@ -173,8 +173,8 @@ latencyOf(const LatencyContext& ctx, const Node* node)
         // Loads, compute and stores overlap under double buffering,
         // but loads and stores share the level's port/bus bandwidth.
         lat = std::max(compute, load_cycles + store_cycles);
-        if (ctx.memo && ctx.memo->record)
-            ctx.memo->record(node, ctx.withMemory, lat);
+        if (ctx.slots)
+            ctx.slots->latencyRecord(node, ctx.withMemory, lat);
     }
 
     if (ctx.withMemory) {
@@ -190,17 +190,17 @@ latencyOf(const LatencyContext& ctx, const Node* node)
 LatencyResult
 LatencyModel::analyze(const AnalysisTree& tree,
                       const DataMovementResult& dm,
-                      const LatencyMemo* memo) const
+                      SubtreeSlots* slots) const
 {
     LatencyResult result;
     result.levelAccessCycles.assign(size_t(spec_->numLevels()), 0.0);
     if (!tree.hasRoot())
         return result;
 
-    LatencyContext ctx{workload_, spec_, &dm, &result, true, memo};
+    LatencyContext ctx{workload_, spec_, &dm, &result, true, slots};
     result.cycles = latencyOf(ctx, tree.root());
 
-    LatencyContext pure{workload_, spec_, &dm, &result, false, memo};
+    LatencyContext pure{workload_, spec_, &dm, &result, false, slots};
     result.computeCycles = latencyOf(pure, tree.root());
 
     // Utilization counts work against the array that executes it:

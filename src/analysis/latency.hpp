@@ -18,7 +18,6 @@
 #ifndef TILEFLOW_ANALYSIS_LATENCY_HPP
 #define TILEFLOW_ANALYSIS_LATENCY_HPP
 
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -27,6 +26,8 @@
 #include "core/tree.hpp"
 
 namespace tileflow {
+
+class SubtreeSlots;
 
 /** Latency analysis output. */
 struct LatencyResult
@@ -62,21 +63,6 @@ struct LatencyResult
     }
 };
 
-/**
- * Memoization hooks for the incremental evaluator. lookup returns the
- * cached per-execution latency of `node` for the given pass (memory /
- * pure-compute), or nullptr; record is invoked with every freshly
- * computed one. The memory pass still visits every Tile node on a hit
- * — its nodeCycles / levelAccessCycles accounting must accumulate for
- * the whole tree in the usual post-order — while a pure-pass hit
- * short-circuits the subtree (that pass has no accounting).
- */
-struct LatencyMemo
-{
-    std::function<const double*(const Node*, bool with_memory)> lookup;
-    std::function<void(const Node*, bool with_memory, double)> record;
-};
-
 class LatencyModel
 {
   public:
@@ -86,11 +72,11 @@ class LatencyModel
     }
 
     /** Needs the per-node traffic from a prior data-movement pass.
-     *  `memo` (nullable) memoizes per-node latencies; results are
+     *  `slots` (nullable) memoizes per-node latencies; results are
      *  bit-identical with or without it. */
     LatencyResult analyze(const AnalysisTree& tree,
                           const DataMovementResult& dm,
-                          const LatencyMemo* memo = nullptr) const;
+                          SubtreeSlots* slots = nullptr) const;
 
   private:
     const Workload* workload_;

@@ -1,13 +1,12 @@
 #include "analysis/lowerbound.hpp"
 
-#include <algorithm>
 #include <atomic>
 
 #include "analysis/childgroup.hpp"
 #include "analysis/datamovement.hpp"
-#include "analysis/incremental.hpp"
 #include "analysis/latency.hpp"
 #include "analysis/resource.hpp"
+#include "analysis/subtreecache.hpp"
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "core/validate.hpp"
@@ -48,15 +47,7 @@ LowerBoundEvaluator::capacityRejects(const AnalysisTree& tree,
         if (!node->isTile())
             continue;
 
-        const int level = node->memLevel();
-        int child_level = -1;
-        for (const auto& child : node->children()) {
-            const int cl = subtreeLevel(child.get());
-            if (cl < level)
-                child_level = std::max(child_level, cl);
-        }
-        child_level = std::max(child_level, 0);
-
+        const int child_level = stagingLevel(node);
         const MemLevel& mem = spec_->level(child_level);
         if (mem.capacityBytes <= 0)
             continue;
@@ -80,14 +71,12 @@ LowerBoundEvaluator::analyzable(const AnalysisTree& tree) const
 {
     if (!tree.hasRoot())
         return false;
-    if (options_.validate) {
-        for (const std::string& problem : validateTree(tree, spec_)) {
-            // A hard structural problem means the full evaluator
-            // rejects before any analysis; there is nothing sound to
-            // bound (and the analyzers below assume a sane tree).
-            if (!startsWith(problem, "warn:"))
-                return false;
-        }
+    for (const std::string& problem : validateTree(tree, spec_)) {
+        // A hard structural problem means the full evaluator rejects
+        // before any analysis; there is nothing sound to bound (and
+        // the analyzers below assume a sane tree).
+        if (!startsWith(problem, "warn:"))
+            return false;
     }
     return true;
 }
@@ -106,11 +95,9 @@ LowerBoundEvaluator::costBound(const AnalysisTree& tree) const
     SubtreeSlots slots(cache_, tree, SubtreeKind::Bound);
     const DataMovementAnalyzer dm(*workload_, *spec_);
     const DataMovementResult compulsory =
-        dm.analyze(tree, slots.dmLookup(), slots.dmRecord(),
-                   TrafficMode::Compulsory);
+        dm.analyze(tree, &slots, TrafficMode::Compulsory);
     const LatencyModel latency(*workload_, *spec_);
-    const LatencyResult lat =
-        latency.analyze(tree, compulsory, slots.latencyMemo());
+    const LatencyResult lat = latency.analyze(tree, compulsory, &slots);
     slots.flush();
     LowerBound lb;
     lb.analyzed = true;

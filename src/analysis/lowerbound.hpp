@@ -96,11 +96,11 @@ struct LowerBound
  * With a SubtreeCache, costBound() is incremental: each Tile node's
  * compulsory traffic partial and bound-pass latencies are looked up
  * under its (subtreeHash, contextSignature) key tagged
- * SubtreeKind::Bound, and fresh ones are recorded, exactly as the
- * incremental evaluator does for the full model (the two share
+ * SubtreeKind::Bound, and fresh ones are recorded, exactly as
+ * Evaluator::evaluate does for the full model (the two share
  * SubtreeSlots and may share one cache). Cached partials are the
  * values a fresh pass computes, so the bound is bit-identical with or
- * without the cache; a null cache runs the same code with empty hooks.
+ * without the cache; a null cache runs the same code.
  */
 class LowerBoundEvaluator
 {
@@ -126,16 +126,16 @@ class LowerBoundEvaluator
     const EvalOptions& options() const { return options_; }
 
     /**
-     * Bound one mapping. Runs structural validation first (when the
-     * options ask for it), then the capacity screen, then — only for
-     * capacity-clean trees — the compulsory-traffic latency bound.
+     * Bound one mapping. Runs structural validation first, then the
+     * capacity screen, then — only for capacity-clean trees — the
+     * compulsory-traffic latency bound.
      */
     LowerBound bound(const AnalysisTree& tree) const;
 
     /**
-     * bound()'s first step: false for an empty tree or (when the
-     * options validate) one with a hard structural problem. Nothing
-     * is bounded then; the full evaluator classifies the tree.
+     * bound()'s first step: false for an empty tree or one with a
+     * hard structural problem. Nothing is bounded then; the full
+     * evaluator classifies the tree.
      */
     bool analyzable(const AnalysisTree& tree) const;
 

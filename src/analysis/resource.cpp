@@ -6,6 +6,7 @@
 
 #include "analysis/childgroup.hpp"
 #include "analysis/slice.hpp"
+#include "analysis/subtreecache.hpp"
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 
@@ -220,14 +221,6 @@ stepFootprint(const Workload& workload, const Node* tile,
 
 } // namespace
 
-ResourceResult
-ResourceAnalyzer::analyze(const AnalysisTree& tree,
-                          bool enforce_memory) const
-{
-    return analyze(tree, enforce_memory, FootprintLookup{},
-                   FootprintRecord{});
-}
-
 int64_t
 ResourceAnalyzer::tileStepFootprint(const Node* tile) const
 {
@@ -242,8 +235,7 @@ ResourceAnalyzer::tileStepFootprintLowerBound(const Node* tile) const
 
 ResourceResult
 ResourceAnalyzer::analyze(const AnalysisTree& tree, bool enforce_memory,
-                          const FootprintLookup& lookup,
-                          const FootprintRecord& record) const
+                          SubtreeSlots* slots) const
 {
     ResourceResult result;
     result.footprintBytes.assign(size_t(spec_->numLevels()), 0);
@@ -296,22 +288,15 @@ ResourceAnalyzer::analyze(const AnalysisTree& tree, bool enforce_memory,
             continue;
 
         const int level = node->memLevel();
-        // One step of this node stages data in the next-inner level's
-        // buffers (registers for L0 tiles).
-        int child_level = -1;
-        for (const auto& child : node->children()) {
-            const int cl = subtreeLevel(child.get());
-            if (cl < level)
-                child_level = std::max(child_level, cl);
-        }
-        child_level = std::max(child_level, 0);
+        const int child_level = stagingLevel(node);
 
-        const int64_t* cached = lookup ? lookup(node) : nullptr;
+        const int64_t* cached =
+            slots ? slots->footprintLookup(node) : nullptr;
         int64_t fp = 0;
         if (cached == nullptr) {
             fp = stepFootprint(*workload_, node);
-            if (record)
-                record(node, fp);
+            if (slots)
+                slots->footprintRecord(node, fp);
         } else {
             fp = *cached;
         }

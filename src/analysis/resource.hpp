@@ -17,7 +17,6 @@
 #define TILEFLOW_ANALYSIS_RESOURCE_HPP
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -25,6 +24,8 @@
 #include "core/tree.hpp"
 
 namespace tileflow {
+
+class SubtreeSlots;
 
 /** Resource usage of one mapping. */
 struct ResourceResult
@@ -72,26 +73,15 @@ class ResourceAnalyzer
      * Analyze resource usage.
      * @param enforce_memory  record capacity violations (Table 7's
      *        "No Memory Limit" scenario passes false)
+     * @param slots  (nullable) serves per-Tile-node step footprints —
+     *        the expensive part (slice-union geometry) — from / records
+     *        them into a SubtreeCache. Footprints are exact int64s and
+     *        violation strings are regenerated deterministically from
+     *        them, so the result is identical with or without it.
      */
     ResourceResult analyze(const AnalysisTree& tree,
-                           bool enforce_memory = true) const;
-
-    /** Cached step footprint of a Tile node, or nullptr to compute. */
-    using FootprintLookup = std::function<const int64_t*(const Node*)>;
-
-    /** Invoked with every freshly computed step footprint. */
-    using FootprintRecord = std::function<void(const Node*, int64_t)>;
-
-    /**
-     * Like analyze(tree, enforce_memory), but per-Tile-node step
-     * footprints — the expensive part (slice-union geometry) — can be
-     * served from / recorded into a cache. Footprints are exact
-     * int64s and violation strings are regenerated deterministically
-     * from them, so the result is identical to a fresh analysis.
-     */
-    ResourceResult analyze(const AnalysisTree& tree, bool enforce_memory,
-                           const FootprintLookup& lookup,
-                           const FootprintRecord& record) const;
+                           bool enforce_memory = true,
+                           SubtreeSlots* slots = nullptr) const;
 
     /** Step footprint of one Tile node (see Sec. 5.2). */
     int64_t tileStepFootprint(const Node* tile) const;

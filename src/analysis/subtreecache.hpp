@@ -1,6 +1,7 @@
 /**
  * @file
- * Sharded per-subtree analysis cache for incremental evaluation.
+ * Sharded per-subtree analysis cache for memoized evaluation, and
+ * SubtreeSlots, the analyzers' one hook into it.
  *
  * The mapper's mutate / expand moves change one knob of a mapping at a
  * time, leaving most of the tree structurally identical to its parent.
@@ -18,8 +19,9 @@
  * the node's subtree plus its ancestors' Tile loops. The cached values
  * are the exact doubles/int64s a fresh analysis would compute, and the
  * accumulation into whole-tree results runs through the same code
- * either way, so incremental evaluation is bit-identical to full
- * evaluation (the tier-1 property test asserts this per fuzz family).
+ * either way, so evaluation with a cache is bit-identical to
+ * evaluation without one (the tier-1 property test asserts this per
+ * fuzz family).
  *
  * Counters (MetricsRegistry): analysis.subtree_lookups / _hits /
  * _misses / _inserts / _evictions, over both kinds of entry. Each Tile
@@ -53,7 +55,7 @@ namespace tileflow {
  */
 enum class SubtreeKind : uint8_t
 {
-    Eval,  ///< IncrementalEvaluator: exact partials
+    Eval,  ///< Evaluator::evaluate: exact partials
     Bound, ///< LowerBoundEvaluator::costBound: compulsory partials
 };
 
@@ -215,6 +217,91 @@ class SubtreeCache
     // Last member: destroyed first, so no shrink callback can arrive
     // once the destructor body runs.
     MemReclaimRegistration budgetReg_;
+};
+
+/**
+ * One analysis pass's view of a SubtreeCache: the only memoization
+ * hook the analyzers take. Evaluator::evaluate uses it with
+ * SubtreeKind::Eval, the lower bound's cost pass with
+ * SubtreeKind::Bound.
+ *
+ * The constructor is the pre-pass: exactly ONE cache lookup per Tile
+ * node, under the keys of one tileKeys() walk, so subtree_hits +
+ * subtree_misses == subtree_lookups by construction
+ * (tools/telemetry_check enforces it). The *Lookup members serve the
+ * cached partials to the analyzers (nullptr: compute it) and the
+ * *Record members collect the fresh ones; flush() gives the fresh ones
+ * back to the cache. With a null cache every lookup returns nullptr,
+ * every record does nothing and flush() does nothing: the analyzers
+ * then run exactly as with no slots at all.
+ *
+ * Per-call state: an instance lives on the stack of one analysis and
+ * is neither copied nor moved.
+ */
+class SubtreeSlots
+{
+  public:
+    SubtreeSlots(SubtreeCache* cache, const AnalysisTree& tree,
+                 SubtreeKind kind);
+
+    SubtreeSlots(const SubtreeSlots&) = delete;
+    SubtreeSlots& operator=(const SubtreeSlots&) = delete;
+
+    /** Data-movement partial of a Tile node. */
+    const DmNodePartial* dmLookup(const Node* node);
+    void dmRecord(const Node* node, const DmNodePartial& partial);
+
+    /** Step footprint of a Tile node. */
+    const int64_t* footprintLookup(const Node* node);
+    void footprintRecord(const Node* node, int64_t footprint);
+
+    /**
+     * Per-execution latency of a Tile node for the memory pass
+     * (`with_memory`) or the pure-compute pass. The memory pass still
+     * visits every Tile node on a hit, since its nodeCycles /
+     * levelAccessCycles accounting must accumulate for the whole tree
+     * in the usual post-order; a pure-pass hit short-circuits the
+     * subtree (that pass has no accounting).
+     */
+    const double* latencyLookup(const Node* node, bool with_memory);
+    void latencyRecord(const Node* node, bool with_memory,
+                       double cycles);
+
+    /**
+     * Insert every slot that computed something fresh. Callable
+     * before a post-resource early return too, so even an
+     * enforcement-failed evaluation contributes its dm/footprint work
+     * (its latency fields stay absent until a later pass records
+     * them — last writer wins).
+     */
+    void flush();
+
+  private:
+    /**
+     * Per-Tile-node working state. `cached` is the pre-pass lookup;
+     * the fresh* flags say which partials this pass computed itself
+     * and therefore owes back to the cache.
+     */
+    struct Slot
+    {
+        SubtreeKey key;
+        std::optional<SubtreePartial> cached;
+        SubtreePartial fresh;
+        bool freshDm = false;
+        bool freshFp = false;
+        bool freshLat = false;  ///< memory-pass latency
+        bool freshPure = false; ///< pure-compute-pass latency
+    };
+
+    /** The node's slot; nullptr without a cache. */
+    Slot* slotOf(const Node* node)
+    {
+        return cache_ != nullptr ? &slots_[index_.at(node)] : nullptr;
+    }
+
+    SubtreeCache* cache_;
+    std::vector<Slot> slots_;
+    std::unordered_map<const Node*, size_t> index_;
 };
 
 } // namespace tileflow

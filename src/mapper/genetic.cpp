@@ -122,9 +122,8 @@ GeneticMapper::run()
     // Admissible lower bounds for the offspring prescreen's capacity
     // check and (when config_.boundPrune) the tuners' branch-and-bound
     // screen; mirrors the evaluator's workload/spec/options and shares
-    // the incremental evaluator's SubtreeCache, when there is one.
-    const LowerBoundEvaluator lower_bound(
-        *evaluator_, incremental_ ? &incremental_->cache() : nullptr);
+    // the evaluations' SubtreeCache, when there is one.
+    const LowerBoundEvaluator lower_bound(*evaluator_, subtrees_);
 
     // Declared before the lambdas that read it: `best` is only
     // written serially at generation boundaries (and by the restore
@@ -169,7 +168,7 @@ GeneticMapper::run()
         Rng ind_rng(mixSeed(config_.seed, uint64_t(gen),
                             uint64_t(index)));
         MctsTuner tuner(*evaluator_, *space_, ind_rng);
-        tuner.setIncremental(incremental_);
+        tuner.setSubtreeCache(subtrees_);
         tuner.setCache(cache);
         tuner.setBatch(config_.mctsBatch);
         tuner.setStop(&stop, &global_evals);
@@ -280,10 +279,8 @@ GeneticMapper::run()
                     .add(histogramTotal(result.failureHistogram));
                 // Keep the analysis/mapper counter reconciliation
                 // intact across kill/resume (see mcts.cpp).
-                metrics
-                    .counter(incremental_ ? "analysis.incremental_evals"
-                                          : "analysis.evaluations")
-                    .add(uint64_t(result.evaluations));
+                evaluationCounter(subtrees_).add(
+                    uint64_t(result.evaluations));
                 metrics.counter("evalcache.hits").add(restored_hits);
                 metrics.counter("evalcache.misses").add(restored_misses);
                 // Bound-prune credits keep the candidates identity

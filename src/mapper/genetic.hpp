@@ -97,12 +97,11 @@ struct GeneticConfig
      * Branch-and-bound screening in the per-individual tuners (see
      * MctsTuner::setBoundPrune): candidates whose admissible lower
      * bound cannot beat the generation-boundary best are discarded
-     * without full evaluation. Like `incremental`, deliberately NOT
-     * part of the checkpoint config hash: checkpoints written with
-     * either setting interoperate — but unlike `incremental` the
-     * flag IS part of the search trajectory, so flipping it across a
-     * kill/resume continues the run under the new setting rather
-     * than replaying the old one.
+     * without full evaluation. Deliberately NOT part of the
+     * checkpoint config hash: checkpoints written with either setting
+     * interoperate — but the flag IS part of the search trajectory,
+     * so flipping it across a kill/resume continues the run under the
+     * new setting rather than replaying the old one.
      */
     bool boundPrune = true;
 
@@ -191,17 +190,15 @@ class GeneticMapper
     }
 
     /**
-     * Route candidate evaluations through the subtree-memoized path
-     * (nullptr: the plain evaluator), shared by every per-individual
-     * tuner. Crossover and mutation change a handful of structural
-     * genes, so offspring keep most of their parents' evaluated
-     * subtrees warm in the cache. Bit-identical to the plain path —
-     * the search trajectory and checkpoints do not depend on it.
+     * Memoize per-subtree analysis partials of candidate evaluations
+     * and lower bounds in `cache` (nullptr: none), shared by every
+     * per-individual tuner. Crossover and mutation change a handful of
+     * structural genes, so offspring keep most of their parents'
+     * evaluated subtrees warm in the cache. Results are bit-identical
+     * either way — the search trajectory and checkpoints do not
+     * depend on it.
      */
-    void setIncremental(const IncrementalEvaluator* incremental)
-    {
-        incremental_ = incremental;
-    }
+    void setSubtreeCache(SubtreeCache* cache) { subtrees_ = cache; }
 
     GeneticResult run();
 
@@ -211,7 +208,7 @@ class GeneticMapper
     GeneticConfig config_;
     ThreadPool* pool_;
     EvalCache* cache_;
-    const IncrementalEvaluator* incremental_ = nullptr;
+    SubtreeCache* subtrees_ = nullptr;
 };
 
 } // namespace tileflow

@@ -10,13 +10,10 @@
 
 namespace tileflow {
 
-namespace {
-
-template <typename EvaluatorT>
 CachedEval
-guardedEvaluateImpl(const EvaluatorT& evaluator, const MappingSpace& space,
-                    const std::vector<int64_t>& choices,
-                    const BoundPrune* prune)
+guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
+                const std::vector<int64_t>& choices,
+                const BoundPrune* prune, SubtreeCache* cache)
 {
     // The single chokepoint every candidate without a cached verdict
     // passes through, in both the GA and MCTS paths. Accounting
@@ -136,7 +133,7 @@ guardedEvaluateImpl(const EvaluatorT& evaluator, const MappingSpace& space,
 
         counted_eval = true;
         evals.add();
-        const EvalResult full = evaluator.evaluate(tree);
+        const EvalResult full = evaluator.evaluate(tree, cache);
         if (full.valid &&
             !(std::isfinite(full.cycles) && full.cycles > 0.0)) {
             out.failed = true;
@@ -173,25 +170,6 @@ guardedEvaluateImpl(const EvaluatorT& evaluator, const MappingSpace& space,
         failed.add();
     }
     return out;
-}
-
-} // namespace
-
-CachedEval
-guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
-                const std::vector<int64_t>& choices,
-                const BoundPrune* prune)
-{
-    return guardedEvaluateImpl(evaluator, space, choices, prune);
-}
-
-CachedEval
-guardedEvaluate(const IncrementalEvaluator& evaluator,
-                const MappingSpace& space,
-                const std::vector<int64_t>& choices,
-                const BoundPrune* prune)
-{
-    return guardedEvaluateImpl(evaluator, space, choices, prune);
 }
 
 void

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "analysis/evaluator.hpp"
-#include "analysis/incremental.hpp"
 #include "analysis/lowerbound.hpp"
 #include "mapper/encoding.hpp"
 #include "mapper/evalcache.hpp"
@@ -79,20 +78,16 @@ struct BoundPrune
  * Build and evaluate `choices`, converting every throw and every
  * non-finite "valid" result into a tagged infeasible CachedEval.
  * Never throws (panic/abort excepted). `prune` (nullable) arms the
- * bound-first branch-and-bound screen described above.
+ * bound-first branch-and-bound screen described above. `cache`
+ * (nullable) memoizes the evaluation's per-subtree partials; the
+ * verdict is bit-identical with or without it, so it changes a
+ * search's throughput, never its outcome.
  */
 CachedEval guardedEvaluate(const Evaluator& evaluator,
                            const MappingSpace& space,
                            const std::vector<int64_t>& choices,
-                           const BoundPrune* prune = nullptr);
-
-/** Same guard around the subtree-memoized evaluation path. The two
- *  paths are bit-identical, so which one a search uses never changes
- *  its outcome — only its throughput. */
-CachedEval guardedEvaluate(const IncrementalEvaluator& evaluator,
-                           const MappingSpace& space,
-                           const std::vector<int64_t>& choices,
-                           const BoundPrune* prune = nullptr);
+                           const BoundPrune* prune = nullptr,
+                           SubtreeCache* cache = nullptr);
 
 /** Merge `from` into `into` (histogram accumulation). */
 void mergeHistogram(FailureHistogram& into, const FailureHistogram& from);

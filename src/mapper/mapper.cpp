@@ -1,5 +1,6 @@
 #include "mapper/mapper.hpp"
 
+#include "analysis/subtreecache.hpp"
 #include "common/logging.hpp"
 #include "common/threadpool.hpp"
 
@@ -28,11 +29,9 @@ exploreSpace(const Evaluator& evaluator, const MappingSpace& space,
     EvalCache cache(16, config.evalCacheCap, config.evalCacheBytesCap);
     SubtreeCache subtree_cache(16, config.subtreeCacheCap,
                                config.subtreeCacheBytesCap);
-    const IncrementalEvaluator incremental(evaluator, subtree_cache);
 
     GeneticMapper mapper(evaluator, space, ga, &pool, &cache);
-    if (config.incremental)
-        mapper.setIncremental(&incremental);
+    mapper.setSubtreeCache(&subtree_cache);
     const GeneticResult ga_result = mapper.run();
 
     MapperResult result(evaluator.workload());
@@ -67,17 +66,14 @@ exploreTiling(const Evaluator& evaluator, const MappingSpace& space,
     EvalCache cache(16, config.evalCacheCap, config.evalCacheBytesCap);
     SubtreeCache subtree_cache(16, config.subtreeCacheCap,
                                config.subtreeCacheBytesCap);
-    const IncrementalEvaluator incremental(evaluator, subtree_cache);
 
     const StopControl stop(Deadline::afterMs(config.timeBudgetMs),
                            config.cancel, config.maxEvaluations);
 
-    const LowerBoundEvaluator lower_bound(
-        evaluator, config.incremental ? &subtree_cache : nullptr);
+    const LowerBoundEvaluator lower_bound(evaluator, &subtree_cache);
 
     MctsTuner tuner(evaluator, space, rng);
-    if (config.incremental)
-        tuner.setIncremental(&incremental);
+    tuner.setSubtreeCache(&subtree_cache);
     if (config.boundPrune)
         tuner.setBoundPrune(&lower_bound);
     tuner.setPool(&pool);

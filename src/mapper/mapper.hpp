@@ -87,24 +87,15 @@ struct MapperConfig
     int64_t progressIntervalMs = 0;
 
     /**
-     * Evaluate candidates through the subtree-memoized incremental
-     * path (analysis/incremental.hpp). Bit-identical to the plain
-     * evaluator — search results and checkpoints are unaffected, so
-     * this knob is deliberately NOT part of the checkpoint config
-     * hash; it only trades memory for candidate throughput.
-     */
-    bool incremental = true;
-
-    /**
      * Branch-and-bound candidate screening (analysis/lowerbound.hpp):
      * every sampled candidate is lower-bounded first, and one that
      * provably cannot beat the best-so-far — or provably overflows a
      * buffer — is pruned without full evaluation (counted in
-     * `MapperResult::boundPruned`, never in `evaluations`). Like
-     * `incremental`, deliberately NOT part of the checkpoint config
-     * hash, so checkpoints interoperate across the setting; unlike
-     * `incremental`, pruning IS part of the search trajectory (pruned
-     * samples feed a 0 reward back into the search).
+     * `MapperResult::boundPruned`, never in `evaluations`).
+     * Deliberately NOT part of the checkpoint config hash, so
+     * checkpoints interoperate across the setting, although pruning IS
+     * part of the search trajectory (pruned samples feed a 0 reward
+     * back into the search).
      */
     bool boundPrune = true;
 

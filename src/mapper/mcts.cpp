@@ -139,9 +139,8 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         if (cached && !cached->boundOnly) {
             eval = *cached;
         } else {
-            eval = incremental_
-                       ? guardedEvaluate(*incremental_, *space_, base)
-                       : guardedEvaluate(*evaluator_, *space_, base);
+            eval = guardedEvaluate(*evaluator_, *space_, base, nullptr,
+                                   subtrees_);
             result.evaluations += 1;
             if (globalEvals_)
                 globalEvals_->fetch_add(1, std::memory_order_relaxed);
@@ -262,10 +261,8 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
                 // portion would have bumped, so the analysis/mapper
                 // reconciliation telemetry_check enforces still holds
                 // after a kill/resume cycle.
-                metrics
-                    .counter(incremental_ ? "analysis.incremental_evals"
-                                          : "analysis.evaluations")
-                    .add(uint64_t(result.evaluations));
+                evaluationCounter(subtrees_).add(
+                    uint64_t(result.evaluations));
                 metrics.counter("evalcache.hits").add(restored_hits);
                 metrics.counter("evalcache.misses").add(restored_misses);
                 // Bound-prune credits keep the candidates identity
@@ -460,12 +457,8 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
             const BoundPrune prune{boundLb_, threshold,
                                    sample.memo ? &*sample.memo : nullptr};
             const BoundPrune* armed = boundLb_ ? &prune : nullptr;
-            sample.eval =
-                incremental_
-                    ? guardedEvaluate(*incremental_, *space_,
-                                      sample.choices, armed)
-                    : guardedEvaluate(*evaluator_, *space_,
-                                      sample.choices, armed);
+            sample.eval = guardedEvaluate(*evaluator_, *space_,
+                                          sample.choices, armed, subtrees_);
         };
         if (pool_ && to_evaluate.size() > 1) {
             pool_->parallelFor(to_evaluate.size(), evaluate_one);

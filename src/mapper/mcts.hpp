@@ -126,17 +126,14 @@ class MctsTuner
     void setCache(EvalCache* cache) { cache_ = cache; }
 
     /**
-     * Route rollout evaluations through the subtree-memoized path
-     * (nullptr: the plain evaluator). Child expansion then reuses the
-     * parent prefix's evaluated subtrees: successive samples share
-     * everything but the newly decided factor's spine. Bit-identical
-     * to the plain path, so the search trajectory, checkpoints and
-     * results do not depend on this setting — only throughput does.
+     * Memoize per-subtree analysis partials of rollout evaluations in
+     * `cache` (nullptr: none). Child expansion then reuses the parent
+     * prefix's evaluated subtrees: successive samples share everything
+     * but the newly decided factor's spine. Results are bit-identical
+     * either way, so the search trajectory, checkpoints and results do
+     * not depend on this setting — only throughput does.
      */
-    void setIncremental(const IncrementalEvaluator* incremental)
-    {
-        incremental_ = incremental;
-    }
+    void setSubtreeCache(SubtreeCache* cache) { subtrees_ = cache; }
 
     /**
      * Arm branch-and-bound screening (nullptr disables): every
@@ -148,7 +145,7 @@ class MctsTuner
      * run's own best-so-far), re-captured at each batch boundary on
      * the serial thread, so the trajectory stays bit-identical across
      * thread counts (the GA seeds `seed_best` with its
-     * generation-boundary best). Unlike `setIncremental`, pruning IS
+     * generation-boundary best). Unlike `setSubtreeCache`, pruning IS
      * part of the search trajectory: pruned samples backpropagate a 0
      * reward where a full evaluation would have scored them.
      * `bound` must mirror the evaluator's workload/spec/options and
@@ -220,7 +217,7 @@ class MctsTuner
     double exploration_;
     ThreadPool* pool_ = nullptr;
     EvalCache* cache_ = nullptr;
-    const IncrementalEvaluator* incremental_ = nullptr;
+    SubtreeCache* subtrees_ = nullptr;
     const LowerBoundEvaluator* boundLb_ = nullptr;
     double boundSeed_ = std::numeric_limits<double>::infinity();
     int batch_ = 1;

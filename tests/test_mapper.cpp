@@ -10,18 +10,24 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "analysis/lowerbound.hpp"
+#include "analysis/subtreecache.hpp"
 #include "arch/presets.hpp"
+#include "common/rng.hpp"
 #include "core/validate.hpp"
 #include "dataflows/attention.hpp"
 #include "dataflows/chain.hpp"
 #include "frontend/loader.hpp"
+#include "ir/builders.hpp"
 #include "ir/shapes.hpp"
 #include "common/telemetry.hpp"
 #include "mapper/mapper.hpp"
@@ -546,6 +552,123 @@ smallSearch(uint64_t seed, int threads)
     cfg.seed = seed;
     cfg.threads = threads;
     return cfg;
+}
+
+/** Field-for-field (cycles bitwise) equality of two guard verdicts. */
+void
+expectSameVerdict(const CachedEval& got, const CachedEval& want,
+                  const std::string& where)
+{
+    EXPECT_EQ(got.valid, want.valid) << where;
+    EXPECT_EQ(std::memcmp(&got.cycles, &want.cycles, sizeof got.cycles),
+              0)
+        << where << ": " << got.cycles << " vs " << want.cycles;
+    EXPECT_EQ(got.failed, want.failed) << where;
+    EXPECT_EQ(got.failReason, want.failReason) << where;
+    EXPECT_EQ(got.pruned, want.pruned) << where;
+    EXPECT_EQ(got.boundOnly, want.boundOnly) << where;
+    EXPECT_EQ(got.capacityReject, want.capacityReject) << where;
+    EXPECT_EQ(std::memcmp(&got.boundCycles, &want.boundCycles,
+                          sizeof got.boundCycles),
+              0)
+        << where << ": " << got.boundCycles << " vs " << want.boundCycles;
+}
+
+/**
+ * guardedEvaluate with a SubtreeCache (shared, as in a search, by the
+ * lower bound) returns the cache-less verdict field for field, over
+ * uniform draws, at a +inf threshold (only the capacity screen can
+ * prune) and at the candidate's exact cycles (a tight bound prunes).
+ * Each draw is checked twice, so the second pass runs warm.
+ */
+void
+expectGuardCacheInvariant(const Workload& workload, const ArchSpec& spec,
+                          const MappingSpace& space, uint64_t seed)
+{
+    Counter& memoizedEvals =
+        MetricsRegistry::global().counter("analysis.incremental_evals");
+    const Evaluator model(workload, spec);
+    SubtreeCache cache;
+    const LowerBoundEvaluator plain_lb(model);
+    const LowerBoundEvaluator cached_lb(model, &cache);
+    Rng rng(seed);
+    int valid = 0;
+    int pruned = 0;
+    for (int draw = 0; draw < 24; ++draw) {
+        std::vector<int64_t> choices;
+        for (const Knob& knob : space.knobs())
+            choices.push_back(rng.choice(knob.choices));
+        const CachedEval full = guardedEvaluate(model, space, choices);
+        const uint64_t memoized = memoizedEvals.value();
+        expectSameVerdict(
+            guardedEvaluate(model, space, choices, nullptr, &cache), full,
+            "no prune, draw " + std::to_string(draw));
+        EXPECT_EQ(memoizedEvals.value() - memoized, 1u)
+            << "the guard did not evaluate through its cache";
+        valid += full.valid;
+
+        std::vector<double> thresholds{
+            std::numeric_limits<double>::infinity()};
+        if (full.valid)
+            thresholds.push_back(full.cycles);
+        for (const double threshold : thresholds) {
+            for (int pass = 0; pass < 2; ++pass) {
+                const BoundPrune without{&plain_lb, threshold};
+                const BoundPrune with{&cached_lb, threshold};
+                const CachedEval want =
+                    guardedEvaluate(model, space, choices, &without);
+                expectSameVerdict(
+                    guardedEvaluate(model, space, choices, &with, &cache),
+                    want,
+                    "draw " + std::to_string(draw) + " threshold " +
+                        std::to_string(threshold) + " pass " +
+                        std::to_string(pass));
+                pruned += want.pruned;
+            }
+        }
+    }
+    EXPECT_GT(valid, 0) << "no draw was valid";
+    EXPECT_GT(pruned, 0) << "no threshold pruned";
+    EXPECT_GT(cache.hits(), 0u) << "the cache never served a partial";
+}
+
+TEST(MapperGuard, SubtreeCacheLeavesEveryVerdictUnchanged)
+{
+    const Workload attn = buildAttention(attentionShape("Bert-S"), false);
+    const ArchSpec edge = makeEdgeArch();
+    expectGuardCacheInvariant(attn, edge, makeAttentionSpace(attn, edge),
+                              0x6A12Du);
+
+    const Workload cc1 = buildConvChain(convChainShape("CC1"));
+    expectGuardCacheInvariant(cc1, edge, makeConvChainSpace(cc1, edge),
+                              0x6A12Eu);
+}
+
+TEST(MapperGuard, SearchesEvaluateThroughTheirSubtreeCache)
+{
+    // exploreSpace and exploreTiling hand their SubtreeCache to every
+    // evaluation: none lands on the cache-less counter.
+    MetricsRegistry& reg = MetricsRegistry::global();
+    const Workload w = buildAttention(attentionShape("Bert-S"), false);
+    const ArchSpec edge = makeEdgeArch();
+    const Evaluator model(w, edge);
+    MapperConfig cfg;
+    cfg.rounds = 2;
+    cfg.population = 4;
+    cfg.tilingSamples = 8;
+    cfg.threads = 1;
+
+    const uint64_t full_before = reg.counterValue("analysis.evaluations");
+    const uint64_t memo_before =
+        reg.counterValue("analysis.incremental_evals");
+    const MapperResult searched =
+        exploreSpace(model, makeAttentionSpace(w, edge), cfg);
+    const MapperResult tiled = exploreTiling(
+        model, makeAttentionTilingSpace(w, edge), 16, 7, cfg);
+    ASSERT_TRUE(searched.found);
+    ASSERT_TRUE(tiled.found);
+    EXPECT_EQ(reg.counterValue("analysis.evaluations"), full_before);
+    EXPECT_GT(reg.counterValue("analysis.incremental_evals"), memo_before);
 }
 
 TEST(MapperPool, SearchesReuseOnePoolOfWorkers)

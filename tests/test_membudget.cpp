@@ -450,11 +450,10 @@ TEST(AllocFault, GuardedEvaluateTagsInjectedOomAsInfeasible)
     EXPECT_EQ(counterValue("mem.oom_failed_evals"), oom_before + 1);
     EXPECT_EQ(counterValue("mem.alloc_faults"), faults_before + 1);
 
-    // The incremental path hits the same guard the same way.
+    // The memoized path hits the same guard the same way.
     SubtreeCache subtrees;
-    const IncrementalEvaluator inc(model, subtrees);
-    const CachedEval out2 =
-        guardedEvaluate(inc, space, space.defaultChoices());
+    const CachedEval out2 = guardedEvaluate(
+        model, space, space.defaultChoices(), nullptr, &subtrees);
     EXPECT_TRUE(out2.failed);
     EXPECT_EQ(out2.failReason, "oom");
 }

@@ -17,11 +17,13 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/subtreecache.hpp"
 #include "arch/presets.hpp"
 #include "common/stop.hpp"
 #include "common/telemetry.hpp"
 #include "common/threadpool.hpp"
 #include "dataflows/attention.hpp"
+#include "ir/builders.hpp"
 #include "ir/shapes.hpp"
 #include "mapper/evalcache.hpp"
 #include "mapper/mapper.hpp"
@@ -432,6 +434,113 @@ TEST(Telemetry, ThreadPoolCountsTasksConsistently)
     EXPECT_EQ(
         MetricsRegistry::global().gaugeValue("threadpool.queue_depth"),
         0.0);
+}
+
+// -------------------------------------------------------------------
+// Evaluator: each call counts on exactly one path
+// -------------------------------------------------------------------
+
+TEST(Telemetry, EvaluateCountsOnlyOnItsOwnPathAtEveryExit)
+{
+    MetricsRegistry& reg = MetricsRegistry::global();
+    Counter& full_calls = reg.counter("analysis.evaluations");
+    Counter& memo_calls = reg.counter("analysis.incremental_evals");
+    Histogram& full_ns = reg.histogram("analysis.evaluate_ns");
+    Histogram& memo_ns = reg.histogram("analysis.incremental_evaluate_ns");
+
+    // One tree per exit of Evaluator::evaluate: accepted, rejected by
+    // enforcement (every on-chip buffer starved to one byte), and
+    // rejected by validation (an op above level 0).
+    const Workload attn = buildAttention(attentionShape("Bert-S"), false);
+    const ArchSpec edge = makeEdgeArch();
+    ArchSpec starved = edge;
+    for (size_t i = 0; i + 1 < starved.levels().size(); ++i)
+        starved.levels()[i].capacityBytes = 1;
+    const MappingSpace space = makeAttentionSpace(attn, edge);
+    const AnalysisTree fits = space.build(space.defaultChoices());
+
+    const Workload mm = buildMatmul("mm", 16, 16, 16);
+    AnalysisTree malformed(mm);
+    auto root = Node::makeTile(
+        2, {Loop{mm.dimId("i"), 16, LoopKind::Temporal},
+            Loop{mm.dimId("j"), 16, LoopKind::Temporal},
+            Loop{mm.dimId("k"), 16, LoopKind::Temporal}});
+    root->addChild(Node::makeOp(0));
+    malformed.setRoot(std::move(root));
+
+    enum class Exit { Accepted, Enforcement, Validation };
+    const Evaluator accepts(attn, edge);
+    const Evaluator starves(attn, starved);
+    const Evaluator rejects(mm, edge);
+    const struct
+    {
+        const Evaluator* model;
+        const AnalysisTree* tree;
+        Exit exit;
+    } cases[] = {{&accepts, &fits, Exit::Accepted},
+                 {&starves, &fits, Exit::Enforcement},
+                 {&rejects, &malformed, Exit::Validation}};
+
+    for (const auto& c : cases) {
+        SubtreeCache cache; // keys carry no arch: one cache per model
+        for (const bool memoized : {false, true}) {
+            const std::string where =
+                "exit " + std::to_string(int(c.exit)) +
+                (memoized ? " with cache" : " without cache");
+            const uint64_t full_before = full_calls.value();
+            const uint64_t memo_before = memo_calls.value();
+            const uint64_t full_ns_before = full_ns.count();
+            const uint64_t memo_ns_before = memo_ns.count();
+
+            const EvalResult r =
+                c.model->evaluate(*c.tree, memoized ? &cache : nullptr);
+            switch (c.exit) {
+            case Exit::Accepted:
+                EXPECT_TRUE(r.valid) << where;
+                break;
+            case Exit::Enforcement:
+                EXPECT_FALSE(r.valid) << where;
+                EXPECT_FALSE(r.resources.fitsMemory) << where;
+                break;
+            case Exit::Validation:
+                EXPECT_FALSE(r.valid) << where;
+                EXPECT_FALSE(r.problems.empty()) << where;
+                EXPECT_TRUE(r.resources.violations.empty()) << where;
+                break;
+            }
+
+            const uint64_t want_full = memoized ? 0 : 1;
+            const uint64_t want_memo = memoized ? 1 : 0;
+            EXPECT_EQ(full_calls.value() - full_before, want_full) << where;
+            EXPECT_EQ(full_ns.count() - full_ns_before, want_full) << where;
+            EXPECT_EQ(memo_calls.value() - memo_before, want_memo) << where;
+            EXPECT_EQ(memo_ns.count() - memo_ns_before, want_memo) << where;
+        }
+    }
+}
+
+TEST(Telemetry, EnforcementFailureFlushesItsPartials)
+{
+    // A mapping rejected for capacity still leaves its data-movement
+    // and footprint partials in the cache, so evaluating it again
+    // misses nowhere.
+    const Workload attn = buildAttention(attentionShape("Bert-S"), false);
+    ArchSpec starved = makeEdgeArch();
+    for (size_t i = 0; i + 1 < starved.levels().size(); ++i)
+        starved.levels()[i].capacityBytes = 1;
+    const MappingSpace space = makeAttentionSpace(attn, starved);
+    const AnalysisTree tree = space.build(space.defaultChoices());
+    const Evaluator model(attn, starved);
+
+    SubtreeCache cache;
+    const EvalResult first = model.evaluate(tree, &cache);
+    ASSERT_FALSE(first.valid);
+    ASSERT_FALSE(first.resources.fitsMemory);
+    const uint64_t misses = cache.misses();
+    EXPECT_GT(misses, 0u);
+    const EvalResult again = model.evaluate(tree, &cache);
+    EXPECT_EQ(cache.misses(), misses);
+    EXPECT_EQ(again.problems, first.problems);
 }
 
 // -------------------------------------------------------------------
