@@ -9,9 +9,9 @@
  * MapperConfig::boundPrune off (every candidate pays the full
  * analytical model) and once with it on (candidates that provably
  * cannot beat the best-so-far, or provably overflow a buffer, are
- * discarded after only the bound, which costs a third to a half of a
- * full evaluation; a repeat of a pruned candidate reuses its bound
- * from the EvalCache). The headline metric is
+ * discarded after only the bound screen, most of them on its compute
+ * roofline; a repeat of a pruned candidate reuses its bound from the
+ * EvalCache). The headline metric is
  * candidates considered per second, where considered = fully evaluated
  * + bound-pruned; the acceptance bar (printed at the end, and the
  * process exit code) is >= 2x on at least one workload. The
@@ -19,7 +19,8 @@
  * the exact model on the candidates that were fully evaluated
  * (100 * bound / actual, in percent). Per run, bound_evals counts the
  * bounds computed and bound_memo_hits the bounds read back from
- * bound-only EvalCache entries.
+ * bound-only EvalCache entries, and prune_share_{roofline,compulsory,
+ * capacity} the share of prunes each tier of the bound screen decided.
  *
  * Emits the headline numbers as JSON (default BENCH_mapper.json; CI
  * uploads it as an artifact) so throughput regressions are diffable
@@ -43,6 +44,13 @@ using namespace tileflow;
 
 namespace {
 
+/** The bound screen's tiers, in screen order, and their prune
+ *  counters. */
+const char* const kTiers[3] = {"roofline", "compulsory", "capacity"};
+const char* const kTierCounters[3] = {"mapper.bound_pruned_roofline",
+                                      "mapper.bound_pruned_compulsory",
+                                      "mapper.bound_pruned_capacity"};
+
 struct RunStats
 {
     double seconds = 0.0;
@@ -51,6 +59,7 @@ struct RunStats
     uint64_t pruned = 0;
     uint64_t boundEvals = 0;
     uint64_t boundMemoHits = 0;
+    uint64_t prunedByTier[3] = {}; // indexed like kTiers
     double bestCycles = 0.0;
     bool found = false;
 };
@@ -65,6 +74,9 @@ runOnce(const Evaluator& model, const MappingSpace& space, int samples,
     const uint64_t bound_evals0 = metrics.counterValue("mapper.bound_evals");
     const uint64_t memo_hits0 =
         metrics.counterValue("mapper.bound_memo_hits");
+    uint64_t tier0[3];
+    for (int t = 0; t < 3; ++t)
+        tier0[t] = metrics.counterValue(kTierCounters[t]);
     const auto t0 = std::chrono::steady_clock::now();
     const MapperResult result =
         exploreTiling(model, space, samples, 0x1235813u, cfg);
@@ -76,6 +88,9 @@ runOnce(const Evaluator& model, const MappingSpace& space, int samples,
         metrics.counterValue("mapper.bound_evals") - bound_evals0;
     stats.boundMemoHits =
         metrics.counterValue("mapper.bound_memo_hits") - memo_hits0;
+    for (int t = 0; t < 3; ++t)
+        stats.prunedByTier[t] =
+            metrics.counterValue(kTierCounters[t]) - tier0[t];
     stats.evaluations = uint64_t(result.evaluations);
     stats.pruned = result.boundPruned;
     stats.considered = stats.evaluations + stats.pruned;
@@ -150,6 +165,17 @@ main(int argc, char** argv)
         json.number(key + ".bound_evals", double(on.boundEvals));
         json.number(key + ".bound_memo_hits", double(on.boundMemoHits));
         json.number(key + ".best_cycles_on", on.bestCycles);
+        // Which screen tier decided the prunes (shares of on.pruned).
+        std::printf("%-10s prunes by tier:", "");
+        for (int t = 0; t < 3; ++t) {
+            const double share =
+                on.pruned > 0 ? double(on.prunedByTier[t]) /
+                                    double(on.pruned)
+                              : 0.0;
+            std::printf(" %s %.1f%%", kTiers[t], 100.0 * share);
+            json.number(key + ".prune_share_" + kTiers[t], share);
+        }
+        std::printf("\n");
         json.number(key + ".best_cycles_off", off.bestCycles);
     }
 

@@ -33,6 +33,20 @@ leafStepCycles(const LatencyContext& ctx, const Node* l0_tile, OpId op_id)
     return std::max(1.0, std::ceil(points / throughput));
 }
 
+/** Does any op leaf of `node`'s subtree iterate `dim`? Walks the
+ *  leaves in place (no op list is built). */
+bool
+anyOpUsesDim(const Workload& workload, const Node* node, DimId dim)
+{
+    if (node->isOp())
+        return workload.op(node->op()).usesDim(dim);
+    for (const auto& child : node->children()) {
+        if (anyOpUsesDim(workload, child.get(), dim))
+            return true;
+    }
+    return false;
+}
+
 /**
  * Temporal steps of `tile` that a child subtree actually participates
  * in: loops over dims none of the child's ops iterate don't re-execute
@@ -43,43 +57,38 @@ relevantSteps(const LatencyContext& ctx, const Node* tile,
               const Node* child)
 {
     double steps = 1.0;
-    const std::vector<OpId> ops = child->isOp()
-                                      ? std::vector<OpId>{child->op()}
-                                      : child->opsBelow();
     for (const Loop& loop : tile->loops()) {
-        if (!loop.isTemporal())
+        // An extent-1 loop multiplies by exactly 1.0: skip its walk.
+        if (!loop.isTemporal() || loop.extent == 1)
             continue;
-        bool used = false;
-        for (OpId op : ops)
-            used = used || ctx.workload->op(op).usesDim(loop.dim);
-        if (used)
+        if (anyOpUsesDim(*ctx.workload, child, loop.dim))
             steps *= double(loop.extent);
     }
     return steps;
 }
 
 double latencyOf(const LatencyContext& ctx, const Node* node);
-double childTotalOfScope(const LatencyContext& ctx, const Node* tile,
-                         const Node* scope);
 
 /**
- * Total compute-side cycles of one execution of tile `node`: each
- * child contributes its per-execution latency times the steps it
- * participates in; Seq/Shar serialize children (sum), Para/Pipe
- * overlap them (max).
+ * Total compute-side cycles of one execution of tile `tile` over the
+ * children of `parent` (the tile itself, or the Scope directly under
+ * it): each child contributes its per-execution latency times the
+ * steps it participates in; Seq/Shar serialize children (sum),
+ * Para/Pipe overlap them (max).
  */
 double
 childTotal(const LatencyContext& ctx, const Node* tile, ScopeKind binding,
-           const std::vector<const Node*>& children)
+           const Node* parent)
 {
     double sum = 0.0;
     double peak = 0.0;
-    for (const Node* child : children) {
+    for (const auto& owned : parent->children()) {
+        const Node* child = owned.get();
         double lat = 0.0;
         if (child->isScope()) {
             // The nested scope's own children are already scaled by the
             // tile's relevant steps.
-            lat = childTotalOfScope(ctx, tile, child);
+            lat = childTotal(ctx, tile, child->scopeKind(), child);
         } else {
             lat = child->isOp() ? leafStepCycles(ctx, tile, child->op())
                                 : latencyOf(ctx, child);
@@ -91,35 +100,21 @@ childTotal(const LatencyContext& ctx, const Node* tile, ScopeKind binding,
     return isConcurrent(binding) ? peak : sum;
 }
 
-double
-childTotalOfScope(const LatencyContext& ctx, const Node* tile,
-                  const Node* scope)
-{
-    std::vector<const Node*> children;
-    for (const auto& child : scope->children())
-        children.push_back(child.get());
-    return childTotal(ctx, tile, scope->scopeKind(), children);
-}
-
 /**
  * Accounting-only traversal for a memory-pass memo hit: visit the
- * Tile children (through nested Scopes, in child order — exactly the
- * order childTotal recurses them) so their nodeCycles /
+ * Tile children of `parent` (through nested Scopes, in child order —
+ * exactly the order childTotal recurses them) so their nodeCycles /
  * levelAccessCycles contributions accumulate as in a full pass.
  */
 void
-visitForAccounting(const LatencyContext& ctx,
-                   const std::vector<const Node*>& children)
+visitForAccounting(const LatencyContext& ctx, const Node* parent)
 {
-    for (const Node* child : children) {
-        if (child->isScope()) {
-            std::vector<const Node*> inner;
-            for (const auto& c : child->children())
-                inner.push_back(c.get());
-            visitForAccounting(ctx, inner);
-        } else if (child->isTile()) {
+    for (const auto& owned : parent->children()) {
+        const Node* child = owned.get();
+        if (child->isScope())
+            visitForAccounting(ctx, child);
+        else if (child->isTile())
             latencyOf(ctx, child);
-        }
         // Op leaves carry no accounting of their own.
     }
 }
@@ -138,15 +133,13 @@ latencyOf(const LatencyContext& ctx, const Node* node)
     if (cached != nullptr && !ctx.withMemory)
         return *cached;
 
+    // A single Scope child binds the tile's children; otherwise they
+    // run in sequence.
     ScopeKind binding = ScopeKind::Seq;
-    std::vector<const Node*> children;
+    const Node* parent = node;
     if (node->numChildren() == 1 && node->child(0)->isScope()) {
-        binding = node->child(0)->scopeKind();
-        for (const auto& child : node->child(0)->children())
-            children.push_back(child.get());
-    } else {
-        for (const auto& child : node->children())
-            children.push_back(child.get());
+        parent = node->child(0);
+        binding = parent->scopeKind();
     }
 
     double load_cycles = 0.0;
@@ -166,10 +159,10 @@ latencyOf(const LatencyContext& ctx, const Node* node)
         // Memory-pass hit: descendants still owe their accounting (in
         // the same post-order a full pass uses), but this node's
         // relevant-steps / leaf-throughput arithmetic is skipped.
-        visitForAccounting(ctx, children);
+        visitForAccounting(ctx, parent);
         lat = *cached;
     } else {
-        const double compute = childTotal(ctx, node, binding, children);
+        const double compute = childTotal(ctx, node, binding, parent);
         // Loads, compute and stores overlap under double buffering,
         // but loads and stores share the level's port/bus bandwidth.
         lat = std::max(compute, load_cycles + store_cycles);
@@ -186,6 +179,17 @@ latencyOf(const LatencyContext& ctx, const Node* node)
 }
 
 } // namespace
+
+double
+LatencyModel::rooflineCycles(const AnalysisTree& tree) const
+{
+    if (!tree.hasRoot())
+        return 0.0;
+    // The pure-compute pass reads neither traffic nor results.
+    const LatencyContext pure{workload_, spec_, nullptr, nullptr, false,
+                              nullptr};
+    return latencyOf(pure, tree.root());
+}
 
 LatencyResult
 LatencyModel::analyze(const AnalysisTree& tree,

@@ -78,6 +78,14 @@ class LatencyModel
                           const DataMovementResult& dm,
                           SubtreeSlots* slots = nullptr) const;
 
+    /**
+     * The pure-compute pass alone (the compute roofline): equals
+     * analyze()'s `computeCycles` bitwise, and so is <= its `cycles`.
+     * Reads no traffic and allocates nothing, so it needs no prior
+     * data-movement pass.
+     */
+    double rooflineCycles(const AnalysisTree& tree) const;
+
   private:
     const Workload* workload_;
     const ArchSpec* spec_;

@@ -84,9 +84,6 @@ LowerBoundEvaluator::analyzable(const AnalysisTree& tree) const
 LowerBound
 LowerBoundEvaluator::costBound(const AnalysisTree& tree) const
 {
-    if (g_cost_faults.load(std::memory_order_relaxed) > 0 &&
-        g_cost_faults.fetch_sub(1) > 0)
-        fatal("injected cost-bound fault");
     // Compulsory traffic only, fed through the REAL latency model:
     // per node, lat = max(child compute, lb_load + lb_store cycles)
     // is monotone in the traffic under fl-arithmetic, so the result
@@ -104,6 +101,52 @@ LowerBoundEvaluator::costBound(const AnalysisTree& tree) const
     lb.cycles = lat.cycles;
     lb.computeCycles = lat.computeCycles;
     return lb;
+}
+
+BoundScreen
+LowerBoundEvaluator::screen(const AnalysisTree& tree, double threshold,
+                            BoundTier from, double fromCycles) const
+{
+    BoundScreen out;
+    if (from == BoundTier::None && !analyzable(tree))
+        return out;
+    out.analyzed = true;
+    out.tier = from;
+    out.cycles = fromCycles;
+    try {
+        if (g_cost_faults.load(std::memory_order_relaxed) > 0 &&
+            g_cost_faults.fetch_sub(1) > 0)
+            fatal("injected cost-bound fault");
+        // Roofline <= compulsory bound <= exact cycles, bitwise (the
+        // latency recursion is a max over the compute term), so a
+        // cheaper tier's prune is the deeper one's too.
+        if (out.tier < BoundTier::Roofline) {
+            out.cycles =
+                LatencyModel(*workload_, *spec_).rooflineCycles(tree);
+            out.tier = BoundTier::Roofline;
+            if (out.cycles >= threshold) {
+                out.pruned = true;
+                return out;
+            }
+        }
+        if (out.tier < BoundTier::Compulsory) {
+            out.cycles = costBound(tree).cycles;
+            out.tier = BoundTier::Compulsory;
+            if (out.cycles >= threshold) {
+                out.pruned = true;
+                return out;
+            }
+        }
+    } catch (const std::exception&) {
+        // bound() would still have run the capacity screen; so does
+        // this.
+    }
+    if (capacityRejects(tree)) {
+        out.tier = BoundTier::Capacity;
+        out.capacityReject = true;
+        out.pruned = true;
+    }
+    return out;
 }
 
 LowerBound

@@ -9,17 +9,17 @@
  * mapper can discard a candidate whose *bound* already exceeds the
  * best mapping found so far without paying for its full evaluation.
  *
- * It is cheaper than that evaluation, not cheap: cold, validation, the
- * compulsory-traffic pass and the latency model still walk every
- * node's slices, about 30-45 us per cold call on bench_incremental's
- * Bert-S and Bert-L streams (one Xeon vCPU), a third to a half of a
- * full evaluation. So the mapper's guard runs the cost part before the
- * capacity screen (the cost part prunes far more often) and
- * memoizes each pruned candidate's bound in the EvalCache. Given the
- * search's SubtreeCache, the cost part is also incremental per Tile
- * node, like the full evaluation: after a single-knob mutation only
- * the changed node's ancestor spine is re-bounded (about 10-15 us per
- * call on the same streams).
+ * The full bound is cheaper than that evaluation, not cheap: cold,
+ * the compulsory-traffic pass walks every node's slices, about 20-26
+ * us per call on bench_incremental's Bert-S and Bert-L streams (Xeon
+ * VM), where the compute roofline alone costs well under a microsecond
+ * and decides almost every prune. So the mapper's guard screens in
+ * tiers (screen(): roofline, then the compulsory bound, then the
+ * capacity screen) and memoizes each pruned candidate's bound and tier
+ * in the EvalCache. Given the search's SubtreeCache, the compulsory
+ * pass is also incremental per Tile node, like the full evaluation:
+ * after a single-knob mutation only the changed node's ancestor spine
+ * is re-bounded (about 7-9 us per call on the same streams).
  *
  * Three ingredients, each individually admissible:
  *
@@ -48,6 +48,7 @@
 #ifndef TILEFLOW_ANALYSIS_LOWERBOUND_HPP
 #define TILEFLOW_ANALYSIS_LOWERBOUND_HPP
 
+#include <cstdint>
 #include <string>
 
 #include "analysis/evaluator.hpp"
@@ -83,6 +84,40 @@ struct LowerBound
      *  validation failed — the full evaluator will classify those).
      *  A caller must never prune on an un-analyzed bound. */
     bool analyzed = false;
+};
+
+/**
+ * The tiers of the mapper guard's bound screen, cheapest first; each
+ * bound is bitwise <= the next, so running them in order prunes
+ * exactly what the deepest alone would.
+ */
+enum class BoundTier : uint8_t
+{
+    None,       ///< no tier has run
+    Roofline,   ///< the latency model's pure-compute pass
+    Compulsory, ///< costBound(): the compulsory-traffic latency bound
+    Capacity,   ///< capacityRejects(): the capacity screen
+};
+
+/** One run of LowerBoundEvaluator::screen(). */
+struct BoundScreen
+{
+    /** The tree was analyzable (or screened before): some tier ran. */
+    bool analyzed = false;
+
+    /** Some tier proved the candidate cannot beat the threshold, or
+     *  that the full evaluator rejects it for capacity. */
+    bool pruned = false;
+
+    /** The tier that pruned; otherwise the deepest cost tier that
+     *  completed (None when none did). */
+    BoundTier tier = BoundTier::None;
+
+    /** That cost tier's bound on the full model's cycles. */
+    double cycles = 0.0;
+
+    /** The capacity screen rejected the tree (`tier` is Capacity). */
+    bool capacityReject = false;
 };
 
 /**
@@ -143,10 +178,25 @@ class LowerBoundEvaluator
      * bound()'s cost part alone — the compulsory-traffic latency
      * bound, with no validation and no capacity screen. The tree must
      * be analyzable(). For a capacity-clean tree the result equals
-     * bound()'s bitwise; the mapper's guard runs it before the
-     * capacity screen because it prunes far more often.
+     * bound()'s bitwise; its `computeCycles` is the roofline.
      */
     LowerBound costBound(const AnalysisTree& tree) const;
+
+    /**
+     * The mapper guard's tiered screen against `threshold`: the
+     * roofline, then the compulsory-traffic bound, each only while
+     * the cheaper one stays below the threshold, then the capacity
+     * screen. The verdict equals bound()'s `capacityReject || cycles
+     * >= threshold` at every threshold. A failing cost tier is never
+     * a verdict: the capacity screen still runs. `from` / `fromCycles`
+     * resume a screen that reached that tier with that bound before
+     * (a memoized bound-only entry): only the deeper tiers run, and
+     * the tree is not validated again. Not analyzable (from None):
+     * nothing runs and `analyzed` is false.
+     */
+    BoundScreen screen(const AnalysisTree& tree, double threshold,
+                       BoundTier from = BoundTier::None,
+                       double fromCycles = 0.0) const;
 
     /**
      * The capacity screen alone (no traffic / latency work): true iff
@@ -167,10 +217,10 @@ class LowerBoundEvaluator
 };
 
 /**
- * Test hook: the next `count` costBound() calls (process-wide) throw
- * FatalError instead of bounding, so callers' fall-through paths can
- * be exercised; 0 disarms. No well-formed tree makes the cost pass
- * throw on its own.
+ * Test hook: the next `count` screen() calls (process-wide) throw
+ * FatalError from their cost tiers, before the roofline, so the
+ * capacity-screen fall-through can be exercised; 0 disarms. No
+ * well-formed tree makes a cost tier throw on its own.
  */
 void armCostBoundFaultForTesting(int count);
 

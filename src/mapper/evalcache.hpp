@@ -30,6 +30,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "analysis/lowerbound.hpp"
 #include "common/membudget.hpp"
 #include "common/telemetry.hpp"
 
@@ -82,8 +83,13 @@ struct CachedEval
      *  a full evaluation, whose verdict replaces the entry. */
     bool capacityReject = false;
 
-    /** LowerBound::cycles of the tree (meaningless when
-     *  `capacityReject` was decided without a cost bound). */
+    /** The bound screen tier behind `boundCycles` / `capacityReject`
+     *  (LowerBoundEvaluator::screen): a bound-only entry replays it
+     *  and resumes the screen below it. */
+    BoundTier boundTier = BoundTier::None;
+
+    /** The cycle bound of the deepest cost tier that ran (meaningless
+     *  when `capacityReject` was decided without one). */
     double boundCycles = 0.0;
 };
 

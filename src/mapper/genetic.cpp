@@ -285,8 +285,11 @@ GeneticMapper::run()
                 metrics.counter("evalcache.misses").add(restored_misses);
                 // Bound-prune credits keep the candidates identity
                 // (candidates == bound_pruned + evaluations) intact
-                // across kill/resume.
+                // across kill/resume; the restored prunes' tiers are
+                // not checkpointed, so they form a bucket of their own.
                 metrics.counter("mapper.bound_pruned")
+                    .add(result.boundPruned);
+                metrics.counter("mapper.bound_pruned_restored")
                     .add(result.boundPruned);
                 metrics.counter("mapper.candidates")
                     .add(uint64_t(result.evaluations) +

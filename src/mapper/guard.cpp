@@ -10,6 +10,51 @@
 
 namespace tileflow {
 
+namespace {
+
+/** mapper.bound_pruned and its per-tier buckets: each prune counts
+ *  in the total and under the tier that decided it. */
+struct PruneCounters
+{
+    Counter& total;
+    Counter& roofline;
+    Counter& compulsory;
+    Counter& capacity;
+
+    void
+    add(BoundTier tier)
+    {
+        total.add();
+        switch (tier) {
+        case BoundTier::Roofline:
+            roofline.add();
+            return;
+        case BoundTier::Compulsory:
+            compulsory.add();
+            return;
+        case BoundTier::Capacity:
+            capacity.add();
+            return;
+        case BoundTier::None:
+            break;
+        }
+        panic("bound prune without a tier");
+    }
+};
+
+} // namespace
+
+CachedEval
+boundOnlyEntry(const CachedEval& pruned)
+{
+    CachedEval entry;
+    entry.boundOnly = true;
+    entry.capacityReject = pruned.capacityReject;
+    entry.boundTier = pruned.boundTier;
+    entry.boundCycles = pruned.boundCycles;
+    return entry;
+}
+
 CachedEval
 guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
                 const std::vector<int64_t>& choices,
@@ -20,6 +65,8 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
     // invariants (telemetry_check enforces them):
     //   mapper.candidates == mapper.bound_pruned + mapper.evaluations
     //   mapper.bound_evals + mapper.bound_memo_hits >= bound_pruned
+    //   mapper.bound_pruned == the sum of bound_pruned_{roofline,
+    //       compulsory,capacity,restored}
     // — every candidate either prunes on the lower bound (computed,
     // or read from a bound-only cache entry) or pays a full
     // evaluation; `mapper.evaluations`, plus the restored-portion
@@ -37,8 +84,11 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
         MetricsRegistry::global().counter("mapper.bound_evals");
     static Counter& boundMemoHits =
         MetricsRegistry::global().counter("mapper.bound_memo_hits");
-    static Counter& boundPruned =
-        MetricsRegistry::global().counter("mapper.bound_pruned");
+    static PruneCounters boundPruned{
+        MetricsRegistry::global().counter("mapper.bound_pruned"),
+        MetricsRegistry::global().counter("mapper.bound_pruned_roofline"),
+        MetricsRegistry::global().counter("mapper.bound_pruned_compulsory"),
+        MetricsRegistry::global().counter("mapper.bound_pruned_capacity")};
     // Bound/actual ratio in percent per fully evaluated valid
     // candidate: 100 means the bound was exact, small values mean it
     // was loose. Tightness telemetry only — no invariant beyond
@@ -68,16 +118,17 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
         prune != nullptr ? prune->bound : nullptr;
     const CachedEval* memo = lbe != nullptr ? prune->memo : nullptr;
     if (memo != nullptr) {
-        // A memoized bound stands in for a fresh one and is judged
-        // against this caller's threshold the same way; a prune here
-        // skips even the tree build.
+        // A memoized bound stands in for the tiers it covers and is
+        // judged against this caller's threshold the same way; a
+        // prune here skips even the tree build.
         boundMemoHits.add();
         out.boundCycles = memo->boundCycles;
         out.capacityReject = memo->capacityReject;
+        out.boundTier = memo->boundTier;
         if (memo->capacityReject ||
             memo->boundCycles >= prune->bestCycles) {
             out.pruned = true;
-            boundPruned.add();
+            boundPruned.add(out.boundTier);
             return out;
         }
     }
@@ -91,42 +142,31 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
         // it is trying to save).
         const AnalysisTree tree = space.build(choices);
 
+        // Only a completed compulsory bound feeds the tightness
+        // histogram.
         bool have_bound = false;
         if (lbe != nullptr) {
-            // A failing bound computation is never a verdict: fall
-            // through and let the full evaluator classify the
-            // candidate. Either prune below is sound: the candidate's
-            // cycles provably cannot beat the caller's best, or the
-            // full evaluator provably rejects it for capacity. The
-            // cost bound goes first because it prunes far more often;
-            // the verdict equals LowerBoundEvaluator::bound()'s.
+            // Either prune is sound: the candidate's cycles provably
+            // cannot beat the caller's best, or the full evaluator
+            // provably rejects it for capacity. A failing screen is
+            // never a verdict: the full evaluator classifies the
+            // candidate. A memo's tier and bound (copied into `out`
+            // above) resume the screen below that tier.
             try {
-                if (memo != nullptr || lbe->analyzable(tree)) {
-                    bool cost_known = memo != nullptr;
-                    if (memo == nullptr) {
-                        boundEvals.add();
-                        try {
-                            out.boundCycles = lbe->costBound(tree).cycles;
-                            cost_known = true;
-                        } catch (const std::exception&) {
-                            // bound() would still have run the
-                            // capacity screen; so does this.
-                        }
-                        if (cost_known &&
-                            out.boundCycles >= prune->bestCycles) {
-                            out.pruned = true;
-                            boundPruned.add();
-                            return out;
-                        }
-                    }
-                    if (lbe->capacityRejects(tree)) {
-                        out.capacityReject = true;
-                        out.pruned = true;
-                        boundPruned.add();
-                        return out;
-                    }
-                    have_bound = cost_known;
+                const BoundScreen screen = lbe->screen(
+                    tree, prune->bestCycles, out.boundTier,
+                    out.boundCycles);
+                if (memo == nullptr && screen.analyzed)
+                    boundEvals.add();
+                out.boundCycles = screen.cycles;
+                out.capacityReject = screen.capacityReject;
+                out.boundTier = screen.tier;
+                if (screen.pruned) {
+                    out.pruned = true;
+                    boundPruned.add(screen.tier);
+                    return out;
                 }
+                have_bound = screen.tier == BoundTier::Compulsory;
             } catch (const std::exception&) {
             }
         }

@@ -48,10 +48,14 @@ using FailureHistogram = std::map<std::string, uint64_t>;
  * itself depends on the caller's threshold, callers cache the bound
  * as a bound-only entry, never the verdict.
  *
- * The cost bound runs first and the capacity screen only when the
- * cost bound does not prune (or throws); the verdict is the same
- * `capacityReject || bound >= bestCycles` as LowerBoundEvaluator::
- * bound() gives, in whichever order.
+ * The screen runs in tiers (LowerBoundEvaluator::screen): the compute
+ * roofline, then the compulsory-traffic bound only when the roofline
+ * does not prune, then the capacity screen only when neither prunes
+ * (or a cost tier throws). The verdict is the same `capacityReject ||
+ * bound >= bestCycles` as LowerBoundEvaluator::bound() gives. The
+ * verdict's `boundTier` names the tier that pruned, and each prune
+ * is counted under it (mapper.bound_pruned_{roofline,compulsory,
+ * capacity}).
  *
  * Caller contract: `bound` must be constructed from the same
  * workload/spec/options as the evaluator it screens for, and
@@ -68,11 +72,19 @@ struct BoundPrune
 
     /**
      * The candidate's bound-only EvalCache entry, if the lookup found
-     * one. It replaces the bound computation: when it prunes against
-     * `bestCycles` the tree is not even built.
+     * one. It replaces the tiers it covers: when it prunes against
+     * `bestCycles` the tree is not even built, and otherwise only the
+     * tiers below its `boundTier` run.
      */
     const CachedEval* memo = nullptr;
 };
+
+/**
+ * The bound-only EvalCache entry that stands for a pruned verdict:
+ * its bound, capacity reject and tier, and nothing
+ * threshold-dependent.
+ */
+CachedEval boundOnlyEntry(const CachedEval& pruned);
 
 /**
  * Build and evaluate `choices`, converting every throw and every

@@ -267,8 +267,11 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
                 metrics.counter("evalcache.misses").add(restored_misses);
                 // Bound-prune credits keep the candidates identity
                 // (candidates == bound_pruned + evaluations) intact
-                // across kill/resume.
+                // across kill/resume; the restored prunes' tiers are
+                // not checkpointed, so they form a bucket of their own.
                 metrics.counter("mapper.bound_pruned")
+                    .add(result.boundPruned);
+                metrics.counter("mapper.bound_pruned_restored")
                     .add(result.boundPruned);
                 metrics.counter("mapper.candidates")
                     .add(uint64_t(result.evaluations) +
@@ -470,19 +473,16 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         // the evaluation budget, and their verdict depends on this
         // batch's threshold, so only the bound behind it enters the
         // cache (a later batch with a different best re-judges it).
-        // A candidate pruned from its memo already has its entry.
+        // A candidate pruned from its memo already has its entry; one
+        // whose memo led on to a deeper tier gets that tier's.
         int evaluated = 0;
         for (size_t k : to_evaluate) {
             const CachedEval& eval = pending[k].eval;
+            const std::optional<CachedEval>& memo = pending[k].memo;
             if (eval.pruned) {
                 result.boundPruned += 1;
-                if (cache_ && !pending[k].memo) {
-                    CachedEval entry;
-                    entry.boundOnly = true;
-                    entry.capacityReject = eval.capacityReject;
-                    entry.boundCycles = eval.boundCycles;
-                    cache_->insert(pending[k].choices, std::move(entry));
-                }
+                if (cache_ && (!memo || eval.boundTier > memo->boundTier))
+                    cache_->insert(pending[k].choices, boundOnlyEntry(eval));
                 continue;
             }
             evaluated += 1;

@@ -7,26 +7,31 @@
  * evaluator's cycles (compared as exact doubles — the bound is
  * admissible bitwise, not just mathematically), against both the plain
  * and the incremental evaluation paths; and the capacity screen only
- * ever rejects trees the full evaluator also rejects. Plus the search
- * integration: prune-on and prune-off searches find equal-cost best
- * mappings (GA and MCTS), kill/resume with pruning stays
- * bit-identical, the guard's candidate accounting partitions exactly
- * into pruned + evaluated, and the guard's verdict — cost bound
- * first, or replayed from a memoized bound-only cache entry — equals
- * the one a fresh bound() gives at every threshold.
+ * ever rejects trees the full evaluator also rejects. The screen's
+ * tiers are ordered bitwise: roofline == costBound().computeCycles <=
+ * costBound().cycles <= exact cycles. Plus the search integration:
+ * prune-on and prune-off searches find equal-cost best mappings (GA
+ * and MCTS), kill/resume with pruning stays bit-identical, the guard's
+ * candidate accounting partitions exactly into pruned + evaluated and
+ * its prunes into per-tier buckets, and the guard's verdict — screened
+ * in tiers, or replayed from a memoized bound-only cache entry —
+ * equals the one a fresh bound() gives at every threshold.
  */
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/incremental.hpp"
+#include "analysis/latency.hpp"
 #include "analysis/lowerbound.hpp"
 #include "arch/presets.hpp"
 #include "common/logging.hpp"
@@ -46,6 +51,115 @@ fuzzSpec()
 {
     static const ArchSpec spec = makeValidationArch();
     return spec;
+}
+
+bool
+sameBits(double a, double b)
+{
+    uint64_t x = 0;
+    uint64_t y = 0;
+    std::memcpy(&x, &a, sizeof x);
+    std::memcpy(&y, &b, sizeof y);
+    return x == y;
+}
+
+/** mapper.bound_pruned and its per-tier buckets, from the registry. */
+struct PruneTally
+{
+    uint64_t total = 0;
+    uint64_t roofline = 0;
+    uint64_t compulsory = 0;
+    uint64_t capacity = 0;
+    uint64_t restored = 0;
+
+    static PruneTally
+    now()
+    {
+        const MetricsRegistry& m = MetricsRegistry::global();
+        return {m.counterValue("mapper.bound_pruned"),
+                m.counterValue("mapper.bound_pruned_roofline"),
+                m.counterValue("mapper.bound_pruned_compulsory"),
+                m.counterValue("mapper.bound_pruned_capacity"),
+                m.counterValue("mapper.bound_pruned_restored")};
+    }
+
+    PruneTally
+    since(const PruneTally& before) const
+    {
+        return {total - before.total, roofline - before.roofline,
+                compulsory - before.compulsory,
+                capacity - before.capacity, restored - before.restored};
+    }
+
+    uint64_t buckets() const
+    {
+        return roofline + compulsory + capacity + restored;
+    }
+
+    uint64_t
+    of(BoundTier tier) const
+    {
+        switch (tier) {
+        case BoundTier::Roofline:
+            return roofline;
+        case BoundTier::Compulsory:
+            return compulsory;
+        case BoundTier::Capacity:
+            return capacity;
+        case BoundTier::None:
+            break;
+        }
+        return 0;
+    }
+};
+
+/**
+ * The screen's tier bounds on one analyzable tree: the roofline is
+ * costBound()'s compute term, bitwise, and roofline <= compulsory
+ * bound <= the full model's cycles (when it accepts the tree). Returns
+ * whether the full evaluator accepted.
+ */
+bool
+expectTierBoundsOrdered(const Evaluator& model,
+                        const LowerBoundEvaluator& lbe,
+                        const AnalysisTree& tree, const std::string& what)
+{
+    const double roofline =
+        LatencyModel(model.workload(), model.spec()).rooflineCycles(tree);
+    const LowerBound cost = lbe.costBound(tree);
+    EXPECT_TRUE(sameBits(roofline, cost.computeCycles))
+        << what << ": roofline " << roofline << " vs compute term "
+        << cost.computeCycles;
+    EXPECT_LE(roofline, cost.cycles) << what;
+    const EvalResult full = model.evaluate(tree);
+    if (full.valid) {
+        EXPECT_LE(cost.cycles, full.cycles) << what;
+        EXPECT_TRUE(sameBits(roofline, full.latency.computeCycles))
+            << what;
+    }
+    return full.valid;
+}
+
+/** Call `visit` on every choice vector of `space`, knob by knob. */
+void
+forEachMapping(const MappingSpace& space,
+               const std::function<void(const std::vector<int64_t>&)>& visit)
+{
+    const std::vector<Knob>& knobs = space.knobs();
+    std::vector<size_t> digits(knobs.size(), 0);
+    for (bool more = true; more;) {
+        std::vector<int64_t> choices;
+        for (size_t k = 0; k < knobs.size(); ++k)
+            choices.push_back(knobs[k].choices[digits[k]]);
+        visit(choices);
+        // Odometer step; `more` ends once every digit wrapped.
+        more = false;
+        for (size_t k = 0; k < knobs.size() && !more; ++k) {
+            more = ++digits[k] < knobs[k].choices.size();
+            if (!more)
+                digits[k] = 0;
+        }
+    }
 }
 
 void
@@ -138,6 +252,12 @@ TEST(LowerBound, AdmissibleOnEveryFuzzCandidate)
             const EvalResult a = full.evaluate(*fc.tree);
             const EvalResult b = inc.evaluate(*fc.tree);
 
+            if (lb.analyzed) {
+                expectTierBoundsOrdered(
+                    full, lbe, *fc.tree,
+                    concat("case ", index, " mutation ", m, " (",
+                           fc.summary, ")"));
+            }
             if (lb.capacityReject) {
                 // The screen's contract: a reject is a full-evaluator
                 // verdict, never a false positive.
@@ -175,6 +295,37 @@ TEST(LowerBound, AdmissibleOnEveryFuzzCandidate)
     // so rejects here are rare; the starved-arch test below guarantees
     // the screen fires.
     (void)capacity_rejects;
+}
+
+TEST(LowerBound, TierBoundsOrderedOverTheBenchmarkSpaces)
+{
+    // Every mapping of the Bert-S attention and CC1 conv-chain spaces
+    // on Edge, enumerated knob by knob.
+    const ArchSpec edge = makeEdgeArch();
+    const Workload attn = buildAttention(attentionShape("Bert-S"), false);
+    const Workload chain = buildConvChain(convChainShape("CC1"));
+    const MappingSpace attn_space = makeAttentionSpace(attn, edge);
+    const MappingSpace chain_space = makeConvChainSpace(chain, edge);
+
+    for (const auto& [workload, space, size] :
+         {std::tuple{&attn, &attn_space, 3200},
+          std::tuple{&chain, &chain_space, 2304}}) {
+        const Evaluator model(*workload, edge);
+        const LowerBoundEvaluator lbe(model);
+        int mappings = 0;
+        int accepted = 0;
+        forEachMapping(*space, [&](const std::vector<int64_t>& choices) {
+            const AnalysisTree tree = space->build(choices);
+            ++mappings;
+            if (lbe.analyzable(tree)) {
+                accepted += expectTierBoundsOrdered(
+                    model, lbe, tree,
+                    concat(workload->name(), " mapping ", mappings));
+            }
+        });
+        EXPECT_EQ(mappings, size) << workload->name();
+        EXPECT_EQ(accepted, size) << workload->name();
+    }
 }
 
 TEST(LowerBound, CapacityScreenAgreesWithFullEvaluatorWhenStarved)
@@ -278,22 +429,10 @@ TEST(LowerBound, GuardPrunesAgainstAnUnbeatableThreshold)
 }
 
 // -------------------------------------------------------------------
-// Guard verdicts: cost-first order and memoized bounds
+// Guard verdicts: the tiered screen and memoized bounds
 // -------------------------------------------------------------------
 
 namespace {
-
-/** The bound-only EvalCache entry the MCTS resolve loop stores for a
- *  pruned guard verdict. */
-CachedEval
-boundOnlyEntry(const CachedEval& pruned)
-{
-    CachedEval entry;
-    entry.boundOnly = true;
-    entry.capacityReject = pruned.capacityReject;
-    entry.boundCycles = pruned.boundCycles;
-    return entry;
-}
 
 struct VerdictStats
 {
@@ -301,10 +440,11 @@ struct VerdictStats
     int prunes = 0;
     int capacityRejects = 0;
     int memoVerdicts = 0;
+    int handOffs = 0;
 };
 
 /**
- * The guard's verdict on `tree` — computed cost-first, and replayed
+ * The guard's verdict on `tree` — screened in tiers, and replayed
  * from every bound-only entry a pruned verdict leaves — must equal
  * `capacityReject || bound >= T` from a fresh LowerBoundEvaluator::
  * bound() at every threshold T; a surviving candidate gets the full
@@ -338,12 +478,35 @@ expectGuardMatchesFreshBound(const Evaluator& model,
     thresholds.push_back(base);
     thresholds.push_back(std::nextafter(base, inf));
     thresholds.push_back(std::nextafter(base, 0.0));
+    // And around the roofline, where the screen hands over from its
+    // first tier to the compulsory bound.
+    const double roofline =
+        fresh.analyzed ? LatencyModel(model.workload(), model.spec())
+                             .rooflineCycles(tree)
+                       : 0.0;
+    if (fresh.analyzed) {
+        thresholds.push_back(roofline);
+        thresholds.push_back(std::nextafter(roofline, inf));
+        thresholds.push_back(std::nextafter(roofline, 0.0));
+    }
     for (int i = 0; i < 3; ++i)
         thresholds.push_back(base * (0.5 + rng.uniformReal()));
 
     auto expected = [&](double t) {
         return fresh.analyzed &&
                (fresh.capacityReject || fresh.cycles >= t);
+    };
+    // One guard call; its prune, if any, counts once, under its tier.
+    auto guarded = [&](const BoundPrune& prune) {
+        const PruneTally before = PruneTally::now();
+        const CachedEval got = guardedEvaluate(model, space, {}, &prune);
+        const PruneTally delta = PruneTally::now().since(before);
+        EXPECT_EQ(delta.total, got.pruned ? 1u : 0u) << what;
+        EXPECT_EQ(delta.buckets(), delta.total) << what;
+        if (got.pruned) {
+            EXPECT_EQ(delta.of(got.boundTier), 1u) << what;
+        }
+        return got;
     };
     auto check = [&](const CachedEval& got, double t, const char* path) {
         EXPECT_EQ(got.pruned, expected(t))
@@ -356,36 +519,56 @@ expectGuardMatchesFreshBound(const Evaluator& model,
         }
     };
 
+    // The cheapest tier whose bound reaches `t` decides a prune.
+    auto expected_tier = [&](double t) {
+        if (roofline >= t)
+            return BoundTier::Roofline;
+        return base >= t ? BoundTier::Compulsory : BoundTier::Capacity;
+    };
+
+    // One bound-only entry per tier: entries of one tree and tier are
+    // equal.
     std::vector<CachedEval> memos;
+    auto remember = [&](const CachedEval& pruned) {
+        for (const CachedEval& memo : memos) {
+            if (memo.boundTier == pruned.boundTier)
+                return;
+        }
+        memos.push_back(boundOnlyEntry(pruned));
+    };
     for (double t : thresholds) {
-        const BoundPrune prune{&lbe, t};
-        const CachedEval got = guardedEvaluate(model, space, {}, &prune);
-        check(got, t, "cost-first");
+        const CachedEval got = guarded(BoundPrune{&lbe, t});
+        check(got, t, "tiered");
         if (got.pruned) {
             ++stats.prunes;
-            memos.push_back(boundOnlyEntry(got));
+            EXPECT_EQ(got.boundTier, expected_tier(t))
+                << what << " (T=" << t << ")";
+            remember(got);
         }
     }
     if (fresh.capacityReject)
         ++stats.capacityRejects;
 
     // Replay each memo against every threshold; one that prunes on
-    // its own never builds the tree. A memo whose capacity screen the
-    // guard had to run (and saw reject) is replayed too.
+    // its own never builds the tree. A memo that led on to a deeper
+    // tier (a roofline memo whose compulsory bound, or a cost memo
+    // whose capacity screen, pruned) is replayed too.
     for (size_t m = 0; m < memos.size(); ++m) {
         for (double t : thresholds) {
             const CachedEval memo = memos[m];
-            const BoundPrune prune{&lbe, t, &memo};
             const int builds_before = builds;
-            const CachedEval got =
-                guardedEvaluate(model, space, {}, &prune);
+            const CachedEval got = guarded(BoundPrune{&lbe, t, &memo});
             check(got, t, "memo");
             ++stats.memoVerdicts;
             if (memo.capacityReject || memo.boundCycles >= t) {
                 EXPECT_EQ(builds, builds_before) << what;
             }
-            if (got.pruned && got.capacityReject != memo.capacityReject)
-                memos.push_back(boundOnlyEntry(got));
+            if (got.pruned && got.boundTier != memo.boundTier) {
+                EXPECT_GT(got.boundTier, memo.boundTier) << what;
+                stats.handOffs += memo.boundTier == BoundTier::Roofline &&
+                                  got.boundTier == BoundTier::Compulsory;
+                remember(got);
+            }
         }
     }
 
@@ -448,6 +631,8 @@ TEST(LowerBound, GuardVerdictMatchesFreshBoundOnFuzzFamilies)
     EXPECT_GT(stats.prunes, 0);
     EXPECT_GT(stats.capacityRejects, 0);
     EXPECT_GT(stats.memoVerdicts, 0);
+    EXPECT_GT(stats.handOffs, 0)
+        << "no roofline memo led on to a compulsory prune";
 }
 
 TEST(LowerBound, GuardVerdictMatchesFreshBoundOnSearchSpaces)
@@ -486,16 +671,6 @@ TEST(LowerBound, GuardVerdictMatchesFreshBoundOnSearchSpaces)
 // -------------------------------------------------------------------
 
 namespace {
-
-bool
-sameBits(double a, double b)
-{
-    uint64_t x = 0;
-    uint64_t y = 0;
-    std::memcpy(&x, &a, sizeof x);
-    std::memcpy(&y, &b, sizeof y);
-    return x == y;
-}
 
 struct MemoStats
 {
@@ -897,6 +1072,91 @@ TEST(LowerBound, GaKillResumeWithPruningIsBitIdentical)
     EXPECT_EQ(r.evaluations, reference.evaluations);
     EXPECT_EQ(r.boundPruned, reference.boundPruned);
     std::remove(path.c_str());
+}
+
+TEST(LowerBound, PruneTiersPartitionTheTotalAcrossKillResume)
+{
+    // Every prune counts under exactly one bucket: the tier that
+    // decided it, or, for the prunes a resumed search restores from
+    // its checkpoint, mapper.bound_pruned_restored.
+    const Workload w = buildAttention(attentionShape("Bert-B"), false);
+    const ArchSpec edge = makeEdgeArch();
+    const Evaluator model(w, edge);
+    const MappingSpace space = makeAttentionTilingSpace(w, edge);
+    const std::string path = testing::TempDir() + "lb_tiers.ckpt";
+    std::remove(path.c_str());
+
+    MapperConfig cfg;
+    cfg.threads = 1;
+    cfg.checkpointEveryBatches = 1;
+    const int full_evals =
+        exploreTiling(model, space, 300, 42u, cfg).evaluations;
+    cfg.checkpointPath = path;
+    MapperConfig killed = cfg;
+    // Most candidates prune once the first batch has set a best, so
+    // only a kill at the last evaluation checkpoints some prunes.
+    killed.maxEvaluations = std::max(1, full_evals - 1);
+    const PruneTally before_kill = PruneTally::now();
+    const MapperResult k = exploreTiling(model, space, 300, 42u, killed);
+    const PruneTally kill = PruneTally::now().since(before_kill);
+    ASSERT_TRUE(k.timedOut);
+    EXPECT_EQ(kill.total, k.boundPruned);
+    EXPECT_EQ(kill.buckets(), kill.total);
+    EXPECT_EQ(kill.restored, 0u);
+    EXPECT_GT(kill.roofline, 0u);
+
+    const PruneTally before_resume = PruneTally::now();
+    const MapperResult r = exploreTiling(model, space, 300, 42u, cfg);
+    const PruneTally resumed = PruneTally::now().since(before_resume);
+    ASSERT_TRUE(r.resumed);
+    EXPECT_EQ(resumed.total, r.boundPruned);
+    EXPECT_EQ(resumed.buckets(), resumed.total);
+    EXPECT_GT(resumed.restored, 0u);
+    EXPECT_LE(resumed.restored, k.boundPruned);
+    std::remove(path.c_str());
+}
+
+TEST(LowerBound, DeeperTierPruneRefreshesItsMemo)
+{
+    // Seed every mapping of a tiling space with a roofline-tier memo
+    // whose bound (0) never prunes: each candidate the tuner prunes
+    // is then decided by a deeper tier, and its entry must be
+    // replaced by that tier's, so a later replay skips the tiers
+    // already paid for.
+    const Workload w = buildAttention(attentionShape("Bert-S"), false);
+    const ArchSpec edge = makeEdgeArch();
+    const Evaluator model(w, edge);
+    const MappingSpace space = makeAttentionTilingSpace(w, edge);
+    const LowerBoundEvaluator lbe(model);
+
+    EvalCache cache;
+    CachedEval seed;
+    seed.boundOnly = true;
+    seed.boundTier = BoundTier::Roofline;
+    seed.boundCycles = 0.0;
+    forEachMapping(space, [&](const std::vector<int64_t>& choices) {
+        cache.insert(choices, seed);
+    });
+
+    Rng rng(0xFACEu);
+    MctsTuner tuner(model, space, rng);
+    tuner.setCache(&cache);
+    tuner.setBatch(8);
+    tuner.setBoundPrune(&lbe);
+    const MctsResult result = tuner.tune(space.defaultChoices(), 400);
+    ASSERT_GT(result.boundPruned, 0u);
+
+    size_t refreshed = 0;
+    cache.forEach([&](const std::vector<int64_t>& choices,
+                      const CachedEval& value) {
+        if (!value.boundOnly || value.boundTier == BoundTier::Roofline)
+            return;
+        ++refreshed;
+        EXPECT_EQ(value.boundTier, BoundTier::Compulsory);
+        EXPECT_EQ(value.boundCycles,
+                  lbe.costBound(space.build(choices)).cycles);
+    });
+    EXPECT_GT(refreshed, 0u) << "no deeper-tier prune replaced its memo";
 }
 
 } // namespace tileflow

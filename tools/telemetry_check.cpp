@@ -542,6 +542,25 @@ checkMetrics(const JsonValue& root)
            << ") != mapper.candidates (" << candidates << ")";
         check(bound_pruned + mapper_evals_bb == candidates, os.str());
     }
+    // Each prune counts under the screen tier that decided it (a memo
+    // prune under its memo's tier); a resumed run's restored prunes
+    // have a bucket of their own. The buckets partition the total.
+    {
+        double tiers = 0.0;
+        std::ostringstream os;
+        os << "mapper.bound_pruned (" << bound_pruned << ") !=";
+        const char* sep = " ";
+        for (const char* tier :
+             {"roofline", "compulsory", "capacity", "restored"}) {
+            const std::string name =
+                std::string("mapper.bound_pruned_") + tier;
+            const double n = numberOr(counters->get(name), 0.0);
+            tiers += n;
+            os << sep << name << " (" << n << ")";
+            sep = " + ";
+        }
+        check(tiers == bound_pruned, os.str());
+    }
     // Every prune stands on a bound the guard computed or read from a
     // bound-only EvalCache entry, and a memo hit is one candidate.
     // The guard registers the memo counter with the others, so a
