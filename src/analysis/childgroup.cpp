@@ -67,7 +67,7 @@ bool
 escapesChild(const Workload& workload, TensorId tensor,
              const ChildInfo& child)
 {
-    const std::vector<OpId> consumers = workload.consumersOf(tensor);
+    const std::vector<OpId>& consumers = workload.consumersOf(tensor);
     if (consumers.empty())
         return true; // terminal output
     for (OpId consumer : consumers) {

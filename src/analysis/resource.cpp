@@ -22,30 +22,41 @@ struct Usage
     int64_t subCores = 1;
 };
 
+/** Fold one child's usage into `out` under the given binding. */
+void
+combine(ScopeKind binding, Usage& out, const Usage& c)
+{
+    if (binding == ScopeKind::Seq || binding == ScopeKind::Shar) {
+        out.matrixPEs = std::max(out.matrixPEs, c.matrixPEs);
+        out.vectorLanes = std::max(out.vectorLanes, c.vectorLanes);
+        out.subCores = std::max(out.subCores, c.subCores);
+    } else if (binding == ScopeKind::Pipe) {
+        // Pipelined tiles run concurrently inside one sub-core,
+        // splitting its arrays: PE demands add up (and must fit one
+        // sub-core, which the caller checks), sub-cores do not.
+        out.matrixPEs += c.matrixPEs;
+        out.vectorLanes += c.vectorLanes;
+        out.subCores = std::max(out.subCores, c.subCores);
+    } else {
+        // Para partitions disjoint compute and memory units.
+        out.matrixPEs += c.matrixPEs;
+        out.vectorLanes += c.vectorLanes;
+        out.subCores += c.subCores;
+    }
+}
+
+Usage usageOf(const Workload& workload, const Node* node);
+
+/** The children of `parent` combined under `binding`, folded as they
+ *  are visited (no per-child list). */
 Usage
-combine(ScopeKind binding, const std::vector<Usage>& children)
+childrenUsage(const Workload& workload, const Node* parent,
+              ScopeKind binding)
 {
     Usage out;
     out.subCores = 0;
-    for (const Usage& c : children) {
-        if (binding == ScopeKind::Seq || binding == ScopeKind::Shar) {
-            out.matrixPEs = std::max(out.matrixPEs, c.matrixPEs);
-            out.vectorLanes = std::max(out.vectorLanes, c.vectorLanes);
-            out.subCores = std::max(out.subCores, c.subCores);
-        } else if (binding == ScopeKind::Pipe) {
-            // Pipelined tiles run concurrently inside one sub-core,
-            // splitting its arrays: PE demands add up (and must fit one
-            // sub-core, which the caller checks), sub-cores do not.
-            out.matrixPEs += c.matrixPEs;
-            out.vectorLanes += c.vectorLanes;
-            out.subCores = std::max(out.subCores, c.subCores);
-        } else {
-            // Para partitions disjoint compute and memory units.
-            out.matrixPEs += c.matrixPEs;
-            out.vectorLanes += c.vectorLanes;
-            out.subCores += c.subCores;
-        }
-    }
+    for (const auto& child : parent->children())
+        combine(binding, out, usageOf(workload, child.get()));
     out.subCores = std::max<int64_t>(out.subCores, 1);
     return out;
 }
@@ -56,26 +67,18 @@ usageOf(const Workload& workload, const Node* node)
     if (node->isOp())
         return Usage{};
 
-    if (node->isScope()) {
-        std::vector<Usage> children;
-        for (const auto& child : node->children())
-            children.push_back(usageOf(workload, child.get()));
-        return combine(node->scopeKind(), children);
-    }
+    if (node->isScope())
+        return childrenUsage(workload, node, node->scopeKind());
 
     // Tile node: Seq across its direct children unless the single child
     // is a Scope carrying its own binding.
-    std::vector<Usage> children;
-    ScopeKind binding = ScopeKind::Seq;
+    Usage usage;
     if (node->numChildren() == 1 && node->child(0)->isScope()) {
-        binding = node->child(0)->scopeKind();
-        for (const auto& child : node->child(0)->children())
-            children.push_back(usageOf(workload, child.get()));
+        usage = childrenUsage(workload, node->child(0),
+                              node->child(0)->scopeKind());
     } else {
-        for (const auto& child : node->children())
-            children.push_back(usageOf(workload, child.get()));
+        usage = childrenUsage(workload, node, ScopeKind::Seq);
     }
-    Usage usage = combine(binding, children);
 
     if (node->memLevel() == 0) {
         // Register-level tile: spatial loops occupy the PE arrays of
@@ -83,12 +86,13 @@ usageOf(const Workload& workload, const Node* node)
         const int64_t spatial = node->spatialExtent();
         bool has_matrix = false;
         bool has_vector = false;
-        for (OpId op : node->opsBelow()) {
-            if (workload.op(op).kind() == ComputeKind::Matrix)
+        visitOpLeaves(node, [&](const Node* leaf) {
+            if (workload.op(leaf->op()).kind() == ComputeKind::Matrix)
                 has_matrix = true;
             else
                 has_vector = true;
-        }
+            return !(has_matrix && has_vector);
+        });
         if (has_matrix)
             usage.matrixPEs = std::max(usage.matrixPEs, spatial);
         if (has_vector)
@@ -120,30 +124,29 @@ stepFootprint(const Workload& workload, const Node* tile,
     const StepGeometry geom(workload, tile,
                             /*include_node_spatial=*/tile->memLevel() == 0);
 
+    // The tile's content: a single Scope child's children under its
+    // binding, otherwise the tile's own children under Seq.
     ScopeKind binding = ScopeKind::Seq;
-    std::vector<const Node*> children;
+    const Node* content = tile;
     if (tile->numChildren() == 1 && tile->child(0)->isScope()) {
         binding = tile->child(0)->scopeKind();
-        for (const auto& child : tile->child(0)->children())
-            children.push_back(child.get());
-    } else {
-        for (const auto& child : tile->children())
-            children.push_back(child.get());
+        content = tile->child(0);
     }
 
-    std::vector<int64_t> zero;
-    for (const Loop& loop : tile->loops()) {
-        if (loop.isTemporal())
-            zero.push_back(0);
-    }
+    const std::vector<int64_t> zero(geom.temporalLoops().size(), 0);
 
     std::vector<std::pair<TensorId, HyperRect>> slices;
     std::vector<HyperRect> rects;
     int64_t total = 0;
-    for (const Node* child : children) {
+    for (const auto& owned : content->children()) {
+        const Node* child = owned.get();
         if (subtreeLevel(child) >= tile->memLevel())
             continue;
-        const std::vector<const Node*> leaves = child->opLeaves();
+        auto runs_inside = [&](OpId op) {
+            return !visitOpLeaves(child, [&](const Node* leaf) {
+                return leaf->op() != op;
+            });
+        };
 
         // A tensor only occupies this staging level if it crosses the
         // child's boundary: produced elsewhere, or consumed/needed
@@ -151,19 +154,13 @@ stepFootprint(const Workload& workload, const Node* tile,
         // child are staged in its own deeper buffers.
         auto crosses_boundary = [&](TensorId tensor) {
             const OpId producer = workload.producerOf(tensor);
-            bool produced_inside = false;
-            for (const Node* leaf : leaves)
-                produced_inside |= producer >= 0 && leaf->op() == producer;
-            if (!produced_inside)
+            if (producer < 0 || !runs_inside(producer))
                 return true; // loaded from above
-            const auto consumers = workload.consumersOf(tensor);
+            const auto& consumers = workload.consumersOf(tensor);
             if (consumers.empty())
                 return true; // terminal output, written upward
             for (OpId consumer : consumers) {
-                bool inside = false;
-                for (const Node* leaf : leaves)
-                    inside |= leaf->op() == consumer;
-                if (!inside)
+                if (!runs_inside(consumer))
                     return true;
             }
             return false;
@@ -174,14 +171,15 @@ stepFootprint(const Workload& workload, const Node* tile,
         // would bill the gaps between disjoint or L-shaped slices as
         // staged bytes). Slices are grouped by sorting on the tensor.
         slices.clear();
-        for (const Node* leaf : leaves) {
+        visitOpLeaves(child, [&](const Node* leaf) {
             const Operator& op = workload.op(leaf->op());
             for (const auto& access : op.accesses()) {
                 if (crosses_boundary(access.tensor))
                     slices.push_back(
                         {access.tensor, geom.slice(leaf, access, zero)});
             }
-        }
+            return true;
+        });
         std::sort(slices.begin(), slices.end(),
                   [](const auto& a, const auto& b) {
                       return a.first < b.first;
@@ -190,28 +188,27 @@ stepFootprint(const Workload& workload, const Node* tile,
         for (size_t first = 0, last = 0; first < slices.size();
              first = last) {
             const TensorId tensor = slices[first].first;
-            rects.clear();
-            for (last = first;
-                 last < slices.size() && slices[last].first == tensor;
-                 ++last) {
-                rects.push_back(slices[last].second);
-            }
             // In exact mode, the union volume of the slices; the
             // lower-bound mode takes the largest single slice instead
             // (the union contains each slice, so this is an exact
             // integer lower bound at O(rects) instead of the union's
             // inclusion-exclusion cost).
             int64_t volume = 0;
-            if (exact) {
-                volume = unionVolume(rects);
-            } else {
-                for (const HyperRect& rect : rects)
-                    volume = std::max(volume, rect.volume());
+            rects.clear();
+            for (last = first;
+                 last < slices.size() && slices[last].first == tensor;
+                 ++last) {
+                if (exact)
+                    rects.push_back(slices[last].second);
+                else
+                    volume = std::max(volume, slices[last].second.volume());
             }
+            if (exact)
+                volume = unionVolume(rects);
             child_bytes +=
                 volume * dataTypeBytes(workload.tensor(tensor).dtype);
         }
-        if (binding == ScopeKind::Seq && children.size() > 1)
+        if (binding == ScopeKind::Seq && content->numChildren() > 1)
             total = std::max(total, child_bytes);
         else
             total += child_bytes;

@@ -21,8 +21,9 @@ StepGeometry::StepGeometry(const Workload& workload, const Node* node,
     const size_t num_dims = workload.dims().size();
     units_.assign(num_dims, 1);
 
-    std::vector<int64_t> full_spatial(num_dims, 1);
-    std::vector<int64_t> spatial_span(num_dims, 1);
+    SmallBuffer<int64_t, 16> full_spatial(num_dims, 1);
+    SmallBuffer<int64_t, 16> spatial_span(num_dims, 1);
+    temporal_.reserve(node->loops().size());
     for (const Loop& loop : node->loops()) {
         if (loop.isTemporal()) {
             temporal_.push_back(loop);
@@ -33,6 +34,14 @@ StepGeometry::StepGeometry(const Workload& workload, const Node* node,
         }
     }
 
+    size_t num_leaves = 0;
+    visitOpLeaves(node, [&](const Node*) {
+        ++num_leaves;
+        return true;
+    });
+    leaves_.reserve(num_leaves);
+    leafSpans_.reserve(num_leaves * num_dims);
+
     // One leaf-to-child walk per Op leaf yields every dim's span at
     // once. unit(d) = spatial extent at this node times the largest
     // d-span of any child subtree (always including spatial: temporal
@@ -41,11 +50,11 @@ StepGeometry::StepGeometry(const Workload& workload, const Node* node,
     // divides them back out — pathSpan(node, leaf, d)'s arithmetic,
     // saturation included — then scales by the included spatial
     // extent.
-    std::vector<int64_t> child_span(num_dims, 1);
+    SmallBuffer<int64_t, 16> child_span(num_dims, 1);
+    SmallBuffer<int64_t, 16> span(num_dims, 1);
     for (const auto& child : node->children()) {
-        for (const Node* leaf : child->opLeaves()) {
-            std::vector<int64_t> span =
-                pathSpans(child.get(), leaf, num_dims);
+        visitOpLeaves(child.get(), [&](const Node* leaf) {
+            pathSpans(child.get(), leaf, num_dims, span.data());
             for (size_t d = 0; d < num_dims; ++d)
                 child_span[d] = std::max(child_span[d], span[d]);
             for (const Loop& loop : node->loops()) {
@@ -61,8 +70,10 @@ StepGeometry::StepGeometry(const Workload& workload, const Node* node,
             for (size_t d = 0; d < num_dims; ++d)
                 span[d] *= spatial_span[d];
             leaves_.push_back(leaf);
-            leafSpans_.insert(leafSpans_.end(), span.begin(), span.end());
-        }
+            leafSpans_.insert(leafSpans_.end(), span.data(),
+                              span.data() + num_dims);
+            return true;
+        });
     }
     for (size_t d = 0; d < num_dims; ++d)
         units_[d] = full_spatial[d] * child_span[d];

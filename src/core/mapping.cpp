@@ -38,6 +38,7 @@ splitBalanced(int64_t extent, int parts)
     if (parts <= 0)
         fatal("splitBalanced: parts must be positive");
     std::vector<int64_t> out;
+    out.reserve(size_t(parts));
     int64_t remaining = extent;
     for (int left = parts; left >= 1; --left) {
         if (left == 1) {
@@ -47,13 +48,21 @@ splitBalanced(int64_t extent, int parts)
         const double target = std::pow(double(remaining), 1.0 / left);
         // Prefer an exact divisor near the target to avoid padding.
         int64_t best = std::max<int64_t>(1, int64_t(std::llround(target)));
+        // The smallest divisor nearest the target, with the divisors
+        // visited in pairs (d, remaining / d) instead of listed.
         int64_t best_divisor = 1;
         double best_dist = 1e30;
-        for (int64_t d : divisors(remaining)) {
+        auto consider = [&](int64_t d) {
             const double dist = std::fabs(double(d) - target);
-            if (dist < best_dist) {
+            if (dist < best_dist || (dist == best_dist && d < best_divisor)) {
                 best_dist = dist;
                 best_divisor = d;
+            }
+        };
+        for (int64_t d = 1; d * d <= remaining; ++d) {
+            if (remaining % d == 0) {
+                consider(d);
+                consider(remaining / d);
             }
         }
         // Accept the divisor if it is within 2x of the target;

@@ -90,41 +90,15 @@ Node::loopExtent(DimId dim, LoopKind kind) const
     return 1;
 }
 
-namespace {
-
-void
-appendOpLeaves(const Node* node, std::vector<const Node*>& leaves)
-{
-    if (node->isOp()) {
-        leaves.push_back(node);
-        return;
-    }
-    for (const auto& child : node->children())
-        appendOpLeaves(child.get(), leaves);
-}
-
-} // namespace
-
 std::vector<const Node*>
 Node::opLeaves() const
 {
     std::vector<const Node*> leaves;
-    appendOpLeaves(this, leaves);
+    visitOpLeaves(this, [&](const Node* leaf) {
+        leaves.push_back(leaf);
+        return true;
+    });
     return leaves;
-}
-
-std::vector<OpId>
-Node::opsBelow() const
-{
-    std::vector<OpId> ops;
-    for (const Node* leaf : opLeaves()) {
-        bool seen = false;
-        for (OpId id : ops)
-            seen = seen || id == leaf->op();
-        if (!seen)
-            ops.push_back(leaf->op());
-    }
-    return ops;
 }
 
 std::unique_ptr<Node>

@@ -91,9 +91,6 @@ class Node
     /** All Op leaves in this subtree, in execution order. */
     std::vector<const Node*> opLeaves() const;
 
-    /** All distinct OpIds in this subtree, in execution order. */
-    std::vector<OpId> opsBelow() const;
-
     /** Deep copy of this subtree. */
     std::unique_ptr<Node> clone() const;
 
@@ -111,6 +108,24 @@ class Node
     std::vector<std::unique_ptr<Node>> children_;
     Node* parent_ = nullptr;
 };
+
+/**
+ * Visit the Op leaves of `node`'s subtree in execution order, in place
+ * (no leaf list is built). `visit(leaf)` returns false to stop the
+ * walk; the function returns false iff the walk was stopped.
+ */
+template <typename Visit>
+bool
+visitOpLeaves(const Node* node, Visit&& visit)
+{
+    if (node->isOp())
+        return visit(node);
+    for (const auto& child : node->children()) {
+        if (!visitOpLeaves(child.get(), visit))
+            return false;
+    }
+    return true;
+}
 
 } // namespace tileflow
 

@@ -1,5 +1,6 @@
 #include "core/tree.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.hpp"
@@ -61,9 +62,18 @@ pathSpan(const Node* subtree, const Node* leaf, DimId dim)
 std::vector<int64_t>
 pathSpans(const Node* subtree, const Node* leaf, size_t num_dims)
 {
+    std::vector<int64_t> spans(num_dims);
+    pathSpans(subtree, leaf, num_dims, spans.data());
+    return spans;
+}
+
+void
+pathSpans(const Node* subtree, const Node* leaf, size_t num_dims,
+          int64_t* spans)
+{
     if (!leaf->isOp())
         panic("pathSpans: leaf argument must be an Op node");
-    std::vector<int64_t> spans(num_dims, 1);
+    std::fill(spans, spans + num_dims, int64_t(1));
     for (const Node* cursor = leaf; cursor != nullptr;
          cursor = cursor->parent()) {
         if (cursor->isTile()) {
@@ -75,7 +85,7 @@ pathSpans(const Node* subtree, const Node* leaf, size_t num_dims)
             }
         }
         if (cursor == subtree)
-            return spans;
+            return;
     }
     panic("pathSpans: leaf is not inside the given subtree");
 }

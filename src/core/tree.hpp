@@ -73,6 +73,10 @@ int64_t subtreeSpan(const Node* subtree, DimId dim);
 std::vector<int64_t> pathSpans(const Node* subtree, const Node* leaf,
                                size_t num_dims);
 
+/** The same spans written to `spans[0 .. num_dims)` (no allocation). */
+void pathSpans(const Node* subtree, const Node* leaf, size_t num_dims,
+               int64_t* spans);
+
 /** a * b clamped to the int64 maximum: spans of huge (but each
  *  representable) loop extents saturate instead of wrapping. */
 int64_t mulSat(int64_t a, int64_t b);

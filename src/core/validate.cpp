@@ -1,10 +1,9 @@
 #include "core/validate.hpp"
 
-#include <map>
-#include <set>
 #include <sstream>
 
 #include "common/logging.hpp"
+#include "common/smallbuf.hpp"
 #include "common/strings.hpp"
 
 namespace tileflow {
@@ -34,8 +33,9 @@ visit(const Workload& workload, const ArchSpec* spec, const Node* node,
                         concat("tile level L", level,
                                " is above its parent tile L",
                                parent_level));
-        std::set<std::pair<DimId, bool>> seen;
-        for (const Loop& loop : node->loops()) {
+        const std::vector<Loop>& loops = node->loops();
+        for (size_t i = 0; i < loops.size(); ++i) {
+            const Loop& loop = loops[i];
             if (loop.dim < 0 ||
                 size_t(loop.dim) >= workload.dims().size()) {
                 diags.error("V302", kNoLoc,
@@ -47,8 +47,15 @@ visit(const Workload& workload, const ArchSpec* spec, const Node* node,
                 diags.error("V302", kNoLoc,
                             concat("loop over dim ", loop.dim,
                                    " has extent ", loop.extent));
-            auto key = std::make_pair(loop.dim, loop.isSpatial());
-            if (!seen.insert(key).second)
+            // Loop lists are short: a pairwise scan of the earlier
+            // loops finds a repeated (dim, kind). An earlier loop with
+            // an unknown dim never matches this known one.
+            bool repeated = false;
+            for (size_t j = 0; j < i && !repeated; ++j) {
+                repeated = loops[j].dim == loop.dim &&
+                           loops[j].isSpatial() == loop.isSpatial();
+            }
+            if (repeated)
                 diags.error("V302", kNoLoc,
                             concat("dim '", workload.dim(loop.dim).name,
                                    "' appears twice with the same kind "
@@ -97,10 +104,14 @@ void
 checkCoverage(const AnalysisTree& tree, DiagnosticEngine& diags)
 {
     const Workload& workload = tree.workload();
-    for (const Node* leaf : tree.root()->opLeaves()) {
+    const size_t num_dims = workload.dims().size();
+    SmallBuffer<int64_t, 16> spans(num_dims, 1);
+    visitOpLeaves(tree.root(), [&](const Node* leaf) {
+        // Every dim's pathSpan from one leaf-to-root walk.
+        pathSpans(tree.root(), leaf, num_dims, spans.data());
         const Operator& op = workload.op(leaf->op());
         for (DimId dim : op.dims()) {
-            const int64_t span = pathSpan(tree.root(), leaf, dim);
+            const int64_t span = spans[size_t(dim)];
             const int64_t extent = workload.dim(dim).extent;
             if (span < extent) {
                 diags.error("V303", kNoLoc,
@@ -109,25 +120,40 @@ checkCoverage(const AnalysisTree& tree, DiagnosticEngine& diags)
                                    span, " < extent ", extent));
             }
         }
-    }
+        return true;
+    });
 }
 
 void
 checkOpMultiplicity(const AnalysisTree& tree, DiagnosticEngine& diags)
 {
     const Workload& workload = tree.workload();
-    std::map<OpId, int> counts;
-    for (const Node* leaf : tree.root()->opLeaves())
-        counts[leaf->op()]++;
+    SmallBuffer<int, 16> counts(workload.numOps(), 0);
+    visitOpLeaves(tree.root(), [&](const Node* leaf) {
+        counts[size_t(leaf->op())]++;
+        return true;
+    });
     for (size_t i = 0; i < workload.numOps(); ++i) {
-        const int count = counts.count(OpId(i)) ? counts[OpId(i)] : 0;
-        if (count != 1) {
+        if (counts[i] != 1) {
             diags.error("V304", kNoLoc,
                         concat("op '", workload.op(OpId(i)).name(),
-                               "' appears ", count,
+                               "' appears ", counts[i],
                                " times (expected exactly 1)"));
         }
     }
+}
+
+/** Do the Op leaves under `node` name at least two distinct ops? Stops
+ *  at the first leaf whose op differs from the first leaf's. */
+bool
+fusesSeveralOps(const Node* node)
+{
+    OpId first = -1;
+    return !visitOpLeaves(node, [&](const Node* leaf) {
+        if (first < 0)
+            first = leaf->op();
+        return leaf->op() == first;
+    });
 }
 
 void
@@ -137,19 +163,21 @@ checkFusionGranularity(const AnalysisTree& tree, DiagnosticEngine& diags)
     // reduction loops should appear; a producer's reduction loop in an
     // ancestor tile serializes the pipeline. Advisory only.
     const Workload& workload = tree.workload();
-    std::vector<const Node*> leaves = tree.root()->opLeaves();
-    for (const Node* leaf : leaves) {
+    visitOpLeaves(tree.root(), [&](const Node* leaf) {
         const Operator& op = workload.op(leaf->op());
         // Is this op a producer for another op in the tree?
         bool is_producer = false;
-        for (TensorId t : op.outputTensors())
-            is_producer = is_producer || workload.isIntermediate(t);
+        for (const TensorAccess& access : op.accesses()) {
+            is_producer = is_producer || (access.isWrite &&
+                                          workload.isIntermediate(
+                                              access.tensor));
+        }
         if (!is_producer)
-            continue;
+            return true;
         for (const Node* cursor = enclosingTile(leaf); cursor != nullptr;
              cursor = enclosingTile(cursor)) {
             // Only tiles that actually fuse several ops matter.
-            if (cursor->opsBelow().size() < 2)
+            if (!fusesSeveralOps(cursor))
                 continue;
             for (const Loop& loop : cursor->loops()) {
                 if (loop.isTemporal() && loop.extent > 1 &&
@@ -164,7 +192,8 @@ checkFusionGranularity(const AnalysisTree& tree, DiagnosticEngine& diags)
                 }
             }
         }
-    }
+        return true;
+    });
 }
 
 } // namespace

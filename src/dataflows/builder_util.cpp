@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "common/smallbuf.hpp"
 #include "core/mapping.hpp"
 
 namespace tileflow {
@@ -40,21 +41,25 @@ buildSingleOpSubtree(const Workload& workload, const ArchSpec& spec,
                        std::max<int64_t>(1, outer_coverage[size_t(d)]));
     };
 
-    std::vector<DimId> parallel;
+    SmallBuffer<DimId, 16> parallel(op.dims().size(), -1);
+    size_t num_parallel = 0;
     for (DimId d : op.dims()) {
         if (!op.isReduction(d))
-            parallel.push_back(d);
+            parallel[num_parallel++] = d;
     }
-    if (parallel.empty())
+    if (num_parallel == 0)
         fatal("buildSingleOpSubtree: op ", op.name(),
               " has no parallel dims");
 
     // --- L0: spatial mapping onto the PE array -------------------------
-    std::vector<int64_t> l0_cov(num_dims, 1);
+    SmallBuffer<int64_t, 16> l0_cov(num_dims, 1);
+    // At most one L0 loop per op dim; above L0, one spatial and one
+    // temporal loop per dim and level.
     std::vector<Loop> l0_loops;
-    if (op.kind() == ComputeKind::Matrix && parallel.size() >= 2) {
-        const DimId row_dim = parallel[parallel.size() - 2];
-        const DimId col_dim = parallel[parallel.size() - 1];
+    l0_loops.reserve(op.dims().size());
+    if (op.kind() == ComputeKind::Matrix && num_parallel >= 2) {
+        const DimId row_dim = parallel[num_parallel - 2];
+        const DimId col_dim = parallel[num_parallel - 1];
         const int64_t rows =
             std::min<int64_t>(spec.peRows(), residual(row_dim));
         const int64_t cols =
@@ -64,7 +69,7 @@ buildSingleOpSubtree(const Workload& workload, const ArchSpec& spec,
         l0_cov[size_t(row_dim)] = rows;
         l0_cov[size_t(col_dim)] = cols;
     } else {
-        const DimId lane_dim = parallel.back();
+        const DimId lane_dim = parallel[num_parallel - 1];
         const int64_t lanes = std::min<int64_t>(
             op.kind() == ComputeKind::Matrix ? spec.pesPerSubCore()
                                              : spec.vectorLanes(),
@@ -79,17 +84,20 @@ buildSingleOpSubtree(const Workload& workload, const ArchSpec& spec,
     }
 
     // --- Remaining trip counts above L0 --------------------------------
-    std::vector<int64_t> rem(num_dims, 1);
+    SmallBuffer<int64_t, 16> rem(num_dims, 1);
     for (DimId d : op.dims())
         rem[size_t(d)] = ceilDiv(residual(d), l0_cov[size_t(d)]);
 
     // --- Spatial fanout, outermost level first -------------------------
     std::vector<std::vector<Loop>> level_loops(size_t(top_level) + 1);
+    for (int level = 1; level <= top_level; ++level)
+        level_loops[size_t(level)].reserve(2 * op.dims().size());
     for (int level = top_level; level >= 1; --level) {
         int64_t budget = spec.level(level).fanout;
         if (budget <= 1)
             continue;
-        for (DimId d : parallel) {
+        for (size_t i = 0; i < num_parallel; ++i) {
+            const DimId d = parallel[i];
             if (budget <= 1)
                 break;
             const int64_t s = std::min(budget, rem[size_t(d)]);

@@ -31,6 +31,8 @@ Workload::addTensor(Tensor tensor)
         fatal("Workload ", name_, ": tensor '", tensor.name, "' has rank ",
               tensor.rank(), "; at most ", kMaxRank, " is supported");
     tensors_.push_back(std::move(tensor));
+    producers_.push_back(-1);
+    consumers_.emplace_back();
     return TensorId(tensors_.size() - 1);
 }
 
@@ -47,8 +49,18 @@ Workload::addOp(Operator op)
                   tensor.name, " with rank ", access.projection.size(),
                   " projection but tensor rank is ", tensor.rank());
     }
+    const OpId id = OpId(ops_.size());
+    for (const auto& access : op.accesses()) {
+        const size_t t = size_t(access.tensor);
+        if (access.isWrite) {
+            if (producers_[t] < 0)
+                producers_[t] = id;
+        } else if (consumers_[t].empty() || consumers_[t].back() != id) {
+            consumers_[t].push_back(id);
+        }
+    }
     ops_.push_back(std::move(op));
-    return OpId(ops_.size() - 1);
+    return id;
 }
 
 DimId
@@ -111,28 +123,18 @@ Workload::opId(const std::string& name) const
 OpId
 Workload::producerOf(TensorId tensor) const
 {
-    for (size_t i = 0; i < ops_.size(); ++i) {
-        for (const auto& access : ops_[i].accesses()) {
-            if (access.isWrite && access.tensor == tensor)
-                return OpId(i);
-        }
-    }
-    return -1;
+    if (tensor < 0 || size_t(tensor) >= producers_.size())
+        return -1;
+    return producers_[size_t(tensor)];
 }
 
-std::vector<OpId>
+const std::vector<OpId>&
 Workload::consumersOf(TensorId tensor) const
 {
-    std::vector<OpId> out;
-    for (size_t i = 0; i < ops_.size(); ++i) {
-        for (const auto& access : ops_[i].accesses()) {
-            if (!access.isWrite && access.tensor == tensor) {
-                out.push_back(OpId(i));
-                break;
-            }
-        }
-    }
-    return out;
+    static const std::vector<OpId> none;
+    if (tensor < 0 || size_t(tensor) >= consumers_.size())
+        return none;
+    return consumers_[size_t(tensor)];
 }
 
 bool

@@ -65,11 +65,12 @@ class Workload
     TensorId findTensor(const std::string& name) const;
     OpId findOp(const std::string& name) const;
 
-    /** Id of the op writing the tensor, or -1 if it is a pure input. */
+    /** Id of the (first) op writing the tensor, or -1 if it is a pure
+     *  input. O(1): read from a table kept by addOp. */
     OpId producerOf(TensorId tensor) const;
 
-    /** Ids of ops reading the tensor. */
-    std::vector<OpId> consumersOf(TensorId tensor) const;
+    /** Ids of ops reading the tensor, ascending, each listed once. */
+    const std::vector<OpId>& consumersOf(TensorId tensor) const;
 
     /** Produced by one op and consumed by another. */
     bool isIntermediate(TensorId tensor) const;
@@ -91,6 +92,8 @@ class Workload
     std::vector<Dim> dims_;
     std::vector<Tensor> tensors_;
     std::vector<Operator> ops_;
+    std::vector<OpId> producers_;              // per tensor
+    std::vector<std::vector<OpId>> consumers_; // per tensor
 };
 
 } // namespace tileflow

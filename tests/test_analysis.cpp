@@ -312,6 +312,66 @@ TEST(Resource, SeqFootprintTakesMax)
     EXPECT_LT(seq.footprintBytes[0], shar.footprintBytes[0]);
 }
 
+TEST(Resource, FusedLeafTileUsesBothArrays)
+{
+    // One L0 tile over a matrix and a vector op occupies both arrays,
+    // whichever op comes first.
+    const Workload w = buildMatmulExp("me", 256, 256, 256);
+    const ArchSpec spec = makeValidationArch();
+    for (const char* ops : {"op matmul op exp", "op exp op matmul"}) {
+        char text[512];
+        std::snprintf(text, sizeof(text), R"(
+            tile @L2 [i:t16, j:t16, k:t256] {
+              tile @L0 [i:s16, j:s16] { shar { %s } }
+            }
+        )", ops);
+        const ResourceResult r =
+            ResourceAnalyzer(w, spec).analyze(parseNotation(w, text));
+        EXPECT_EQ(r.matrixPEs, 256) << ops;
+        EXPECT_EQ(r.vectorLanes, 256) << ops;
+    }
+}
+
+TEST(Resource, StepFootprintStagesWhatCrossesAFusedChild)
+{
+    // a: Y = f(X); b: Z = g(Y); c: W = h(Z). The second child fuses b
+    // and c, so Y (produced by a sibling) and W (a terminal output)
+    // cross its boundary and Z stays inside it; the first child stages
+    // X and Y. Under Shar the children's bytes add up.
+    Workload w("chain3");
+    const DimId i = w.addDim("i", 64);
+    std::vector<TensorId> t;
+    for (const char* name : {"X", "Y", "Z", "W"})
+        t.push_back(w.addTensor(Tensor{name, {64}}));
+    auto access = [&](TensorId id, bool is_write) {
+        return TensorAccess{id, is_write, false, {{AccessTerm{i, 1}}}};
+    };
+    for (size_t k = 0; k < 3; ++k) {
+        Operator op(std::string(1, char('a' + k)), ComputeKind::Vector);
+        op.addDim(i, false);
+        op.addAccess(access(t[k], false));
+        op.addAccess(access(t[k + 1], true));
+        w.addOp(std::move(op));
+    }
+    const ArchSpec spec = makeValidationArch();
+    const AnalysisTree tree = parseNotation(w, R"(
+        tile @L2 [i:t4] {
+          shar {
+            tile @L1 [] { tile @L0 [i:s16] { op a } }
+            tile @L1 [] {
+              shar {
+                tile @L0 [i:s16] { op b }
+                tile @L0 [i:s16] { op c }
+              }
+            }
+          }
+        }
+    )");
+    const int64_t bytes = dataTypeBytes(w.tensor(t[0]).dtype);
+    EXPECT_EQ(ResourceAnalyzer(w, spec).tileStepFootprint(tree.root()),
+              (16 + 16 + 16 + 16) * bytes);
+}
+
 TEST(Latency, ComputeBoundMatmul)
 {
     const Workload w = buildMatmul("mm", 256, 256, 256);

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+
 #include "common/logging.hpp"
 #include "core/mapping.hpp"
 #include "core/notation.hpp"
@@ -66,7 +69,20 @@ TEST(Node, OpLeavesInExecutionOrder)
     ASSERT_EQ(leaves.size(), 2u);
     EXPECT_EQ(leaves[0]->op(), w.opId("matmul"));
     EXPECT_EQ(leaves[1]->op(), w.opId("exp"));
-    EXPECT_EQ(tree.root()->opsBelow().size(), 2u);
+    // The in-place walk visits the same leaves in the same order and
+    // stops where its visitor says so.
+    std::vector<const Node*> visited;
+    EXPECT_TRUE(visitOpLeaves(tree.root(), [&](const Node* leaf) {
+        visited.push_back(leaf);
+        return true;
+    }));
+    EXPECT_EQ(visited, leaves);
+    int calls = 0;
+    EXPECT_FALSE(visitOpLeaves(tree.root(), [&](const Node*) {
+        ++calls;
+        return false;
+    }));
+    EXPECT_EQ(calls, 1);
 }
 
 TEST(Node, CloneIsDeepAndEqualShaped)
@@ -139,6 +155,48 @@ TEST(Mapping, SplitBalancedCoversExtent)
     }
 }
 
+TEST(Mapping, SplitBalancedPicksTheSmallestNearestDivisor)
+{
+    // The divisor walk visits pairs (d, n / d); it must pick what a
+    // scan of the ascending divisors() list picks: the first (so the
+    // smallest) divisor at the minimum distance from the target.
+    auto reference = [](int64_t extent, int parts) {
+        std::vector<int64_t> out;
+        int64_t remaining = extent;
+        for (int left = parts; left >= 1; --left) {
+            if (left == 1) {
+                out.push_back(remaining);
+                break;
+            }
+            const double target = std::pow(double(remaining), 1.0 / left);
+            const int64_t best =
+                std::max<int64_t>(1, int64_t(std::llround(target)));
+            int64_t best_divisor = 1;
+            double best_dist = 1e30;
+            for (int64_t d : divisors(remaining)) {
+                const double dist = std::fabs(double(d) - target);
+                if (dist < best_dist) {
+                    best_dist = dist;
+                    best_divisor = d;
+                }
+            }
+            int64_t factor = best_divisor;
+            if (best_divisor > 2 * best || best_divisor * 2 < best)
+                factor = best;
+            out.push_back(std::max<int64_t>(1, factor));
+            remaining = ceilDiv(remaining, out.back());
+        }
+        return out;
+    };
+    for (int64_t extent = 1; extent <= 1100; ++extent) {
+        for (int parts : {1, 2, 3, 4, 5}) {
+            ASSERT_EQ(splitBalanced(extent, parts),
+                      reference(extent, parts))
+                << extent << " in " << parts;
+        }
+    }
+}
+
 TEST(Mapping, TilingTableBasics)
 {
     const Workload w = buildMatmul("mm", 64, 64, 64);
@@ -172,6 +230,338 @@ TEST(Mapping, ResidualComputesRemainingTrips)
     table.set(w.dimId("i"), 0, 16);
     table.set(w.dimId("i"), 1, 2);
     EXPECT_EQ(table.residual(w, w.dimId("i"), 2), 2);
+}
+
+/**
+ * Every diagnostic site of the validator, pinned: one broken tree per
+ * site, with the exact severity, code, message and order that
+ * validateTreeDiag reports, the string form validateTree returns, and
+ * the aggregated checkTree failure.
+ */
+struct ExpectedDiag
+{
+    Severity severity;
+    std::string code;
+    std::string message;
+};
+
+struct ValidateCase
+{
+    std::string name;
+    std::function<AnalysisTree(const Workload&)> build;
+    bool fused = false;      ///< matmul+exp workload instead of matmul
+    bool withSpec = false;   ///< check levels against makeValidationArch
+    std::vector<ExpectedDiag> expected;
+};
+
+Loop
+tp(const Workload& w, const char* dim, int64_t extent)
+{
+    return Loop{w.dimId(dim), extent, LoopKind::Temporal};
+}
+
+Loop
+sp(const Workload& w, const char* dim, int64_t extent)
+{
+    return Loop{w.dimId(dim), extent, LoopKind::Spatial};
+}
+
+/** L0 tile covering all of a 16^3 matmul (op 0) by itself. */
+std::unique_ptr<Node>
+fullMatmulTile(const Workload& w)
+{
+    auto tile = Node::makeTile(0, {sp(w, "i", 16), sp(w, "j", 16),
+                                   tp(w, "k", 16)});
+    tile->addChild(Node::makeOp(0));
+    return tile;
+}
+
+/** Root tile at `level` over the given loops and one child. */
+AnalysisTree
+rootOver(const Workload& w, int level, std::vector<Loop> loops,
+         std::unique_ptr<Node> child)
+{
+    AnalysisTree tree(w);
+    auto root = Node::makeTile(level, std::move(loops));
+    if (child)
+        root->addChild(std::move(child));
+    tree.setRoot(std::move(root));
+    return tree;
+}
+
+std::vector<ValidateCase>
+validateCases()
+{
+    const Severity E = Severity::Error;
+    const Severity W = Severity::Warning;
+    std::vector<ValidateCase> cases;
+    cases.push_back({"NoRoot",
+                     [](const Workload& w) { return AnalysisTree(w); },
+                     false, false, {{E, "V301", "tree has no root"}}});
+    cases.push_back(
+        {"RootNotTileAndOpWithoutTile",
+         [](const Workload& w) {
+             AnalysisTree tree(w);
+             auto scope = Node::makeScope(ScopeKind::Seq);
+             scope->addChild(Node::makeOp(0));
+             scope->addChild(fullMatmulTile(w));
+             tree.setRoot(std::move(scope));
+             return tree;
+         },
+         false, false,
+         {{E, "V301", "root node must be a tile"},
+          {E, "V301", "op 'matmul' has no enclosing tile"}}});
+    cases.push_back({"NegativeLevel",
+                     [](const Workload& w) {
+                         return rootOver(w, -1, {}, fullMatmulTile(w));
+                     },
+                     false, false,
+                     {{E, "V301", "tile has negative memory level -1"}}});
+    cases.push_back(
+        {"LevelBeyondArch",
+         [](const Workload& w) {
+             return rootOver(w, 7, {}, fullMatmulTile(w));
+         },
+         false, true,
+         {{E, "V301",
+           "tile level L7 exceeds architecture hierarchy (3 levels)"}}});
+    cases.push_back(
+        {"LevelAboveParent",
+         [](const Workload& w) {
+             auto mid = Node::makeTile(2, {});
+             mid->addChild(fullMatmulTile(w));
+             return rootOver(w, 1, {}, std::move(mid));
+         },
+         false, false,
+         {{E, "V301", "tile level L2 is above its parent tile L1"}}});
+    cases.push_back(
+        {"UnknownDims",
+         [](const Workload& w) {
+             return rootOver(w, 2,
+                             {Loop{7, 2, LoopKind::Temporal},
+                              Loop{-1, 2, LoopKind::Spatial},
+                              Loop{7, 2, LoopKind::Temporal}},
+                             fullMatmulTile(w));
+         },
+         false, false,
+         {{E, "V302", "loop references unknown dim 7"},
+          {E, "V302", "loop references unknown dim -1"},
+          {E, "V302", "loop references unknown dim 7"}}});
+    cases.push_back(
+        {"NonPositiveExtents",
+         [](const Workload& w) {
+             return rootOver(w, 2, {tp(w, "i", 0), sp(w, "j", -3)},
+                             fullMatmulTile(w));
+         },
+         false, false,
+         {{E, "V302", "loop over dim 0 has extent 0"},
+          {E, "V302", "loop over dim 1 has extent -3"}}});
+    cases.push_back(
+        {"RepeatedDimAndKind",
+         [](const Workload& w) {
+             // i:t twice then a third time, i:s once (a different
+             // kind), k:t after a bad-extent k:t.
+             return rootOver(w, 2,
+                             {tp(w, "i", 1), sp(w, "i", 1), tp(w, "i", 1),
+                              tp(w, "k", 0), tp(w, "k", 1),
+                              tp(w, "i", 1)},
+                             fullMatmulTile(w));
+         },
+         false, false,
+         {{E, "V302", "dim 'i' appears twice with the same kind in one tile"},
+          {E, "V302", "loop over dim 2 has extent 0"},
+          {E, "V302", "dim 'k' appears twice with the same kind in one tile"},
+          {E, "V302",
+           "dim 'i' appears twice with the same kind in one tile"}}});
+    cases.push_back({"TileWithoutChildren",
+                     [](const Workload& w) {
+                         return rootOver(w, 2, {}, nullptr);
+                     },
+                     false, false,
+                     {{E, "V301", "tile node has no children"}}});
+    cases.push_back(
+        {"SingleChildScope",
+         [](const Workload& w) {
+             auto scope = Node::makeScope(ScopeKind::Pipe);
+             scope->addChild(fullMatmulTile(w));
+             return rootOver(w, 2, {}, std::move(scope));
+         },
+         false, false,
+         {{E, "V301", "scope 'pipe' has fewer than two children"}}});
+    cases.push_back(
+        {"UnknownOp",
+         [](const Workload& w) {
+             auto tile = Node::makeTile(0, {});
+             tile->addChild(Node::makeOp(5));
+             return rootOver(w, 2, {}, std::move(tile));
+         },
+         false, false,
+         {{E, "V301", "op leaf references unknown op 5"}}});
+    cases.push_back(
+        {"OpAboveLevelZero",
+         [](const Workload& w) {
+             return rootOver(w, 2,
+                             {tp(w, "i", 16), tp(w, "j", 16),
+                              tp(w, "k", 16)},
+                             Node::makeOp(0));
+         },
+         false, false,
+         {{E, "V301",
+           "op 'matmul' must sit under a level-0 tile, found L2"}}});
+    cases.push_back(
+        {"UndercoveredDims",
+         [](const Workload& w) {
+             auto tile = Node::makeTile(0, {sp(w, "i", 4), tp(w, "k", 8)});
+             tile->addChild(Node::makeOp(0));
+             return rootOver(w, 2, {tp(w, "i", 2)}, std::move(tile));
+         },
+         false, false,
+         {{E, "V303", "op 'matmul': dim 'i' covered 8 < extent 16"},
+          {E, "V303", "op 'matmul': dim 'j' covered 1 < extent 16"},
+          {E, "V303", "op 'matmul': dim 'k' covered 8 < extent 16"}}});
+    cases.push_back(
+        {"MissingAndRepeatedOps",
+         [](const Workload& w) {
+             // matmul twice, exp never.
+             auto scope = Node::makeScope(ScopeKind::Seq);
+             scope->addChild(fullMatmulTile(w));
+             scope->addChild(fullMatmulTile(w));
+             return rootOver(w, 2, {}, std::move(scope));
+         },
+         true, false,
+         {{E, "V304", "op 'matmul' appears 2 times (expected exactly 1)"},
+          {E, "V304", "op 'exp' appears 0 times (expected exactly 1)"}}});
+    cases.push_back(
+        {"ProducerReductionInFusingAncestor",
+         [](const Workload& w) {
+             auto mm = Node::makeTile(0, {sp(w, "i", 16), sp(w, "j", 16),
+                                          tp(w, "k", 4)});
+             mm->addChild(Node::makeOp(w.opId("matmul")));
+             auto ex = Node::makeTile(0, {sp(w, "i", 16), sp(w, "j", 16)});
+             ex->addChild(Node::makeOp(w.opId("exp")));
+             auto scope = Node::makeScope(ScopeKind::Shar);
+             scope->addChild(std::move(mm));
+             scope->addChild(std::move(ex));
+             // Fusing tiles above the producer: `inner`'s k:t1 (extent
+             // 1) and the root's k:s1 (spatial) warn nothing; `mid`'s
+             // and the root's k:t2 warn once each, inner tile first.
+             auto inner = Node::makeTile(1, {tp(w, "k", 1)});
+             inner->addChild(std::move(scope));
+             auto mid = Node::makeTile(1, {tp(w, "k", 2)});
+             mid->addChild(std::move(inner));
+             return rootOver(w, 2, {tp(w, "k", 2), sp(w, "k", 1)},
+                             std::move(mid));
+         },
+         true, false,
+         {{W, "V305",
+           "producer op 'matmul' has its reduction dim 'k' in a fusing "
+           "ancestor tile; the pipeline will serialize"},
+          {W, "V305",
+           "producer op 'matmul' has its reduction dim 'k' in a fusing "
+           "ancestor tile; the pipeline will serialize"}}});
+    cases.push_back(
+        {"CoverageThenMultiplicityThenWarning",
+         [](const Workload& w) {
+             // exp under-covers j, matmul appears twice (once as the
+             // producer under a fusing k loop), exp once.
+             auto mm = Node::makeTile(0, {sp(w, "i", 16), sp(w, "j", 16),
+                                          tp(w, "k", 8)});
+             mm->addChild(Node::makeOp(w.opId("matmul")));
+             auto ex = Node::makeTile(0, {sp(w, "i", 16), sp(w, "j", 8)});
+             ex->addChild(Node::makeOp(w.opId("exp")));
+             auto again = Node::makeTile(0, {sp(w, "i", 16),
+                                             sp(w, "j", 16),
+                                             tp(w, "k", 16)});
+             again->addChild(Node::makeOp(w.opId("matmul")));
+             auto scope = Node::makeScope(ScopeKind::Seq);
+             scope->addChild(std::move(mm));
+             scope->addChild(std::move(ex));
+             scope->addChild(std::move(again));
+             return rootOver(w, 2, {tp(w, "k", 2)}, std::move(scope));
+         },
+         true, false,
+         {{E, "V303", "op 'exp': dim 'j' covered 8 < extent 16"},
+          {E, "V304", "op 'matmul' appears 2 times (expected exactly 1)"},
+          {W, "V305",
+           "producer op 'matmul' has its reduction dim 'k' in a fusing "
+           "ancestor tile; the pipeline will serialize"},
+          {W, "V305",
+           "producer op 'matmul' has its reduction dim 'k' in a fusing "
+           "ancestor tile; the pipeline will serialize"}}});
+    cases.push_back(
+        {"StructureErrorsInPreorder",
+         [](const Workload& w) {
+             // Errors in several nodes: reported in preorder, each
+             // tile's level checks before its loops and children.
+             auto bad = Node::makeTile(0, {tp(w, "j", 0)});
+             bad->addChild(Node::makeOp(9));
+             auto mid = Node::makeTile(3, {Loop{5, 2, LoopKind::Spatial}});
+             mid->addChild(std::move(bad));
+             auto scope = Node::makeScope(ScopeKind::Para);
+             scope->addChild(std::move(mid));
+             scope->addChild(Node::makeTile(1, {}));
+             return rootOver(w, 2, {tp(w, "i", 1), tp(w, "i", 1)},
+                             std::move(scope));
+         },
+         false, true,
+         {{E, "V302", "dim 'i' appears twice with the same kind in one tile"},
+          {E, "V301", "tile level L3 exceeds architecture hierarchy "
+                      "(3 levels)"},
+          {E, "V301", "tile level L3 is above its parent tile L2"},
+          {E, "V302", "loop references unknown dim 5"},
+          {E, "V302", "loop over dim 1 has extent 0"},
+          {E, "V301", "op leaf references unknown op 9"},
+          {E, "V301", "tile node has no children"}}});
+    return cases;
+}
+
+TEST(Validate, PinsEveryDiagnosticSite)
+{
+    const Workload mm = buildMatmul("mm", 16, 16, 16);
+    const Workload fused = buildMatmulExp("me", 16, 16, 16);
+    const ArchSpec spec = makeValidationArch();
+    for (const ValidateCase& c : validateCases()) {
+        SCOPED_TRACE(c.name);
+        const AnalysisTree tree = c.build(c.fused ? fused : mm);
+        const ArchSpec* arch = c.withSpec ? &spec : nullptr;
+
+        DiagnosticEngine diags(4096);
+        const bool ok = validateTreeDiag(tree, diags, arch);
+        ASSERT_EQ(diags.diagnostics().size(), c.expected.size());
+        size_t errors = 0;
+        std::string aggregated;
+        std::vector<std::string> strings;
+        for (size_t i = 0; i < c.expected.size(); ++i) {
+            const Diagnostic& got = diags.diagnostics()[i];
+            const ExpectedDiag& want = c.expected[i];
+            EXPECT_EQ(got.severity, want.severity) << i;
+            EXPECT_EQ(got.code, want.code) << i;
+            EXPECT_EQ(got.message, want.message) << i;
+            EXPECT_FALSE(got.loc.valid()) << i;
+            if (want.severity == Severity::Error) {
+                ++errors;
+                aggregated += "\n  [" + want.code + "] " + want.message;
+                strings.push_back(want.message);
+            } else {
+                strings.push_back("warn: " + want.message);
+            }
+        }
+        EXPECT_EQ(ok, errors == 0);
+        EXPECT_EQ(validateTree(tree, arch), strings);
+
+        if (errors == 0) {
+            EXPECT_NO_THROW(checkTree(tree, arch));
+            continue;
+        }
+        try {
+            checkTree(tree, arch);
+            ADD_FAILURE() << "checkTree accepted a broken tree";
+        } catch (const FatalError& e) {
+            EXPECT_EQ(std::string(e.what()),
+                      concat("invalid analysis tree (", errors, " problem",
+                             errors == 1 ? "" : "s", "):", aggregated));
+        }
+    }
 }
 
 TEST(Validate, AcceptsWellFormedTree)

@@ -177,6 +177,47 @@ TEST(Workload, ProducerConsumerTopology)
     EXPECT_TRUE(w.isIntermediate(c));
     EXPECT_FALSE(w.isIntermediate(w.tensorId("A")));
     EXPECT_FALSE(w.isIntermediate(w.tensorId("E")));
+
+    // square: Y = X * X (reads X twice); add: Z = Y + X; acc: Z += Y.
+    // X has two consumers and `square` is listed once; Z has two
+    // writers and the first one is its producer.
+    Workload sq("sq");
+    const DimId i = sq.addDim("i", 8);
+    const TensorId x = sq.addTensor(Tensor{"X", {8}});
+    const TensorId y = sq.addTensor(Tensor{"Y", {8}});
+    const TensorId z = sq.addTensor(Tensor{"Z", {8}});
+    auto access = [&](TensorId t, bool is_write) {
+        return TensorAccess{t, is_write, false, {{AccessTerm{i, 1}}}};
+    };
+    Operator square("square", ComputeKind::Vector);
+    square.addDim(i, false);
+    square.addAccess(access(x, false));
+    square.addAccess(access(x, false));
+    square.addAccess(access(y, true));
+    const OpId square_id = sq.addOp(std::move(square));
+    Operator add("add", ComputeKind::Vector);
+    add.addDim(i, false);
+    add.addAccess(access(y, false));
+    add.addAccess(access(x, false));
+    add.addAccess(access(z, true));
+    const OpId add_id = sq.addOp(std::move(add));
+    Operator acc("acc", ComputeKind::Vector);
+    acc.addDim(i, false);
+    acc.addAccess(access(y, false));
+    acc.addAccess(access(z, true));
+    const OpId acc_id = sq.addOp(std::move(acc));
+
+    EXPECT_EQ(sq.consumersOf(x), (std::vector<OpId>{square_id, add_id}));
+    EXPECT_EQ(sq.consumersOf(y), (std::vector<OpId>{add_id, acc_id}));
+    EXPECT_TRUE(sq.consumersOf(z).empty());
+    EXPECT_EQ(sq.producerOf(x), -1);
+    EXPECT_EQ(sq.producerOf(y), square_id);
+    EXPECT_EQ(sq.producerOf(z), add_id);
+    EXPECT_FALSE(sq.isIntermediate(x));
+    EXPECT_TRUE(sq.isIntermediate(y));
+    EXPECT_FALSE(sq.isIntermediate(z));
+    EXPECT_EQ(sq.inputTensors(), (std::vector<TensorId>{x}));
+    EXPECT_EQ(sq.outputTensors(), (std::vector<TensorId>{z}));
 }
 
 TEST(Workload, InputsAndOutputs)

@@ -571,6 +571,21 @@ struct MapperTelemetry : testing::Test
         return path;
     }
 
+    /** The search time (ms) stored in the checkpoint at `path`: the
+     *  pre-kill time a resume from it starts from. -1 if the file
+     *  holds no such record. */
+    static int64_t
+    checkpointElapsedMs(const std::string& path)
+    {
+        std::ifstream in(path);
+        std::string token;
+        while (in >> token) {
+            if (token == "elapsedms" && in >> token)
+                return int64_t(std::stoull(token, nullptr, 16));
+        }
+        return -1;
+    }
+
     Workload w;
     ArchSpec edge;
     Evaluator model;
@@ -615,6 +630,12 @@ TEST_F(MapperTelemetry, RegistryDeltasMatchAcrossKillAndResume)
     killed.maxEvaluations = reference.evaluations / 2;
     const MapperResult k = exploreSpace(model, space, killed);
     ASSERT_TRUE(k.timedOut);
+    // The time the resume starts from: the checkpoint's, which ends
+    // at the last full generation. The killed run's own elapsedMs
+    // also counts its cut-short generation, which the resume re-runs
+    // at whatever speed the host allows, so it is no lower bound.
+    const int64_t charged = checkpointElapsedMs(path);
+    ASSERT_GE(charged, 0);
 
     // The resumed run credits the restored (pre-kill) portion into
     // the registry, so the *resume's own delta* equals its
@@ -637,9 +658,9 @@ TEST_F(MapperTelemetry, RegistryDeltasMatchAcrossKillAndResume)
     EXPECT_EQ(reg.counterValue("evalcache.misses") - misses_before,
               r.cacheMisses);
 
-    // Checkpoint-aware wall clock: the resume includes the killed
-    // run's elapsed time, so it can never report less.
-    EXPECT_GE(r.elapsedMs, k.elapsedMs);
+    // Checkpoint-aware wall clock: the resume includes the elapsed
+    // time of the checkpoint it resumed from, so it never reports less.
+    EXPECT_GE(r.elapsedMs, charged);
     std::remove(path.c_str());
 }
 
@@ -648,18 +669,30 @@ TEST_F(MapperTelemetry, ResumedRunReArmsOnlyTheRemainingTimeBudget)
     const std::string path = ckptPath("telemetry_budget.ckpt");
 
     // Kill a run via its evaluation budget so some wall clock is
-    // recorded in the checkpoint. The cap must let at least one full
-    // generation finish — a generation cut short is never
-    // checkpointed — so size it off an uninterrupted run.
-    const MapperResult reference = exploreSpace(model, space, cfg);
-    ASSERT_GT(reference.evaluations, 0);
-    MapperConfig killed = cfg;
+    // recorded in the checkpoint. A generation cut short is never
+    // checkpointed, so the cap lets generation 0 finish — a one-round
+    // run of the same search makes exactly its evaluations — and
+    // trips one evaluation into generation 1. The search is sized so
+    // that generation 0 takes milliseconds, not microseconds, and
+    // seeded so that generation 1 evaluates at all (with the fixture's
+    // seed every evaluation lands in generation 0).
+    MapperConfig search = cfg;
+    search.tilingSamples = 80;
+    search.seed = 7;
+    MapperConfig one_round = search;
+    one_round.rounds = 1;
+    const MapperResult gen0 = exploreSpace(model, space, one_round);
+    const MapperResult reference = exploreSpace(model, space, search);
+    ASSERT_GT(reference.evaluations, gen0.evaluations + 1);
+    MapperConfig killed = search;
     killed.checkpointPath = path;
-    killed.maxEvaluations = reference.evaluations / 2;
+    killed.maxEvaluations = gen0.evaluations + 1;
     const MapperResult k = exploreSpace(model, space, killed);
     ASSERT_TRUE(k.timedOut);
-    if (k.elapsedMs < 1) {
-        GTEST_SKIP() << "first run finished in under a millisecond; "
+    const int64_t charged = checkpointElapsedMs(path);
+    ASSERT_GE(charged, 0);
+    if (charged < 1) {
+        GTEST_SKIP() << "generation 0 finished in under a millisecond; "
                         "no elapsed time to charge";
     }
 
