@@ -29,24 +29,38 @@ stagingLevel(const Node* tile)
     return std::max(level, 0);
 }
 
-ChildGroup
-childGroupOf(const Node* tile)
+void
+childGroupOf(const Node* tile, ChildGroup& group)
 {
-    ChildGroup group;
+    group.binding = ScopeKind::Seq;
+    group.children.clear();
+    group.leaves.clear();
     const Node* source = tile;
     if (tile->numChildren() == 1 && tile->child(0)->isScope()) {
         group.binding = tile->child(0)->scopeKind();
         source = tile->child(0);
     }
+    // With room for every leaf reserved up front, the pointers taken
+    // into `leaves` below stay valid while it fills.
+    size_t num_leaves = 0;
+    visitOpLeaves(source, [&](const Node*) {
+        ++num_leaves;
+        return true;
+    });
+    group.leaves.reserve(num_leaves);
     for (const auto& child : source->children()) {
         ChildInfo info;
         info.subtree = child.get();
         info.level = subtreeLevel(child.get());
-        info.leaves = child->opLeaves();
+        info.leaves.first = group.leaves.data() + group.leaves.size();
+        visitOpLeaves(child.get(), [&](const Node* leaf) {
+            group.leaves.push_back(leaf);
+            return true;
+        });
+        info.leaves.last = group.leaves.data() + group.leaves.size();
         info.passthrough = info.level >= tile->memLevel();
-        group.children.push_back(std::move(info));
+        group.children.push_back(info);
     }
-    return group;
 }
 
 bool

@@ -16,12 +16,26 @@
 
 namespace tileflow {
 
+/** A run of Op leaves stored elsewhere, for range-for. */
+struct LeafRange
+{
+    const Node* const* first = nullptr;
+    const Node* const* last = nullptr;
+
+    const Node* const* begin() const { return first; }
+    const Node* const* end() const { return last; }
+    size_t size() const { return size_t(last - first); }
+};
+
 /** One child subtree of a Tile node plus cached metadata. */
 struct ChildInfo
 {
     const Node* subtree = nullptr;
     int level = -1; // memory level of the child's buffer; -1 for op leaf
-    std::vector<const Node*> leaves;
+
+    /** The child's Op leaves in execution order: a range into its
+     *  ChildGroup's `leaves`. */
+    LeafRange leaves;
 
     /** Child tile declared at the SAME level as the parent (e.g., the
      *  per-op tiles of the Layerwise dataflow under a DRAM root): the
@@ -30,11 +44,22 @@ struct ChildInfo
     bool passthrough = false;
 };
 
-/** The flattened (binding, children) view of a Tile node's content. */
+/**
+ * The flattened (binding, children) view of a Tile node's content.
+ * The children's leaf ranges point into `leaves`, so a group is not
+ * copied: childGroupOf refills one in place.
+ */
 struct ChildGroup
 {
     ScopeKind binding = ScopeKind::Seq;
     std::vector<ChildInfo> children;
+
+    /** Every child's Op leaves, child after child. */
+    std::vector<const Node*> leaves;
+
+    ChildGroup() = default;
+    ChildGroup(const ChildGroup&) = delete;
+    ChildGroup& operator=(const ChildGroup&) = delete;
 };
 
 /** Highest Tile memory level in the subtree (-1 for a bare Op leaf). */
@@ -48,9 +73,10 @@ int subtreeLevel(const Node* node);
  */
 int stagingLevel(const Node* tile);
 
-/** Flatten a Tile node: unwrap a single Scope child into its binding
- *  and children, otherwise treat direct children as Seq-bound. */
-ChildGroup childGroupOf(const Node* tile);
+/** Flatten a Tile node into `group`, reusing its buffers: unwrap a
+ *  single Scope child into its binding and children, otherwise treat
+ *  direct children as Seq-bound. */
+void childGroupOf(const Node* tile, ChildGroup& group);
 
 /** True iff the producer op of `tensor` lives inside `child`. */
 bool producedInside(const Workload& workload, TensorId tensor,

@@ -1,6 +1,7 @@
 #include "analysis/datamovement.hpp"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 #include <utility>
 
@@ -8,6 +9,7 @@
 #include "analysis/slice.hpp"
 #include "analysis/subtreecache.hpp"
 #include "common/logging.hpp"
+#include "common/smallbuf.hpp"
 #include "common/strings.hpp"
 
 namespace tileflow {
@@ -23,18 +25,14 @@ struct StepTraffic
     std::vector<double> childFill;
     std::vector<double> childDrain;
 
-    explicit StepTraffic(size_t num_children)
-        : childFill(num_children, 0.0), childDrain(num_children, 0.0)
-    {
-    }
-
+    /** Zero every counter, for `num_children` children. */
     void
-    reset()
+    reset(size_t num_children)
     {
         readBytes = 0.0;
         writeBytes = 0.0;
-        std::fill(childFill.begin(), childFill.end(), 0.0);
-        std::fill(childDrain.begin(), childDrain.end(), 0.0);
+        childFill.assign(num_children, 0.0);
+        childDrain.assign(num_children, 0.0);
     }
 };
 
@@ -48,6 +46,7 @@ struct Resident
     TensorId tensor = 0;
     HyperRect rect;
     bool dirty = false;
+    double elemBytes = 0.0; // the tensor's element size
 };
 
 /**
@@ -63,6 +62,7 @@ class ResidentTable
     size_t size() const { return entries_.size(); }
     const Resident& operator[](size_t i) const { return entries_[i]; }
     void clear() { entries_.clear(); }
+    void reserve(size_t n) { entries_.reserve(n); }
     void erase(size_t i) { entries_.erase(entries_.begin() + long(i)); }
 
     /** The entry of (child, tensor), or nullptr. */
@@ -78,7 +78,8 @@ class ResidentTable
 
     /** Insert or overwrite the entry of (child, tensor). */
     void
-    set(int child, TensorId tensor, const HyperRect& rect, bool dirty)
+    set(int child, TensorId tensor, const HyperRect& rect, bool dirty,
+        double elem_bytes)
     {
         if (Resident* entry = find(child, tensor)) {
             entry->rect = rect;
@@ -86,7 +87,7 @@ class ResidentTable
             return;
         }
         entries_.insert(entries_.begin() + long(lowerBound(child, tensor)),
-                        Resident{child, tensor, rect, dirty});
+                        Resident{child, tensor, rect, dirty, elem_bytes});
     }
 
     /** Position of the first entry with a key above (child, tensor). */
@@ -153,17 +154,28 @@ relevantExecutions(const Node* node, const Operator& op,
 }
 
 /**
- * Simulate one temporal step of the node at loop indices `idx`:
- * visit children in order, diff required slices against residents,
- * apply Seq evictions, and (when `sink` is non-null) record traffic.
- *
- * `boundary` selects the advance weights: -1 means the initial
- * (compulsory) step with weight 1 per access; otherwise it is the
- * index of the advancing temporal loop and each access is weighted by
- * its own relevant-loop advance count (or the uniform count in
- * conservative mode — used under Seq, whose evictions defeat
- * irrelevant-loop reuse).
+ * One (child, leaf, access) of the Tile node under analysis, with the
+ * values of it that are fixed for the node, so the step simulation
+ * reads them instead of recomputing them at every step.
  */
+struct PlannedAccess
+{
+    const Operator* op = nullptr;
+    const TensorAccess* access = nullptr;
+    const int64_t* spanRow = nullptr; // the leaf's StepGeometry row
+    double elemBytes = 0.0;
+
+    /** Weight of the initial step and of the final write-back: the
+     *  node's executions under uniform weights (conservative mode or a
+     *  streamed access), else relevantExecutions. */
+    double executions = 0.0;
+
+    bool producedInside = false; // reads: produced inside the child
+    bool escapes = false;        // writes: must leave the child
+    bool streamed = false;       // step slice too large to retain
+    int64_t zeroVolume = 0;      // step-0 slice volume, if read below
+};
+
 /**
  * Which accesses a simulation pass processes. Retained accesses have
  * step slices small enough for the destination buffer to keep across
@@ -174,36 +186,202 @@ relevantExecutions(const Node* node, const Operator& op,
  */
 enum class PassKind { All, RetainedOnly, StreamedOnly };
 
-void
-simulateStep(const Workload& workload, const StepGeometry& geom,
-             const ChildGroup& group, const std::vector<int64_t>& idx,
-             ResidentTable& residents, StepTraffic* sink, int boundary,
-             bool conservative, PassKind pass,
-             const std::vector<char>& streamed)
+/**
+ * The working state of one analyze() call, reused from Tile node to
+ * Tile node: the node's geometry, child group and access plan, and the
+ * buffers of its step simulation. Per call, never shared.
+ */
+struct DmScratch
 {
-    const double executions = double(executionCount(geom.node()));
-    const double step_weight =
-        (boundary < 0 ? 1.0 : double(geom.advances(size_t(boundary)))) *
-        executions;
-    const bool uniform = conservative || pass == PassKind::StreamedOnly;
-    auto weight_for = [&](const Operator& op, const TensorAccess& access) {
-        const double execs =
-            uniform ? executions
-                    : relevantExecutions(geom.node(), op, access);
-        if (boundary < 0)
-            return execs;
-        if (uniform)
-            return step_weight;
-        return double(geom.advancesFor(size_t(boundary), op, access)) *
-               execs;
-    };
-    size_t visit = 0; // position in `streamed`
-    for (size_t j = 0; j < group.children.size(); ++j) {
-        const ChildInfo& child = group.children[j];
+    StepGeometry geom;
+    ChildGroup group;
+
+    /** Per non-passthrough (child, leaf, access), in visit order; the
+     *  rows of child j are [planBegin[j], planBegin[j + 1]). */
+    std::vector<PlannedAccess> plan;
+    std::vector<size_t> planBegin;
+
+    /** advancesFor(k, access) x relevantExecutions at [k * plan.size()
+     *  + row], for the boundaries and rows that use relevant-loop
+     *  weights. */
+    std::vector<double> advanceWeights;
+
+    /** Seq with several children: evictions defeat reuse across
+     *  irrelevant loops, so every access takes uniform weights. */
+    bool conservative = false;
+    double executions = 0.0;
+
+    ResidentTable residents;
+    StepTraffic traffic;
+    std::vector<int64_t> zero; // the initial step's loop indices
+    std::vector<int64_t> step; // a boundary's steps' loop indices
+
+    /** The node's result: filled by simulateTile. */
+    DmNodePartial out;
+};
+
+/** The sizes the scratch needs over a whole tree. */
+struct TreeSizes
+{
+    size_t tiles = 0;
+    size_t leaves = 0;
+    size_t accesses = 0;
+    size_t loops = 0;    // most loops on one Tile node
+    size_t children = 0; // most children in one child group
+};
+
+void
+measureTree(const Workload& workload, const Node* node, TreeSizes& sizes)
+{
+    if (node->isOp()) {
+        ++sizes.leaves;
+        sizes.accesses += workload.op(node->op()).accesses().size();
+        return;
+    }
+    if (node->isTile()) {
+        ++sizes.tiles;
+        sizes.loops = std::max(sizes.loops, node->loops().size());
+        const Node* content =
+            node->numChildren() == 1 && node->child(0)->isScope()
+                ? node->child(0)
+                : node;
+        sizes.children = std::max(sizes.children, content->numChildren());
+    }
+    for (const auto& child : node->children())
+        measureTree(workload, child.get(), sizes);
+}
+
+/** Reserve every scratch buffer for the largest node of the tree. */
+void
+reserveScratch(DmScratch& s, const TreeSizes& sizes, size_t num_dims)
+{
+    s.geom.reserve(sizes.loops, sizes.leaves, num_dims);
+    s.group.children.reserve(sizes.children);
+    s.group.leaves.reserve(sizes.leaves);
+    s.plan.reserve(sizes.accesses);
+    s.planBegin.reserve(sizes.children + 1);
+    s.advanceWeights.reserve(sizes.loops * sizes.accesses);
+    // A resident is keyed by (child, tensor) of one of the child's
+    // accesses, so there are never more than the plan has rows.
+    s.residents.reserve(sizes.accesses);
+    s.traffic.childFill.reserve(sizes.children);
+    s.traffic.childDrain.reserve(sizes.children);
+    s.out.childFill.reserve(sizes.children);
+    s.out.childDrain.reserve(sizes.children);
+    s.out.childLevels.reserve(sizes.children);
+    s.zero.reserve(sizes.loops);
+    s.step.reserve(sizes.loops);
+}
+
+/**
+ * Build the geometry, child group and access plan of `node` into the
+ * scratch. `stream_threshold` > 0 enables the register-feeding split:
+ * an access whose step slice exceeds a quarter of it is streamed.
+ */
+void
+planTile(const Workload& workload, const Node* node, double executions,
+         int64_t stream_threshold, bool relevant_weights, DmScratch& s)
+{
+    const StepGeometry& geom = s.geom;
+    s.executions = executions;
+    s.zero.assign(geom.temporalLoops().size(), 0);
+    s.plan.clear();
+    s.planBegin.clear();
+    for (const ChildInfo& child : s.group.children) {
+        s.planBegin.push_back(s.plan.size());
         if (child.passthrough)
             continue;
+        for (const Node* leaf : child.leaves) {
+            const Operator& op = workload.op(leaf->op());
+            const int64_t* row = geom.spanRow(leaf);
+            for (const auto& access : op.accesses()) {
+                PlannedAccess e;
+                e.op = &op;
+                e.access = &access;
+                e.spanRow = row;
+                const int64_t elem_bytes =
+                    dataTypeBytes(workload.tensor(access.tensor).dtype);
+                e.elemBytes = double(elem_bytes);
+                if (access.isWrite)
+                    e.escapes = escapesChild(workload, access.tensor, child);
+                else
+                    e.producedInside =
+                        producedInside(workload, access.tensor, child);
+                // The split and the final write-back read the step-0
+                // slice.
+                if (stream_threshold > 0 || (access.isWrite && e.escapes)) {
+                    e.zeroVolume =
+                        geom.slice(op, access, row, s.zero).volume();
+                }
+                e.streamed = stream_threshold > 0 &&
+                             4 * (e.zeroVolume * elem_bytes) >
+                                 stream_threshold;
+                e.executions = s.conservative || e.streamed
+                                   ? executions
+                                   : relevantExecutions(node, op, access);
+                s.plan.push_back(e);
+            }
+        }
+    }
+    s.planBegin.push_back(s.plan.size());
 
-        if (group.binding == ScopeKind::Seq && group.children.size() > 1) {
+    const size_t rows = s.plan.size();
+    const size_t num_loops = geom.temporalLoops().size();
+    s.advanceWeights.assign(relevant_weights ? num_loops * rows : 0, 0.0);
+    for (size_t k = 0; relevant_weights && k < num_loops; ++k) {
+        if (geom.advances(k) == 0)
+            continue;
+        for (size_t a = 0; a < rows; ++a) {
+            const PlannedAccess& e = s.plan[a];
+            if (!e.streamed) {
+                s.advanceWeights[k * rows + a] =
+                    double(geom.advancesFor(k, *e.op, *e.access)) *
+                    e.executions;
+            }
+        }
+    }
+}
+
+/**
+ * Simulate one temporal step of the planned node at loop indices
+ * `idx`: visit children in order, diff each access's required slice
+ * against the residents, apply Seq evictions, and (when `sink` is
+ * non-null) record traffic. `pass` selects the plan rows it visits.
+ *
+ * `boundary` selects the advance weights: -1 means the initial
+ * (compulsory) step, weighted by each row's `executions`; otherwise it
+ * is the index of the advancing temporal loop, and each row is
+ * weighted by its own relevant-loop advance count (from the plan's
+ * advanceWeights) or, under uniform weights (conservative mode — Seq,
+ * whose evictions defeat irrelevant-loop reuse — or a streamed row),
+ * by the loop's advance count.
+ */
+void
+simulateStep(DmScratch& s, const std::vector<int64_t>& idx,
+             StepTraffic* sink, int boundary, PassKind pass)
+{
+    const StepGeometry& geom = s.geom;
+    const ChildGroup& group = s.group;
+    ResidentTable& residents = s.residents;
+    const size_t rows = s.plan.size();
+    const double step_weight =
+        (boundary < 0 ? 1.0 : double(geom.advances(size_t(boundary)))) *
+        s.executions;
+    auto weight_for = [&](size_t a) {
+        const PlannedAccess& e = s.plan[a];
+        if (boundary < 0)
+            return e.executions;
+        if (s.conservative || e.streamed)
+            return step_weight;
+        return s.advanceWeights[size_t(boundary) * rows + a];
+    };
+    for (size_t j = 0; j < group.children.size(); ++j) {
+        if (group.children[j].passthrough)
+            continue;
+        const size_t first = s.planBegin[j];
+        const size_t last = s.planBegin[j + 1];
+
+        if (s.conservative) {
             // Seq: children take the same buffer in turns. When child j
             // starts, other children's residents are evicted unless
             // child j consumes the same tensor (then ownership moves).
@@ -215,23 +393,18 @@ simulateStep(const Workload& workload, const StepGeometry& geom,
                 // A copy: moving it to child j reorders the table.
                 const Resident entry = residents[i];
                 bool used_by_j = false;
-                for (const Node* leaf : child.leaves) {
-                    const Operator& op = workload.op(leaf->op());
-                    for (const auto& access : op.accesses()) {
-                        used_by_j =
-                            used_by_j || access.tensor == entry.tensor;
-                    }
-                }
+                for (size_t a = first; a < last; ++a)
+                    used_by_j =
+                        used_by_j || s.plan[a].access->tensor == entry.tensor;
                 residents.erase(i);
                 if (used_by_j) {
                     residents.set(int(j), entry.tensor, entry.rect,
-                                  entry.dirty);
+                                  entry.dirty, entry.elemBytes);
                 } else if (entry.dirty && sink) {
                     // Dirty eviction: write the displaced data upward.
-                    const double bytes =
-                        step_weight * double(entry.rect.volume()) *
-                        double(dataTypeBytes(
-                            workload.tensor(entry.tensor).dtype));
+                    const double bytes = step_weight *
+                                         double(entry.rect.volume()) *
+                                         entry.elemBytes;
                     sink->writeBytes += bytes;
                     sink->childDrain[size_t(entry.child)] += bytes;
                 }
@@ -239,65 +412,177 @@ simulateStep(const Workload& workload, const StepGeometry& geom,
             }
         }
 
-        for (const Node* leaf : child.leaves) {
-            const Operator& op = workload.op(leaf->op());
-            for (const auto& access : op.accesses()) {
-                if (pass != PassKind::All &&
-                    bool(streamed[visit++]) !=
-                        (pass == PassKind::StreamedOnly)) {
-                    continue;
-                }
-                const TensorId tensor = access.tensor;
-                const double elem_bytes =
-                    double(dataTypeBytes(workload.tensor(tensor).dtype));
-                const HyperRect slice = geom.slice(leaf, access, idx);
+        for (size_t a = first; a < last; ++a) {
+            const PlannedAccess& e = s.plan[a];
+            if (pass != PassKind::All &&
+                e.streamed != (pass == PassKind::StreamedOnly)) {
+                continue;
+            }
+            const TensorAccess& access = *e.access;
+            // Locally produced data never crosses this level.
+            if (!access.isWrite && e.producedInside)
+                continue;
+            const TensorId tensor = access.tensor;
+            const HyperRect slice = geom.slice(*e.op, access, e.spanRow, idx);
+            Resident* it = residents.find(int(j), tensor);
+            const HyperRect& prev = it ? it->rect : kNoResident;
 
-                if (!access.isWrite) {
-                    // Locally produced data never crosses this level.
-                    if (producedInside(workload, tensor, child))
-                        continue;
-                    Resident* it = residents.find(int(j), tensor);
-                    const HyperRect& prev = it ? it->rect : kNoResident;
-                    if (sink) {
-                        const double bytes =
-                            weight_for(op, access) *
-                            double(slice.differenceVolume(prev)) *
-                            elem_bytes;
-                        sink->readBytes += bytes;
-                        sink->childFill[j] += bytes;
-                    }
-                    const bool same_rect = it && it->rect == slice;
-                    if (sink && it && it->dirty && !same_rect) {
-                        // A read replacing a dirty resident with a
-                        // different slice displaces the written data —
-                        // it must drain upward like a Seq eviction, not
-                        // silently vanish.
-                        const double bytes = weight_for(op, access) *
-                                             double(prev.volume()) *
-                                             elem_bytes;
-                        sink->writeBytes += bytes;
-                        sink->childDrain[j] += bytes;
-                    }
-                    const bool dirty = it && it->dirty && same_rect;
-                    residents.set(int(j), tensor, slice, dirty);
-                } else {
-                    Resident* it = residents.find(int(j), tensor);
-                    const HyperRect& prev = it ? it->rect : kNoResident;
-                    const bool escapes =
-                        escapesChild(workload, tensor, child);
-                    if (sink && escapes && it && it->dirty) {
-                        const double bytes =
-                            weight_for(op, access) *
-                            double(prev.differenceVolume(slice)) *
-                            elem_bytes;
-                        sink->writeBytes += bytes;
-                        sink->childDrain[j] += bytes;
-                    }
-                    residents.set(int(j), tensor, slice, true);
+            if (!access.isWrite) {
+                if (sink) {
+                    const double bytes = weight_for(a) *
+                                         double(slice.differenceVolume(prev)) *
+                                         e.elemBytes;
+                    sink->readBytes += bytes;
+                    sink->childFill[j] += bytes;
                 }
+                const bool same_rect = it && it->rect == slice;
+                if (sink && it && it->dirty && !same_rect) {
+                    // A read replacing a dirty resident with a
+                    // different slice displaces the written data — it
+                    // must drain upward like a Seq eviction, not
+                    // silently vanish.
+                    const double bytes =
+                        weight_for(a) * double(prev.volume()) * e.elemBytes;
+                    sink->writeBytes += bytes;
+                    sink->childDrain[j] += bytes;
+                }
+                const bool dirty = it && it->dirty && same_rect;
+                residents.set(int(j), tensor, slice, dirty, e.elemBytes);
+            } else {
+                if (sink && e.escapes && it && it->dirty) {
+                    const double bytes =
+                        weight_for(a) *
+                        double(prev.differenceVolume(slice)) * e.elemBytes;
+                    sink->writeBytes += bytes;
+                    sink->childDrain[j] += bytes;
+                }
+                residents.set(int(j), tensor, slice, true, e.elemBytes);
             }
         }
     }
+}
+
+/**
+ * Whole-run traffic of one Tile node into `s.out`: analyzeTile's
+ * value, or compulsoryTile's when `compulsory_only`. `executions` is
+ * executionCount(node).
+ */
+void
+simulateTile(const Workload& workload, const ArchSpec& spec,
+             const Node* node, double executions, bool compulsory_only,
+             DmScratch& s)
+{
+    s.geom.reset(workload, node);
+    childGroupOf(node, s.group);
+    const StepGeometry& geom = s.geom;
+    const size_t num_children = s.group.children.size();
+    const int level = node->memLevel();
+
+    s.conservative =
+        s.group.binding == ScopeKind::Seq && num_children > 1;
+
+    // When this node feeds the register level, retention is
+    // capacity-aware: accesses whose step slice is too large for the
+    // register file are *streamed* — re-fetched every step with no
+    // irrelevant-loop reuse (the over-estimation the paper itself
+    // reports in Sec. 7.1). Small slices are retained.
+    bool feeds_registers = true;
+    for (const ChildInfo& child : s.group.children)
+        feeds_registers = feeds_registers && child.level <= 0;
+    const int64_t stream_threshold =
+        (!s.conservative && feeds_registers && level >= 1)
+            ? spec.level(0).capacityBytes
+            : 0;
+
+    planTile(workload, node, executions, stream_threshold,
+             !s.conservative && !compulsory_only, s);
+
+    std::array<PassKind, 2> passes{PassKind::All, PassKind::All};
+    size_t num_passes = 1;
+    if (!s.conservative && stream_threshold > 0) {
+        passes = {PassKind::RetainedOnly, PassKind::StreamedOnly};
+        num_passes = 2;
+    }
+
+    double load = 0.0;
+    double store = 0.0;
+    std::vector<double>& child_fill = s.out.childFill;
+    std::vector<double>& child_drain = s.out.childDrain;
+    child_fill.assign(num_children, 0.0);
+    child_drain.assign(num_children, 0.0);
+    StepTraffic& traffic = s.traffic;
+    auto accumulate = [&]() {
+        load += traffic.readBytes;
+        store += traffic.writeBytes;
+        for (size_t j = 0; j < num_children; ++j) {
+            child_fill[j] += traffic.childFill[j];
+            child_drain[j] += traffic.childDrain[j];
+        }
+    };
+    for (size_t p = 0; p < num_passes; ++p) {
+        const PassKind pass = passes[p];
+        const bool adjacent =
+            s.conservative || pass == PassKind::StreamedOnly;
+
+        // Initial (compulsory) step.
+        traffic.reset(num_children);
+        s.residents.clear();
+        simulateStep(s, s.zero, &traffic, -1, pass);
+        accumulate();
+
+        // One boundary type per temporal loop; contributions arrive
+        // pre-weighted by the advance counts. The compulsory-only mode
+        // skips this block entirely — the totals it returns must stay
+        // an in-order subsequence of the exact accumulation (see
+        // compulsoryTile).
+        for (size_t k = 0;
+             !compulsory_only && k < geom.temporalLoops().size(); ++k) {
+            if (geom.advances(k) == 0)
+                continue;
+            traffic.reset(num_children);
+            s.residents.clear();
+            geom.beforeAdvance(k, adjacent, s.step);
+            simulateStep(s, s.step, nullptr, -1, pass);
+            geom.afterAdvance(k, s.step);
+            simulateStep(s, s.step, &traffic, int(k), pass);
+            accumulate();
+        }
+    }
+
+    // Final write-back of the last resident slices of escaping written
+    // tensors (one per written access, repeated per execution that
+    // actually produced new data).
+    for (size_t j = 0; j < num_children; ++j) {
+        for (size_t a = s.planBegin[j]; a < s.planBegin[j + 1]; ++a) {
+            const PlannedAccess& e = s.plan[a];
+            if (!e.access->isWrite || !e.escapes)
+                continue;
+            const double bytes =
+                e.executions * double(e.zeroVolume) * e.elemBytes;
+            store += bytes;
+            child_drain[j] += bytes;
+        }
+    }
+
+    // All contributions arrive pre-scaled to whole-run totals.
+    s.out.loadBytes = load;
+    s.out.storeBytes = store;
+    s.out.childLevels.clear();
+    for (const ChildInfo& child : s.group.children)
+        s.out.childLevels.push_back(child.level);
+}
+
+/** Visit the Tile nodes at and under `node` in the order of a stack
+ *  walk that pushes each node's children in order: preorder, last
+ *  child first. */
+template <typename Visit>
+void
+visitTilesLastChildFirst(const Node* node, Visit& visit)
+{
+    if (node->isTile())
+        visit(node);
+    for (size_t i = node->numChildren(); i-- > 0;)
+        visitTilesLastChildFirst(node->child(i), visit);
 }
 
 } // namespace
@@ -305,164 +590,19 @@ simulateStep(const Workload& workload, const StepGeometry& geom,
 DmNodePartial
 DataMovementAnalyzer::analyzeTile(const Node* node) const
 {
-    return tileImpl(node, /*compulsory_only=*/false);
+    DmScratch scratch;
+    simulateTile(*workload_, *spec_, node, double(executionCount(node)),
+                 /*compulsory_only=*/false, scratch);
+    return std::move(scratch.out);
 }
 
 DmNodePartial
 DataMovementAnalyzer::compulsoryTile(const Node* node) const
 {
-    return tileImpl(node, /*compulsory_only=*/true);
-}
-
-DmNodePartial
-DataMovementAnalyzer::tileImpl(const Node* node,
-                               bool compulsory_only) const
-{
-    const StepGeometry geom(*workload_, node);
-    const ChildGroup group = childGroupOf(node);
-    const size_t num_children = group.children.size();
-    const int level = node->memLevel();
-    const double executions = double(executionCount(node));
-
-    {
-        // Seq's evictions defeat reuse across irrelevant loops, so it
-        // falls back to the paper's conservative adjacent-step deltas.
-        const bool conservative = group.binding == ScopeKind::Seq &&
-                                  group.children.size() > 1;
-
-        // When this node feeds the register level, retention is
-        // capacity-aware: accesses whose step slice is too large for
-        // the register file are *streamed* — re-fetched every step with
-        // no irrelevant-loop reuse (the over-estimation the paper
-        // itself reports in Sec. 7.1). Small slices are retained.
-        bool feeds_registers = true;
-        for (const ChildInfo& child : group.children)
-            feeds_registers = feeds_registers && child.level <= 0;
-        const int64_t stream_threshold =
-            (!conservative && feeds_registers && level >= 1)
-                ? spec_->level(0).capacityBytes
-                : 0;
-
-        double load = 0.0;
-        double store = 0.0;
-        std::vector<double> child_fill(num_children, 0.0);
-        std::vector<double> child_drain(num_children, 0.0);
-
-        std::vector<PassKind> passes;
-        if (conservative || stream_threshold <= 0)
-            passes = {PassKind::All};
-        else
-            passes = {PassKind::RetainedOnly, PassKind::StreamedOnly};
-
-        // Per (child, leaf, access) in simulateStep's visit order: is
-        // the step slice too large to retain? Only the two-pass split
-        // reads it.
-        std::vector<int64_t> zero(geom.temporalLoops().size(), 0);
-        std::vector<char> streamed;
-        if (passes.size() > 1) {
-            for (const ChildInfo& child : group.children) {
-                if (child.passthrough)
-                    continue;
-                for (const Node* leaf : child.leaves) {
-                    const Operator& op = workload_->op(leaf->op());
-                    for (const auto& access : op.accesses()) {
-                        const int64_t bytes =
-                            geom.slice(leaf, access, zero).volume() *
-                            dataTypeBytes(
-                                workload_->tensor(access.tensor).dtype);
-                        streamed.push_back(4 * bytes > stream_threshold);
-                    }
-                }
-            }
-        }
-
-        StepTraffic traffic(num_children);
-        ResidentTable residents;
-        auto accumulate = [&]() {
-            load += traffic.readBytes;
-            store += traffic.writeBytes;
-            for (size_t j = 0; j < num_children; ++j) {
-                child_fill[j] += traffic.childFill[j];
-                child_drain[j] += traffic.childDrain[j];
-            }
-        };
-        for (PassKind pass : passes) {
-            const bool adjacent =
-                conservative || pass == PassKind::StreamedOnly;
-
-            // Initial (compulsory) step.
-            traffic.reset();
-            residents.clear();
-            simulateStep(*workload_, geom, group, zero, residents,
-                         &traffic, -1, conservative, pass, streamed);
-            accumulate();
-
-            // One boundary type per temporal loop; contributions
-            // arrive pre-weighted by the advance counts. The
-            // compulsory-only mode skips this block entirely — the
-            // totals it returns must stay an in-order subsequence of
-            // the exact accumulation (see compulsoryTile).
-            for (size_t k = 0;
-                 !compulsory_only && k < geom.temporalLoops().size();
-                 ++k) {
-                if (geom.advances(k) == 0)
-                    continue;
-                traffic.reset();
-                residents.clear();
-                simulateStep(*workload_, geom, group,
-                             geom.beforeAdvance(k, adjacent), residents,
-                             nullptr, -1, conservative, pass, streamed);
-                simulateStep(*workload_, geom, group,
-                             geom.afterAdvance(k), residents, &traffic,
-                             int(k), conservative, pass, streamed);
-                accumulate();
-            }
-        }
-
-        // Final write-back of the last resident slices of escaping
-        // written tensors (one per written access, repeated per
-        // execution that actually produced new data).
-        for (size_t j = 0; j < num_children; ++j) {
-            const ChildInfo& child = group.children[j];
-            if (child.passthrough)
-                continue;
-            for (const Node* leaf : child.leaves) {
-                const Operator& op = workload_->op(leaf->op());
-                for (const auto& access : op.accesses()) {
-                    if (!access.isWrite ||
-                        !escapesChild(*workload_, access.tensor, child)) {
-                        continue;
-                    }
-                    const int64_t volume =
-                        geom.slice(leaf, access, zero).volume();
-                    const int64_t elem_bytes = dataTypeBytes(
-                        workload_->tensor(access.tensor).dtype);
-                    const bool streamed_slice =
-                        stream_threshold > 0 &&
-                        4 * (volume * elem_bytes) > stream_threshold;
-                    const double execs =
-                        (conservative || streamed_slice)
-                            ? executions
-                            : relevantExecutions(node, op, access);
-                    const double bytes =
-                        execs * double(volume) * double(elem_bytes);
-                    store += bytes;
-                    child_drain[j] += bytes;
-                }
-            }
-        }
-
-        // All contributions arrive pre-scaled to whole-run totals.
-        DmNodePartial partial;
-        partial.loadBytes = load;
-        partial.storeBytes = store;
-        partial.childFill = std::move(child_fill);
-        partial.childDrain = std::move(child_drain);
-        partial.childLevels.reserve(num_children);
-        for (const ChildInfo& child : group.children)
-            partial.childLevels.push_back(child.level);
-        return partial;
-    }
+    DmScratch scratch;
+    simulateTile(*workload_, *spec_, node, double(executionCount(node)),
+                 /*compulsory_only=*/true, scratch);
+    return std::move(scratch.out);
 }
 
 DataMovementResult
@@ -475,59 +615,57 @@ DataMovementAnalyzer::analyze(const AnalysisTree& tree,
     if (!tree.hasRoot())
         return result;
 
+    const size_t num_dims = workload_->dims().size();
+    TreeSizes sizes;
+    measureTree(*workload_, tree.root(), sizes);
+    DmScratch scratch;
+    reserveScratch(scratch, sizes, num_dims);
+    result.perNode.reserve(sizes.tiles);
+
     // Compute op counts once. The spans are cheap and exact (int64),
     // so op counts are always recomputed, never cached. The
     // compulsory mode leaves them at zero: utilization, their one
     // consumer, is not part of the bound.
-    const std::vector<const Node*> leaves =
-        mode == TrafficMode::Exact ? tree.root()->opLeaves()
-                                   : std::vector<const Node*>{};
-    for (const Node* leaf : leaves) {
-        const Operator& op = workload_->op(leaf->op());
-        const std::vector<int64_t> spans =
-            pathSpans(tree.root(), leaf, workload_->dims().size());
-        double effective = op.opsPerPoint();
-        double padded = op.opsPerPoint();
-        for (DimId dim : op.dims()) {
-            effective *= double(workload_->dim(dim).extent);
-            padded *= double(spans[size_t(dim)]);
-        }
-        result.effectiveOps += effective;
-        result.paddedOps += padded;
-        if (op.kind() == ComputeKind::Matrix)
-            result.effectiveMatrixOps += effective;
+    if (mode == TrafficMode::Exact) {
+        SmallBuffer<int64_t, 16> spans(num_dims, 1);
+        visitOpLeaves(tree.root(), [&](const Node* leaf) {
+            const Operator& op = workload_->op(leaf->op());
+            pathSpans(tree.root(), leaf, num_dims, spans.data());
+            double effective = op.opsPerPoint();
+            double padded = op.opsPerPoint();
+            for (DimId dim : op.dims()) {
+                effective *= double(workload_->dim(dim).extent);
+                padded *= double(spans[size_t(dim)]);
+            }
+            result.effectiveOps += effective;
+            result.paddedOps += padded;
+            if (op.kind() == ComputeKind::Matrix)
+                result.effectiveMatrixOps += effective;
+            return true;
+        });
     }
 
     // Walk all Tile nodes. Cached and fresh partials feed the same
     // accumulation statements in the same traversal order with the
     // same values, so the floating-point totals are bit-identical
     // whether a node's contribution came from the cache or not.
-    std::vector<const Node*> stack{tree.root()};
-    while (!stack.empty()) {
-        const Node* node = stack.back();
-        stack.pop_back();
-        for (const auto& child : node->children())
-            stack.push_back(child.get());
-        if (!node->isTile())
-            continue;
-
+    auto visit = [&](const Node* node) {
+        const double executions = double(executionCount(node));
         const DmNodePartial* partial =
             slots ? slots->dmLookup(node) : nullptr;
-        DmNodePartial computed;
         if (partial == nullptr) {
-            computed = mode == TrafficMode::Exact ? analyzeTile(node)
-                                                  : compulsoryTile(node);
+            simulateTile(*workload_, *spec_, node, executions,
+                         mode == TrafficMode::Compulsory, scratch);
             if (slots)
-                slots->dmRecord(node, computed);
-            partial = &computed;
+                slots->dmRecord(node, scratch.out);
+            partial = &scratch.out;
         }
 
         // The per-node record keeps the per-execution average for the
         // latency model.
-        const double executions = double(executionCount(node));
-        result.perNode[node] =
-            NodeTraffic{partial->loadBytes / executions,
-                        partial->storeBytes / executions};
+        result.perNode.add(node,
+                           NodeTraffic{partial->loadBytes / executions,
+                                       partial->storeBytes / executions});
 
         auto& lvl = result.levels[size_t(node->memLevel())];
         lvl.readBytes += partial->loadBytes;
@@ -540,7 +678,9 @@ DataMovementAnalyzer::analyze(const AnalysisTree& tree,
             clvl.fillBytes += partial->childFill[j];
             clvl.readBytes += partial->childDrain[j];
         }
-    }
+    };
+    visitTilesLastChildFirst(tree.root(), visit);
+    result.perNode.sort();
     return result;
 }
 

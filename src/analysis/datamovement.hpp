@@ -26,10 +26,10 @@
 #ifndef TILEFLOW_ANALYSIS_DATAMOVEMENT_HPP
 #define TILEFLOW_ANALYSIS_DATAMOVEMENT_HPP
 
-#include <map>
 #include <string>
 #include <vector>
 
+#include "analysis/nodetable.hpp"
 #include "arch/arch.hpp"
 #include "core/tree.hpp"
 
@@ -60,8 +60,9 @@ struct DataMovementResult
     /** Per memory level, whole-run byte totals. */
     std::vector<LevelTraffic> levels;
 
-    /** Per Tile node, bytes moved by ONE execution of the node. */
-    std::map<const Node*, NodeTraffic> perNode;
+    /** Per Tile node, bytes moved by ONE execution of the node: one
+     *  entry per Tile node, in node-pointer order. */
+    NodeTable<NodeTraffic> perNode;
 
     /** Arithmetic ops including tiling-padding waste. */
     double paddedOps = 0.0;
@@ -109,7 +110,11 @@ enum class TrafficMode
     Compulsory, ///< compulsoryTile: the lower bound's traffic
 };
 
-/** The Sec. 5.1 analyzer. Stateless apart from workload/arch refs. */
+/**
+ * The Sec. 5.1 analyzer. Stateless apart from workload/arch refs: each
+ * call keeps its working buffers on its own stack, so one analyzer
+ * serves concurrent calls.
+ */
 class DataMovementAnalyzer
 {
   public:
@@ -130,6 +135,13 @@ class DataMovementAnalyzer
      * them): each per-node and per-level total is then an fl-sum of
      * an in-order subsequence of the exact sum's non-negative terms,
      * hence bitwise <= it.
+     *
+     * One scratch serves every Tile node of the call: the node's access
+     * plan (the per-access facts the step simulation reads), the
+     * resident table and the traffic buffers are reserved once for the
+     * whole tree, so the call makes a fixed number of allocations
+     * however many nodes the tree has. A node's partial is copied out
+     * of the scratch only when `slots` records it.
      */
     DataMovementResult analyze(const AnalysisTree& tree,
                                SubtreeSlots* slots = nullptr,
@@ -150,8 +162,6 @@ class DataMovementAnalyzer
     DmNodePartial compulsoryTile(const Node* node) const;
 
   private:
-    DmNodePartial tileImpl(const Node* node, bool compulsory_only) const;
-
     const Workload* workload_;
     const ArchSpec* spec_;
 };

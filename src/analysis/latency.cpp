@@ -171,7 +171,7 @@ latencyOf(const LatencyContext& ctx, const Node* node)
     }
 
     if (ctx.withMemory) {
-        ctx.result->nodeCycles[node] = lat;
+        ctx.result->nodeCycles.add(node, lat);
         ctx.result->levelAccessCycles[size_t(node->memLevel())] +=
             double(executionCount(node)) * (load_cycles + store_cycles);
     }
@@ -201,8 +201,12 @@ LatencyModel::analyze(const AnalysisTree& tree,
     if (!tree.hasRoot())
         return result;
 
+    // The memory pass visits each Tile node once, as the data-movement
+    // pass did.
+    result.nodeCycles.reserve(dm.perNode.size());
     LatencyContext ctx{workload_, spec_, &dm, &result, true, slots};
     result.cycles = latencyOf(ctx, tree.root());
+    result.nodeCycles.sort();
 
     LatencyContext pure{workload_, spec_, &dm, &result, false, slots};
     result.computeCycles = latencyOf(pure, tree.root());

@@ -18,10 +18,10 @@
 #ifndef TILEFLOW_ANALYSIS_LATENCY_HPP
 #define TILEFLOW_ANALYSIS_LATENCY_HPP
 
-#include <map>
 #include <vector>
 
 #include "analysis/datamovement.hpp"
+#include "analysis/nodetable.hpp"
 #include "arch/arch.hpp"
 #include "core/tree.hpp"
 
@@ -38,8 +38,9 @@ struct LatencyResult
     /** Cycles if memory were infinitely fast (compute-bound term). */
     double computeCycles = 0.0;
 
-    /** Per Tile node: cycles of ONE execution. */
-    std::map<const Node*, double> nodeCycles;
+    /** Per Tile node: cycles of ONE execution, in node-pointer order
+     *  (the memory pass adds one entry per Tile node). */
+    NodeTable<double> nodeCycles;
 
     /**
      * Per memory level: total cycles the level spends moving data

@@ -105,6 +105,16 @@ usageOf(const Workload& workload, const Node* node)
     return usage;
 }
 
+/** The buffers of stepFootprint, reused from Tile node to Tile node
+ *  within one call. */
+struct FootprintScratch
+{
+    StepGeometry geom;
+    std::vector<int64_t> zero;
+    std::vector<std::pair<TensorId, HyperRect>> slices;
+    std::vector<HyperRect> rects;
+};
+
 /**
  * Footprint in bytes of one temporal step of `tile` — the data its
  * children stage in the next-inner buffer level (Seq taking the max
@@ -115,14 +125,15 @@ usageOf(const Workload& workload, const Node* node)
  */
 int64_t
 stepFootprint(const Workload& workload, const Node* tile,
-              bool exact = true)
+              FootprintScratch& scratch, bool exact = true)
 {
     // At level 0 the tile's spatial loops are the PE array itself and
     // one register file serves all of it, so spatial spans count; at
     // higher tiles spatial loops address separate buffer instances and
     // the per-instance share is what must fit.
-    const StepGeometry geom(workload, tile,
-                            /*include_node_spatial=*/tile->memLevel() == 0);
+    StepGeometry& geom = scratch.geom;
+    geom.reset(workload, tile,
+               /*include_node_spatial=*/tile->memLevel() == 0);
 
     // The tile's content: a single Scope child's children under its
     // binding, otherwise the tile's own children under Seq.
@@ -133,10 +144,10 @@ stepFootprint(const Workload& workload, const Node* tile,
         content = tile->child(0);
     }
 
-    const std::vector<int64_t> zero(geom.temporalLoops().size(), 0);
-
-    std::vector<std::pair<TensorId, HyperRect>> slices;
-    std::vector<HyperRect> rects;
+    std::vector<int64_t>& zero = scratch.zero;
+    zero.assign(geom.temporalLoops().size(), 0);
+    std::vector<std::pair<TensorId, HyperRect>>& slices = scratch.slices;
+    std::vector<HyperRect>& rects = scratch.rects;
     int64_t total = 0;
     for (const auto& owned : content->children()) {
         const Node* child = owned.get();
@@ -221,13 +232,15 @@ stepFootprint(const Workload& workload, const Node* tile,
 int64_t
 ResourceAnalyzer::tileStepFootprint(const Node* tile) const
 {
-    return stepFootprint(*workload_, tile);
+    FootprintScratch scratch;
+    return stepFootprint(*workload_, tile, scratch);
 }
 
 int64_t
 ResourceAnalyzer::tileStepFootprintLowerBound(const Node* tile) const
 {
-    return stepFootprint(*workload_, tile, /*exact=*/false);
+    FootprintScratch scratch;
+    return stepFootprint(*workload_, tile, scratch, /*exact=*/false);
 }
 
 ResourceResult
@@ -274,7 +287,9 @@ ResourceAnalyzer::analyze(const AnalysisTree& tree, bool enforce_memory,
             spec_->totalSubCores()));
     }
 
-    // Footprints + per-node spatial fanout checks.
+    // Footprints + per-node spatial fanout checks, with one set of
+    // footprint buffers for every Tile node of the walk.
+    FootprintScratch scratch;
     std::vector<const Node*> stack{tree.root()};
     while (!stack.empty()) {
         const Node* node = stack.back();
@@ -291,7 +306,7 @@ ResourceAnalyzer::analyze(const AnalysisTree& tree, bool enforce_memory,
             slots ? slots->footprintLookup(node) : nullptr;
         int64_t fp = 0;
         if (cached == nullptr) {
-            fp = stepFootprint(*workload_, node);
+            fp = stepFootprint(*workload_, node, scratch);
             if (slots)
                 slots->footprintRecord(node, fp);
         } else {

@@ -10,19 +10,38 @@ namespace tileflow {
 
 StepGeometry::StepGeometry(const Workload& workload, const Node* node,
                            bool include_node_spatial)
-    : workload_(&workload), node_(node)
+{
+    reset(workload, node, include_node_spatial);
+}
+
+void
+StepGeometry::reserve(size_t temporal_loops, size_t leaves,
+                      size_t num_dims)
+{
+    temporal_.reserve(temporal_loops);
+    units_.reserve(num_dims);
+    leaves_.reserve(leaves);
+    leafSpans_.reserve(leaves * num_dims);
+}
+
+void
+StepGeometry::reset(const Workload& workload, const Node* node,
+                    bool include_node_spatial)
 {
     if (!node->isTile())
         panic("StepGeometry: node must be a Tile");
     static Counter& built =
         MetricsRegistry::global().counter("analysis.step_geometries");
     built.add();
+    workload_ = &workload;
+    node_ = node;
 
     const size_t num_dims = workload.dims().size();
     units_.assign(num_dims, 1);
 
     SmallBuffer<int64_t, 16> full_spatial(num_dims, 1);
     SmallBuffer<int64_t, 16> spatial_span(num_dims, 1);
+    temporal_.clear();
     temporal_.reserve(node->loops().size());
     for (const Loop& loop : node->loops()) {
         if (loop.isTemporal()) {
@@ -39,6 +58,8 @@ StepGeometry::StepGeometry(const Workload& workload, const Node* node,
         ++num_leaves;
         return true;
     });
+    leaves_.clear();
+    leafSpans_.clear();
     leaves_.reserve(num_leaves);
     leafSpans_.reserve(num_leaves * num_dims);
 
@@ -100,8 +121,22 @@ HyperRect
 StepGeometry::slice(const Node* leaf, const TensorAccess& access,
                     const std::vector<int64_t>& temporal_idx) const
 {
-    static const std::vector<int64_t> no_base;
-    return slice(leaf, access, temporal_idx, no_base);
+    return slice(workload_->op(leaf->op()), access, spanRow(leaf),
+                 temporal_idx);
+}
+
+HyperRect
+StepGeometry::slice(const Operator& op, const TensorAccess& access,
+                    const int64_t* span_row,
+                    const std::vector<int64_t>& temporal_idx) const
+{
+    SmallBuffer<int64_t, 16> base(units_.size(), 0);
+    for (size_t k = 0; k < temporal_.size(); ++k) {
+        const Loop& loop = temporal_[k];
+        base[size_t(loop.dim)] +=
+            temporal_idx[k] * units_[size_t(loop.dim)];
+    }
+    return op.sliceOf(access, base.data(), span_row);
 }
 
 HyperRect
@@ -127,23 +162,22 @@ StepGeometry::slice(const Node* leaf, const TensorAccess& access,
     return op.sliceOf(access, base.data(), spanRow(leaf));
 }
 
-std::vector<int64_t>
-StepGeometry::beforeAdvance(size_t k, bool conservative) const
+void
+StepGeometry::beforeAdvance(size_t k, bool conservative,
+                            std::vector<int64_t>& idx) const
 {
-    std::vector<int64_t> idx(temporal_.size(), 0);
+    idx.assign(temporal_.size(), 0);
     if (conservative) {
         for (size_t j = k + 1; j < temporal_.size(); ++j)
             idx[j] = temporal_[j].extent - 1;
     }
-    return idx;
 }
 
-std::vector<int64_t>
-StepGeometry::afterAdvance(size_t k) const
+void
+StepGeometry::afterAdvance(size_t k, std::vector<int64_t>& idx) const
 {
-    std::vector<int64_t> idx(temporal_.size(), 0);
+    idx.assign(temporal_.size(), 0);
     idx[k] = 1;
-    return idx;
 }
 
 std::vector<int64_t>

@@ -30,11 +30,15 @@ namespace tileflow {
 
 /**
  * Cached per-node geometry used by the data-movement and resource
- * analyses. Constructed once per (tree, node).
+ * analyses. Constructed once per (tree, node), or reset() onto each
+ * node in turn to reuse its buffers.
  */
 class StepGeometry
 {
   public:
+    /** An empty geometry, to reset() onto a node before use. */
+    StepGeometry() = default;
+
     /**
      * @param workload the tree's workload
      * @param node a Tile node of the tree
@@ -45,6 +49,16 @@ class StepGeometry
      */
     StepGeometry(const Workload& workload, const Node* node,
                  bool include_node_spatial = true);
+
+    /** Rebuild for `node` (same arguments as the constructor), keeping
+     *  the buffers' capacity. */
+    void reset(const Workload& workload, const Node* node,
+               bool include_node_spatial = true);
+
+    /** Reserve room for nodes of up to `temporal_loops` temporal
+     *  loops and `leaves` Op leaves over `num_dims` workload dims, so
+     *  that reset() onto such nodes allocates nothing. */
+    void reserve(size_t temporal_loops, size_t leaves, size_t num_dims);
 
     const Node* node() const { return node_; }
 
@@ -58,6 +72,15 @@ class StepGeometry
      * sound because boundary deltas are translation invariant.
      */
     HyperRect slice(const Node* leaf, const TensorAccess& access,
+                    const std::vector<int64_t>& temporal_idx) const;
+
+    /**
+     * Same, for a leaf running `op` whose span row (spanRow) the caller
+     * looked up once: a caller that slices one leaf at many steps skips
+     * the per-call leaf search.
+     */
+    HyperRect slice(const Operator& op, const TensorAccess& access,
+                    const int64_t* span_row,
                     const std::vector<int64_t>& temporal_idx) const;
 
     /**
@@ -81,9 +104,13 @@ class StepGeometry
      */
     std::vector<int64_t> leafSpan(const Node* leaf) const;
 
+    /** The leafSpan of `leaf` in place, one entry per workload dim;
+     *  valid until the next reset(). */
+    const int64_t* spanRow(const Node* leaf) const;
+
     /**
-     * Index vector for the step just *before* temporal loop `k`
-     * (position into temporalLoops()) advances.
+     * Write into `idx` the index vector for the step just *before*
+     * temporal loop `k` (position into temporalLoops()) advances.
      *
      * Phase-matched (default): inner loops at 0, so the boundary delta
      * isolates the movement caused by loop k alone — the convention
@@ -92,11 +119,12 @@ class StepGeometry
      * adjacent-step reading of Sec. 5.1.1, which assumes replacement
      * on every outer iteration).
      */
-    std::vector<int64_t> beforeAdvance(size_t k,
-                                       bool conservative = false) const;
+    void beforeAdvance(size_t k, bool conservative,
+                       std::vector<int64_t>& idx) const;
 
-    /** Index vector just *after* loop k advances: k at 1, inner at 0. */
-    std::vector<int64_t> afterAdvance(size_t k) const;
+    /** Write into `idx` the index vector just *after* loop k advances:
+     *  k at 1, inner at 0. */
+    void afterAdvance(size_t k, std::vector<int64_t>& idx) const;
 
     /** Index vector of the last step (all loops at extent - 1). */
     std::vector<int64_t> lastStep() const;
@@ -118,10 +146,8 @@ class StepGeometry
                         const TensorAccess& access) const;
 
   private:
-    const int64_t* spanRow(const Node* leaf) const;
-
-    const Workload* workload_;
-    const Node* node_;
+    const Workload* workload_ = nullptr;
+    const Node* node_ = nullptr;
     std::vector<Loop> temporal_;
     std::vector<int64_t> units_;        // per workload dim
     std::vector<const Node*> leaves_;   // the node's Op leaves

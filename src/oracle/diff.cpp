@@ -49,6 +49,7 @@ anyStreamedAccess(const Workload& workload, const ArchSpec& spec,
                   const AnalysisTree& tree)
 {
     std::vector<const Node*> stack{tree.root()};
+    ChildGroup group;
     while (!stack.empty()) {
         const Node* node = stack.back();
         stack.pop_back();
@@ -57,7 +58,7 @@ anyStreamedAccess(const Workload& workload, const ArchSpec& spec,
         if (!node->isTile())
             continue;
 
-        const ChildGroup group = childGroupOf(node);
+        childGroupOf(node, group);
         const bool conservative = group.binding == ScopeKind::Seq &&
                                   group.children.size() > 1;
         bool feeds_registers = true;

@@ -130,9 +130,9 @@ struct TileInterp
     TileInterp(const Workload& wl, const OracleLimits& lim,
                const Node* tile)
         : workload(wl), limits(lim), node(tile), geom(wl, tile),
-          fpGeom(wl, tile, /*include_node_spatial=*/tile->memLevel() == 0),
-          group(childGroupOf(tile))
+          fpGeom(wl, tile, /*include_node_spatial=*/tile->memLevel() == 0)
     {
+        childGroupOf(tile, group);
         childFill.assign(group.children.size(), 0.0);
         childDrain.assign(group.children.size(), 0.0);
 

@@ -7,9 +7,11 @@
  * binary checks that none of that allocates: validateTree on a tree it
  * has nothing to report about, LowerBoundEvaluator::screen when it
  * prunes at the roofline, and the workload's producer/consumer
- * lookups. It runs over seeded draws from the benchmark's mapping
- * spaces (Bert-S/B attention on Edge and Cloud, the CC1 conv chain on
- * Cloud and Edge, fig4.wl on Edge and tpu_like.arch) and over every
+ * lookups. A full data-movement analysis does allocate (its result and
+ * its scratch), but a fixed number of times however large the tree
+ * is. It runs over seeded draws from the benchmark's mapping spaces
+ * (Bert-S/B attention on Edge and Cloud, the CC1 conv chain on Cloud
+ * and Edge, fig4.wl on Edge and tpu_like.arch) and over every
  * differential-fuzz family.
  *
  * It is a binary of its own because it replaces the global operator
@@ -18,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -26,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/datamovement.hpp"
 #include "analysis/evaluator.hpp"
 #include "analysis/latency.hpp"
 #include "analysis/lowerbound.hpp"
@@ -311,6 +315,54 @@ TEST(AllocGate, ProducerAndConsumerLookupsAllocateNothing)
         expectLookupsAllocateNothing(*s.workload);
     for (uint64_t i = 0; i < 16; ++i)
         expectLookupsAllocateNothing(*makeFuzzCase(2024, i).workload);
+}
+
+/**
+ * Allocations of one exact DataMovementAnalyzer::analyze call, with
+ * no slots: the result's `levels` and per-node table (2), plus the
+ * per-call scratch, each of whose buffers is reserved once for the
+ * whole tree: the step geometry (4), the child group (2), the access
+ * plan, its per-child row offsets and its advance weights (3), the
+ * resident table (1), the per-step and per-node child byte vectors
+ * (2 + 3) and the two loop-index vectors (2). A buffer that stays
+ * empty allocates nothing, so this is a cap, not an exact count.
+ */
+constexpr uint64_t kDataMovementAllocCap = 19;
+
+/** Allocations of analyze(tree) after one warm-up call. */
+uint64_t
+dataMovementAllocations(const DataMovementAnalyzer& analyzer,
+                        const AnalysisTree& tree)
+{
+    analyzer.analyze(tree); // warm the function statics
+    return allocationsOf([&] { (void)analyzer.analyze(tree); });
+}
+
+TEST(AllocGate, DataMovementAnalyzeAllocationsDoNotScaleWithTheTree)
+{
+    uint64_t seed = 1;
+    for (const Space& s : benchmarkSpaces()) {
+        SCOPED_TRACE(s.label);
+        const DataMovementAnalyzer analyzer(*s.workload, *s.arch);
+        uint64_t most = 0;
+        for (const AnalysisTree& tree : drawTrees(s, seed++)) {
+            const uint64_t n = dataMovementAllocations(analyzer, tree);
+            EXPECT_LE(n, kDataMovementAllocCap) << tree.str();
+            most = std::max(most, n);
+        }
+        EXPECT_GT(most, 0u); // the counter sees the result's buffers
+    }
+    const ArchSpec spec = makeValidationArch();
+    std::set<int> kinds;
+    for (uint64_t i = 0; i < kFuzzCases; ++i) {
+        const FuzzCase c = makeFuzzCase(/*seed=*/2024, i);
+        SCOPED_TRACE(c.summary);
+        const DataMovementAnalyzer analyzer(*c.workload, spec);
+        EXPECT_LE(dataMovementAllocations(analyzer, *c.tree),
+                  kDataMovementAllocCap);
+        kinds.insert(c.kind);
+    }
+    EXPECT_EQ(kinds.size(), 7u);
 }
 
 TEST(AllocGate, CounterSeesTheLibrarysAllocations)

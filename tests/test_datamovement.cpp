@@ -9,15 +9,24 @@
 #include <cstring>
 #include <iomanip>
 #include <optional>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/datamovement.hpp"
+#include "analysis/evaluator.hpp"
 #include "arch/presets.hpp"
+#include "common/rng.hpp"
 #include "core/notation.hpp"
 #include "core/validate.hpp"
 #include "frontend/workloadspec.hpp"
 #include "ir/builders.hpp"
+#include "ir/shapes.hpp"
+#include "mapper/encoding.hpp"
 
 namespace tileflow {
 namespace {
@@ -204,6 +213,397 @@ TEST(DataMovement, SeqEvictionDrainsInResidentKeyOrder)
     const double big = std::ldexp(1.0, 54);
     const double reversed = (((((0.0 + 4.0) + 2.0) + big) + big) + 2.0) + 4.0;
     EXPECT_NE(reversed, expected);
+}
+
+/** The workload of a spec text; throws (failing the test) with the
+ *  rendered diagnostics if it does not parse. */
+Workload
+specWorkload(const std::string& text)
+{
+    DiagnosticEngine diags;
+    std::optional<Workload> workload = parseWorkloadSpec(text, diags);
+    if (!workload)
+        throw std::runtime_error(diags.render(text, "case.wl"));
+    return std::move(*workload);
+}
+
+/** Bitwise equality of two doubles (no tolerance, -0.0 != 0.0). */
+void
+expectBits(double actual, double expected, const char* what)
+{
+    EXPECT_EQ(std::memcmp(&actual, &expected, sizeof actual), 0)
+        << what << ": " << std::setprecision(17) << actual
+        << " != " << expected;
+}
+
+/** Pin every field of `partial` to exact values. */
+void
+expectPartial(const DmNodePartial& partial, double load, double store,
+              const std::vector<double>& fill,
+              const std::vector<double>& drain,
+              const std::vector<int>& levels)
+{
+    expectBits(partial.loadBytes, load, "loadBytes");
+    expectBits(partial.storeBytes, store, "storeBytes");
+    ASSERT_EQ(partial.childFill.size(), fill.size());
+    ASSERT_EQ(partial.childDrain.size(), drain.size());
+    for (size_t j = 0; j < fill.size(); ++j) {
+        SCOPED_TRACE(j);
+        expectBits(partial.childFill[j], fill[j], "childFill");
+        expectBits(partial.childDrain[j], drain[j], "childDrain");
+    }
+    EXPECT_EQ(partial.childLevels, levels);
+}
+
+TEST(DataMovement, RegisterFeedingNodeSplitsRetainedAndStreamedAccesses)
+{
+    // An L1 node feeding the 16 KiB register file: the step slices of
+    // A and B are 16x256 fp16 = 8 KiB each, over a quarter of the
+    // file, so they stream (re-fetched every step, uniform weights);
+    // C's 16x16 slice is retained (relevant-loop weights). Both passes
+    // of the split run under the one node.
+    const Workload workload = buildMatmul("mm", 64, 64, 256);
+    const ArchSpec spec = makeValidationArch();
+    const AnalysisTree tree = parseNotation(workload, R"(
+        tile @L1 [i:t4, j:t4] {
+          tile @L0 [i:s16, j:s16, k:t256] { op matmul }
+        }
+    )");
+    const DmNodePartial partial =
+        DataMovementAnalyzer(workload, spec).analyzeTile(tree.root());
+    // Streamed, with adjacent-step deltas: B is refetched at each of
+    // the 16 steps and A at each of the 4 values of i, 20 x 8 KiB.
+    // (Retained, each would be fetched 4 times: 64 KiB in all.)
+    // Retained C drains each of its 16 tiles once: 16 x 512 B.
+    expectPartial(partial, 163840.0, 8192.0, {163840.0}, {8192.0}, {0});
+}
+
+TEST(DataMovement, SeqEvictionMovesOwnershipToTheNextChild)
+{
+    // p and q both read X: when q starts, p's resident X moves to q
+    // (no refetch), so q's fill is zero at every step.
+    const Workload workload = specWorkload(R"(
+        workload "seqmove" {
+          dim c 8
+          tensor X [c]
+          tensor P [c]
+          tensor Q [c]
+          op p vector {
+            dims c
+            read X [c]
+            write P [c]
+          }
+          op q vector {
+            dims c
+            read X [c]
+            write Q [c]
+          }
+        }
+    )");
+    const ArchSpec spec = makeValidationArch();
+    const AnalysisTree tree = parseNotation(workload, R"(
+        tile @L1 [c:t2] {
+          seq {
+            tile @L0 [c:t4] { op p }
+            tile @L0 [c:t4] { op q }
+          }
+        }
+    )");
+    const DmNodePartial partial =
+        DataMovementAnalyzer(workload, spec).analyzeTile(tree.root());
+    // X (8 elements, fp16) is filled once, into p; P and Q drain one
+    // 4-element slice per eviction and at the final write-back.
+    expectPartial(partial, 16.0, 40.0, {16.0, 0.0}, {24.0, 16.0}, {0, 0});
+}
+
+TEST(DataMovement, SeqEvictionDrainsADirtyResident)
+{
+    // p's output P is dirty when q starts and q does not use it, so
+    // the eviction writes it upward; q's own output drains only at
+    // the final write-back.
+    const Workload workload = specWorkload(R"(
+        workload "seqdirty" {
+          dim c 8
+          tensor X [c]
+          tensor Y [c]
+          tensor P [c]
+          tensor Q [c]
+          op p vector {
+            dims c
+            read X [c]
+            write P [c]
+          }
+          op q vector {
+            dims c
+            read Y [c]
+            write Q [c]
+          }
+        }
+    )");
+    const ArchSpec spec = makeValidationArch();
+    const AnalysisTree tree = parseNotation(workload, R"(
+        tile @L1 [c:t2] {
+          seq {
+            tile @L0 [c:t4] { op p }
+            tile @L0 [c:t4] { op q }
+          }
+        }
+    )");
+    const DmNodePartial partial =
+        DataMovementAnalyzer(workload, spec).analyzeTile(tree.root());
+    // P: evicted dirty when q starts, at both steps (2 x 8 B), plus
+    // the final write-back (8 B); Q: evicted when p starts the second
+    // step, plus the final write-back.
+    expectPartial(partial, 32.0, 40.0, {16.0, 16.0}, {24.0, 16.0}, {0, 0});
+}
+
+TEST(DataMovement, ReadReplacingADirtyResidentDrainsIt)
+{
+    // a writes T and b reads it next under Seq: a's dirty T moves to
+    // b. When b's slice of T is a different rectangle, b's read
+    // displaces the dirty data, which drains upward; with the same
+    // rectangle it stays dirty in place and drains nothing there.
+    const Workload workload = specWorkload(R"(
+        workload "readdirty" {
+          dim i 16
+          tensor X [i]
+          tensor T [i]
+          tensor U [i]
+          op a vector {
+            dims i
+            read X [i]
+            write T [i]
+          }
+          op b vector {
+            dims i
+            read T [i]
+            write U [i]
+          }
+        }
+    )");
+    const ArchSpec spec = makeValidationArch();
+    const DataMovementAnalyzer analyzer(workload, spec);
+    const AnalysisTree displaced = parseNotation(workload, R"(
+        tile @L1 [i:t4] {
+          seq {
+            tile @L0 [i:t4] { op a }
+            tile @L0 [i:t2] { op b }
+          }
+        }
+    )");
+    // b's read drains the dirty 4-element T slice at each of the 4
+    // steps (32 B); T itself then drains only at a's final write-back.
+    expectPartial(analyzer.analyzeTile(displaced.root()), 32.0, 56.0,
+                  {32.0, 0.0}, {8.0, 48.0}, {0, 0});
+    const AnalysisTree in_place = parseNotation(workload, R"(
+        tile @L1 [i:t4] {
+          seq {
+            tile @L0 [i:t4] { op a }
+            tile @L0 [i:t4] { op b }
+          }
+        }
+    )");
+    // T stays dirty, moves back to a, and drains when a overwrites it.
+    expectPartial(analyzer.analyzeTile(in_place.root()), 32.0, 64.0,
+                  {32.0, 0.0}, {32.0, 32.0}, {0, 0});
+}
+
+TEST(DataMovement, PassthroughChildMovesNothingAtItsParent)
+{
+    // The first child is declared at its parent's level: it manages
+    // its own L1 traffic, and the parent moves nothing for it.
+    const Workload workload = buildMatmulExp("me", 64, 64, 64);
+    const ArchSpec spec = makeValidationArch();
+    const AnalysisTree tree = parseNotation(workload, R"(
+        tile @L1 [] {
+          seq {
+            tile @L1 [i:t4] {
+              tile @L0 [i:s16, j:s16, k:t64] { op matmul }
+            }
+            tile @L0 [i:t64, j:t64] { op exp }
+          }
+        }
+    )");
+    const DataMovementAnalyzer analyzer(workload, spec);
+    const DmNodePartial partial = analyzer.analyzeTile(tree.root());
+    // Only exp's child moves data at the parent: C in, E out (64x64
+    // fp16 each).
+    expectPartial(partial, 8192.0, 8192.0, {0.0, 8192.0}, {0.0, 8192.0},
+                  {1, 0});
+    // The passthrough child's own traffic still reaches the levels.
+    const DataMovementResult dm = analyzer.analyze(tree);
+    expectBits(dm.levels[1].readBytes, 18432.0, "L1 read");
+    expectBits(dm.levels[1].updateBytes, 10240.0, "L1 update");
+    expectBits(dm.levels[0].fillBytes, 18432.0, "L0 fill");
+    expectBits(dm.levels[0].readBytes, 28672.0, "L0 read");
+}
+
+TEST(DataMovement, CompulsoryTileIsBelowAnalyzeTilePerField)
+{
+    // Every byte total of compulsoryTile is an in-order subsequence of
+    // analyzeTile's non-negative terms, so it is <= field by field;
+    // on these trees the revisit traffic makes some field strictly
+    // larger.
+    const Workload mm = buildMatmul("mm", 64, 64, 256);
+    const Workload me = buildMatmulExp("me", 256, 256, 256);
+    const ArchSpec spec = makeValidationArch();
+    std::vector<std::pair<const Workload*, AnalysisTree>> cases;
+    cases.emplace_back(&mm, parseNotation(mm, R"(
+        tile @L1 [k:t4, i:t4, j:t4] {
+          tile @L0 [i:s16, j:s16, k:t64] { op matmul }
+        }
+    )"));
+    cases.emplace_back(&mm, parseNotation(mm, R"(
+        tile @L1 [i:t4, j:t4] {
+          tile @L0 [i:s16, j:s16, k:t256] { op matmul }
+        }
+    )"));
+    cases.emplace_back(&me, parseNotation(me, R"(
+        tile @L1 [i:t16, j:t16] {
+          seq {
+            tile @L0 [i:s16, j:s16, k:t256] { op matmul }
+            tile @L0 [i:s16, j:t16]         { op exp }
+          }
+        }
+    )"));
+    for (const auto& [workload, tree] : cases) {
+        SCOPED_TRACE(tree.str());
+        const DataMovementAnalyzer analyzer(*workload, spec);
+        const DmNodePartial exact = analyzer.analyzeTile(tree.root());
+        const DmNodePartial floor = analyzer.compulsoryTile(tree.root());
+        EXPECT_LE(floor.loadBytes, exact.loadBytes);
+        EXPECT_LE(floor.storeBytes, exact.storeBytes);
+        ASSERT_EQ(floor.childFill.size(), exact.childFill.size());
+        ASSERT_EQ(floor.childDrain.size(), exact.childDrain.size());
+        for (size_t j = 0; j < exact.childFill.size(); ++j) {
+            EXPECT_LE(floor.childFill[j], exact.childFill[j]);
+            EXPECT_LE(floor.childDrain[j], exact.childDrain[j]);
+        }
+        EXPECT_EQ(floor.childLevels, exact.childLevels);
+        EXPECT_LT(floor.loadBytes + floor.storeBytes,
+                  exact.loadBytes + exact.storeBytes);
+    }
+    // The exact and compulsory (load, store) of each case.
+    const double pinned[3][4] = {{65536.0, 31232.0, 4096.0, 512.0},
+                                 {163840.0, 8192.0, 16384.0, 512.0},
+                                 {4194304.0, 262144.0, 16384.0, 1024.0}};
+    for (size_t c = 0; c < cases.size(); ++c) {
+        SCOPED_TRACE(c);
+        const DataMovementAnalyzer analyzer(*cases[c].first, spec);
+        const Node* root = cases[c].second.root();
+        const DmNodePartial exact = analyzer.analyzeTile(root);
+        const DmNodePartial floor = analyzer.compulsoryTile(root);
+        expectBits(exact.loadBytes, pinned[c][0], "exact load");
+        expectBits(exact.storeBytes, pinned[c][1], "exact store");
+        expectBits(floor.loadBytes, pinned[c][2], "compulsory load");
+        expectBits(floor.storeBytes, pinned[c][3], "compulsory store");
+    }
+}
+
+/** Bitwise equality of two evaluations' numbers, or the first field
+ *  that differs. */
+std::string
+firstDifference(const EvalResult& a, const EvalResult& b)
+{
+    auto same = [](double x, double y) {
+        return std::memcmp(&x, &y, sizeof x) == 0;
+    };
+    if (a.valid != b.valid)
+        return "valid";
+    if (!same(a.cycles, b.cycles) || !same(a.energyPJ, b.energyPJ))
+        return "cycles/energy";
+    if (a.dm.levels.size() != b.dm.levels.size())
+        return "levels";
+    for (size_t i = 0; i < a.dm.levels.size(); ++i) {
+        const LevelTraffic& x = a.dm.levels[i];
+        const LevelTraffic& y = b.dm.levels[i];
+        if (!same(x.readBytes, y.readBytes) ||
+            !same(x.fillBytes, y.fillBytes) ||
+            !same(x.updateBytes, y.updateBytes))
+            return "level traffic";
+    }
+    if (a.dm.perNode.size() != b.dm.perNode.size())
+        return "perNode size";
+    for (auto x = a.dm.perNode.begin(), y = b.dm.perNode.begin();
+         x != a.dm.perNode.end(); ++x, ++y) {
+        if (x->first != y->first ||
+            !same(x->second.loadBytes, y->second.loadBytes) ||
+            !same(x->second.storeBytes, y->second.storeBytes))
+            return "perNode";
+    }
+    if (a.latency.nodeCycles.size() != b.latency.nodeCycles.size())
+        return "nodeCycles size";
+    for (auto x = a.latency.nodeCycles.begin(),
+              y = b.latency.nodeCycles.begin();
+         x != a.latency.nodeCycles.end(); ++x, ++y) {
+        if (x->first != y->first || !same(x->second, y->second))
+            return "nodeCycles";
+    }
+    return "";
+}
+
+TEST(DataMovement, ConcurrentAnalyzeOnOneAnalyzerIsBitIdentical)
+{
+    // Mapper workers share one Evaluator, so the analyzers must keep
+    // their per-call scratch out of shared state. Four threads
+    // evaluate the same seeded draws, each from its own starting
+    // point, and must match a serial pass bit for bit.
+    const Workload attention =
+        buildAttention(attentionShape("Bert-S"), false);
+    const Workload chain = buildConvChain(convChainShape("CC1"));
+    const ArchSpec edge = makeEdgeArch();
+    const ArchSpec cloud = makeCloudArch();
+    const Evaluator attention_model(attention, edge);
+    const Evaluator chain_model(chain, cloud);
+    const MappingSpace attention_space =
+        makeAttentionSpace(attention, edge);
+    const MappingSpace chain_space = makeConvChainSpace(chain, cloud);
+
+    struct Draw
+    {
+        const Evaluator* model;
+        AnalysisTree tree;
+        EvalResult serial;
+    };
+    std::vector<Draw> draws;
+    Rng rng(23);
+    for (int i = 0; i < 48; ++i) {
+        const bool attn = i % 2 == 0;
+        const MappingSpace& space = attn ? attention_space : chain_space;
+        std::vector<int64_t> choices;
+        for (const Knob& knob : space.knobs()) {
+            const int64_t last = int64_t(knob.choices.size()) - 1;
+            choices.push_back(
+                knob.choices[size_t(rng.uniformInt(0, last))]);
+        }
+        draws.push_back(Draw{attn ? &attention_model : &chain_model,
+                             space.build(choices), EvalResult{}});
+    }
+    int valid = 0;
+    for (Draw& d : draws) {
+        d.serial = d.model->evaluate(d.tree);
+        valid += d.serial.valid ? 1 : 0;
+    }
+    ASSERT_GT(valid, 0);
+
+    constexpr size_t kThreads = 4;
+    std::vector<std::string> mismatch(kThreads);
+    std::vector<std::thread> workers;
+    for (size_t t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+            for (size_t n = 0; n < draws.size(); ++n) {
+                const Draw& d = draws[(n + t * 11) % draws.size()];
+                const std::string diff =
+                    firstDifference(d.model->evaluate(d.tree), d.serial);
+                if (!diff.empty() && mismatch[t].empty())
+                    mismatch[t] = diff + " differs on\n" + d.tree.str();
+            }
+        });
+    }
+    for (std::thread& w : workers)
+        w.join();
+    for (size_t t = 0; t < kThreads; ++t)
+        EXPECT_EQ(mismatch[t], "") << "thread " << t;
 }
 
 } // namespace
