@@ -1,6 +1,6 @@
 /**
  * @file
- * Memory-budget robustness bench (DESIGN.md §12): the same attention
+ * Memory-budget robustness bench (DESIGN.md §11): the same attention
  * search run three ways —
  *
  *   baseline   budget disabled (the pre-existing behavior),

@@ -41,7 +41,7 @@
  * workload's structure doesn't fit it.
  *
  * --mem-soft-mb / --mem-hard-mb arm the process-wide memory budget
- * (DESIGN.md §12): at soft pressure the caches halve their caps and
+ * (DESIGN.md §11): at soft pressure the caches halve their caps and
  * evict (hit rates change, results don't); at hard pressure caches
  * flush and in-flight evaluations fail as tagged-infeasible "oom"
  * entries instead of crashing the search. The TILEFLOW_MEM_SOFT_MB /
@@ -251,7 +251,7 @@ main(int argc, char** argv)
     // run falls through to telemetry export with best-so-far. A
     // second signal kills the process immediately.
     static CancellationToken cancel;
-    installStopSignalHandlers(&cancel, true);
+    installStopSignalHandlers(&cancel);
     cfg.cancel = &cancel;
 
     try {

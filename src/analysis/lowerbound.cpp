@@ -2,7 +2,6 @@
 
 #include <atomic>
 
-#include "analysis/childgroup.hpp"
 #include "analysis/datamovement.hpp"
 #include "analysis/latency.hpp"
 #include "analysis/resource.hpp"
@@ -29,41 +28,22 @@ bool
 LowerBoundEvaluator::capacityRejects(const AnalysisTree& tree,
                                      std::string* reason) const
 {
-    if (!options_.enforceMemory || !tree.hasRoot())
+    if (!options_.enforceMemory)
         return false;
-
-    const ResourceAnalyzer resource(*workload_, *spec_);
-
-    // Same walk, child-level attribution and reject condition as
-    // ResourceAnalyzer::analyze — only the per-tile footprint is the
-    // cheap lower bound. fp_lb <= fp_exact (both exact int64), so a
-    // reject here implies the full analyzer records the violation.
-    std::vector<const Node*> stack{tree.root()};
-    while (!stack.empty()) {
-        const Node* node = stack.back();
-        stack.pop_back();
-        for (const auto& child : node->children())
-            stack.push_back(child.get());
-        if (!node->isTile())
-            continue;
-
-        const int child_level = stagingLevel(node);
-        const MemLevel& mem = spec_->level(child_level);
-        if (mem.capacityBytes <= 0)
-            continue;
-        const int64_t fp = resource.tileStepFootprintLowerBound(node);
-        if (fp > mem.capacityBytes) {
-            if (reason) {
-                *reason = "step footprint lower bound " +
-                          humanCount(double(fp)) + "B at L" +
-                          std::to_string(child_level) +
-                          " exceeds capacity " +
-                          humanCount(double(mem.capacityBytes)) + "B";
-            }
-            return true;
-        }
+    const std::optional<CapacityOverflow> overflow =
+        ResourceAnalyzer(*workload_, *spec_)
+            .footprintLowerBoundOverflow(tree);
+    if (!overflow)
+        return false;
+    if (reason) {
+        *reason = "step footprint lower bound " +
+                  humanCount(double(overflow->footprintBytes)) + "B at L" +
+                  std::to_string(overflow->level) + " exceeds capacity " +
+                  humanCount(double(
+                      spec_->level(overflow->level).capacityBytes)) +
+                  "B";
     }
-    return false;
+    return true;
 }
 
 bool

@@ -105,6 +105,25 @@ usageOf(const Workload& workload, const Node* node)
     return usage;
 }
 
+/**
+ * Calls fn(tile) on each Tile node under `node`, in preorder with the
+ * last child first (the order violations are reported in), until fn
+ * returns false; returns false then.
+ */
+template <typename Fn>
+bool
+visitTiles(const Node* node, Fn& fn)
+{
+    if (node->isTile() && !fn(node))
+        return false;
+    const auto& children = node->children();
+    for (auto it = children.rbegin(); it != children.rend(); ++it) {
+        if (!visitTiles(it->get(), fn))
+            return false;
+    }
+    return true;
+}
+
 /** The buffers of stepFootprint, reused from Tile node to Tile node
  *  within one call. */
 struct FootprintScratch
@@ -113,6 +132,28 @@ struct FootprintScratch
     std::vector<int64_t> zero;
     std::vector<std::pair<TensorId, HyperRect>> slices;
     std::vector<HyperRect> rects;
+
+    /** Room for every Tile node under `root`, so that the
+     *  lower-bound stepFootprint allocates nothing after this. */
+    void reserveLowerBound(const Workload& workload, const Node* root)
+    {
+        size_t loops = 0;
+        auto most_loops = [&loops](const Node* tile) {
+            loops = std::max(loops, tile->loops().size());
+            return true;
+        };
+        visitTiles(root, most_loops);
+        size_t leaves = 0;
+        size_t accesses = 0;
+        visitOpLeaves(root, [&](const Node* leaf) {
+            ++leaves;
+            accesses += workload.op(leaf->op()).accesses().size();
+            return true;
+        });
+        geom.reserve(loops, leaves, workload.dims().size());
+        zero.reserve(loops);
+        slices.reserve(accesses);
+    }
 };
 
 /**
@@ -236,11 +277,28 @@ ResourceAnalyzer::tileStepFootprint(const Node* tile) const
     return stepFootprint(*workload_, tile, scratch);
 }
 
-int64_t
-ResourceAnalyzer::tileStepFootprintLowerBound(const Node* tile) const
+std::optional<CapacityOverflow>
+ResourceAnalyzer::footprintLowerBoundOverflow(const AnalysisTree& tree) const
 {
+    if (!tree.hasRoot())
+        return std::nullopt;
     FootprintScratch scratch;
-    return stepFootprint(*workload_, tile, scratch, /*exact=*/false);
+    scratch.reserveLowerBound(*workload_, tree.root());
+    std::optional<CapacityOverflow> overflow;
+    auto fits = [&](const Node* node) {
+        const int child_level = stagingLevel(node);
+        const int64_t capacity = spec_->level(child_level).capacityBytes;
+        if (capacity <= 0)
+            return true;
+        const int64_t fp =
+            stepFootprint(*workload_, node, scratch, /*exact=*/false);
+        if (fp <= capacity)
+            return true;
+        overflow = CapacityOverflow{child_level, fp};
+        return false;
+    };
+    visitTiles(tree.root(), fits);
+    return overflow;
 }
 
 ResourceResult
@@ -290,15 +348,7 @@ ResourceAnalyzer::analyze(const AnalysisTree& tree, bool enforce_memory,
     // Footprints + per-node spatial fanout checks, with one set of
     // footprint buffers for every Tile node of the walk.
     FootprintScratch scratch;
-    std::vector<const Node*> stack{tree.root()};
-    while (!stack.empty()) {
-        const Node* node = stack.back();
-        stack.pop_back();
-        for (const auto& child : node->children())
-            stack.push_back(child.get());
-        if (!node->isTile())
-            continue;
-
+    auto check = [&](const Node* node) {
         const int level = node->memLevel();
         const int child_level = stagingLevel(node);
 
@@ -333,7 +383,9 @@ ResourceAnalyzer::analyze(const AnalysisTree& tree, bool enforce_memory,
                     " exceeds fanout ", fanout));
             }
         }
-    }
+        return true;
+    };
+    visitTiles(tree.root(), check);
     return result;
 }
 

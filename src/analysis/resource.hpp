@@ -17,6 +17,7 @@
 #define TILEFLOW_ANALYSIS_RESOURCE_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,13 @@ struct ResourceResult
     bool ok() const { return fitsMemory && fitsCompute; }
 };
 
+/** A buffer level whose staged bytes exceed its capacity. */
+struct CapacityOverflow
+{
+    int level = 0;              ///< the staging level
+    int64_t footprintBytes = 0; ///< the footprint found there
+};
+
 class ResourceAnalyzer
 {
   public:
@@ -87,14 +95,18 @@ class ResourceAnalyzer
     int64_t tileStepFootprint(const Node* tile) const;
 
     /**
-     * Exact integer lower bound on tileStepFootprint: per tensor, the
-     * largest single staged slice instead of the slice union — O(rects)
-     * instead of the union's inclusion-exclusion cost, with the same
-     * binding / boundary-crossing / child-skip rules. Feeds the
-     * capacity screen of analysis/lowerbound.hpp: a capacity exceeded
-     * by this bound is exceeded by the exact footprint too.
+     * The capacity screen of analysis/lowerbound.hpp: analyze()'s
+     * walk, staging-level attribution and capacity check, with each
+     * Tile node's footprint replaced by an exact integer lower bound
+     * on it — per tensor, the largest single staged slice instead of
+     * the slice union (O(rects) instead of the union's
+     * inclusion-exclusion cost). Returns the first overflow in walk
+     * order, or nothing. A capacity exceeded by this bound is
+     * exceeded by the exact footprint too, so analyze() with
+     * enforce_memory records a violation whenever this finds one.
      */
-    int64_t tileStepFootprintLowerBound(const Node* tile) const;
+    std::optional<CapacityOverflow>
+    footprintLowerBoundOverflow(const AnalysisTree& tree) const;
 
   private:
     const Workload* workload_;

@@ -23,11 +23,9 @@ halveCap(size_t cap, size_t current, size_t floor)
 
 } // namespace
 
-SubtreeCache::SubtreeCache(size_t shards, size_t maxEntriesPerShard,
-                           size_t maxBytesPerShard)
+SubtreeCache::SubtreeCache(size_t shards, size_t maxEntriesPerShard)
     : shards_(shards == 0 ? 1 : shards),
       maxEntriesPerShard_(maxEntriesPerShard),
-      maxBytesPerShard_(maxBytesPerShard),
       budgetReg_("subtreecache", [this] { return bytes(); },
                  [this](MemPressure level) { return shrink(level); })
 {

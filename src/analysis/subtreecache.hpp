@@ -106,15 +106,12 @@ class SubtreeCache
     /**
      * @param shards              independently-locked map shards
      * @param maxEntriesPerShard  FIFO-evict beyond this many entries
-     *                            per shard; 0 = unbounded
-     * @param maxBytesPerShard    FIFO-evict beyond this many
-     *                            (approximate) entry bytes per shard;
-     *                            0 = unbounded. Both caps are halved
-     *                            by soft memory pressure (shrink()).
+     *                            per shard; 0 = unbounded. Soft memory
+     *                            pressure halves it and also sets a
+     *                            per-shard byte cap (shrink()).
      */
     explicit SubtreeCache(size_t shards = 16,
-                          size_t maxEntriesPerShard = 4096,
-                          size_t maxBytesPerShard = 0);
+                          size_t maxEntriesPerShard = 4096);
 
     ~SubtreeCache();
 
@@ -192,7 +189,9 @@ class SubtreeCache
 
     std::vector<Shard> shards_;
     std::atomic<size_t> maxEntriesPerShard_;
-    std::atomic<size_t> maxBytesPerShard_;
+    /** Approximate entry bytes per shard; 0 (unbounded) until soft
+     *  memory pressure sets it. */
+    std::atomic<size_t> maxBytesPerShard_{0};
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};
     std::atomic<uint64_t> evictions_{0};

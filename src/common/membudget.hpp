@@ -2,7 +2,7 @@
  * @file
  * Process-wide memory budget: RSS sampling, per-component byte
  * accounting, and a three-level pressure state machine driving
- * deterministic shrink callbacks (DESIGN.md §12).
+ * deterministic shrink callbacks (DESIGN.md §11).
  *
  * The budget makes memory exhaustion a *classified, recoverable,
  * observable* event instead of a crash. Reclaimable components (the

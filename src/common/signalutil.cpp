@@ -10,7 +10,6 @@ namespace {
 std::atomic<CancellationToken*> g_token{nullptr};
 std::atomic<int> g_count{0};
 std::atomic<int> g_last{0};
-std::atomic<bool> g_hard_exit_on_second{false};
 
 extern "C" void
 stopSignalHandler(int sig)
@@ -22,7 +21,7 @@ stopSignalHandler(int sig)
     if (CancellationToken* token =
             g_token.load(std::memory_order_relaxed))
         token->cancel();
-    if (prior >= 1 && g_hard_exit_on_second.load(std::memory_order_relaxed)) {
+    if (prior >= 1) {
         struct sigaction dfl = {};
         dfl.sa_handler = SIG_DFL;
         sigaction(sig, &dfl, nullptr);
@@ -33,16 +32,15 @@ stopSignalHandler(int sig)
 } // namespace
 
 void
-installStopSignalHandlers(CancellationToken* token,
-                          bool hard_exit_on_second)
+installStopSignalHandlers(CancellationToken* token)
 {
     g_token.store(token, std::memory_order_relaxed);
-    g_hard_exit_on_second.store(hard_exit_on_second,
-                                std::memory_order_relaxed);
+    g_count.store(0, std::memory_order_relaxed);
+    g_last.store(0, std::memory_order_relaxed);
     struct sigaction sa = {};
     sa.sa_handler = stopSignalHandler;
     sigemptyset(&sa.sa_mask);
-    // No SA_RESTART: a supervisor parked in sleep/poll should wake
+    // No SA_RESTART: a process parked in sleep/poll should wake
     // promptly when the operator asks it to wind down.
     sa.sa_flags = 0;
     sigaction(SIGINT, &sa, nullptr);
@@ -50,22 +48,9 @@ installStopSignalHandlers(CancellationToken* token,
 }
 
 int
-stopSignalCount()
-{
-    return g_count.load(std::memory_order_relaxed);
-}
-
-int
 lastStopSignal()
 {
     return g_last.load(std::memory_order_relaxed);
-}
-
-void
-resetStopSignalState()
-{
-    g_count.store(0, std::memory_order_relaxed);
-    g_last.store(0, std::memory_order_relaxed);
 }
 
 } // namespace tileflow

@@ -1,17 +1,16 @@
 /**
  * @file
- * Process stop-signal plumbing shared by the CLI tools and the batch
- * service: SIGINT/SIGTERM handlers that trip a CancellationToken so
- * long-running searches degrade to best-so-far (and checkpoint on the
- * way out) instead of dying mid-run.
+ * Process stop-signal plumbing for the CLI tools: SIGINT/SIGTERM
+ * handlers that trip a CancellationToken so long-running searches
+ * degrade to best-so-far (and checkpoint on the way out) instead of
+ * dying mid-run.
  *
  * The handler itself only performs async-signal-safe work: one atomic
  * store into the token, one atomic counter increment, one atomic
- * store of the signal number. Policy (graceful vs immediate) lives
- * here too: with `hard_exit_on_second`, the *second* stop signal
- * restores the default disposition and re-raises, so an operator's
- * second Ctrl-C kills a wedged process immediately with the
- * conventional signal exit status.
+ * store of the signal number. The *second* stop signal restores the
+ * default disposition and re-raises, so an operator's second Ctrl-C
+ * kills a wedged process immediately with the conventional signal
+ * exit status.
  */
 
 #ifndef TILEFLOW_COMMON_SIGNALUTIL_HPP
@@ -24,24 +23,17 @@ namespace tileflow {
 /**
  * Install SIGINT + SIGTERM handlers that cancel `token` (which must
  * outlive the handlers — in practice: main()'s stack or a global).
- * With `hard_exit_on_second`, a repeated stop signal re-raises with
- * the default disposition (immediate death); otherwise every receipt
- * just re-cancels and counts.
+ * The first stop signal only cancels; a repeated one re-raises with
+ * the default disposition (immediate death).
  *
  * Not reentrant: call once from the main thread before spawning
- * workers. Calling again replaces the token.
+ * workers. Calling again replaces the token and forgets the signals
+ * received so far.
  */
-void installStopSignalHandlers(CancellationToken* token,
-                               bool hard_exit_on_second);
-
-/** Stop signals received since install/reset. */
-int stopSignalCount();
+void installStopSignalHandlers(CancellationToken* token);
 
 /** The most recent stop signal number (0 when none arrived). */
 int lastStopSignal();
-
-/** Zero the count/last-signal state (tests; between batches). */
-void resetStopSignalState();
 
 } // namespace tileflow
 

@@ -62,7 +62,8 @@ class ThreadPool
      * trace tids) per worker count however many searches it makes.
      * Idle workers block on the queue's condition variable. Several
      * threads may search on one pool at once: each waits only for its
-     * own tasks. A process that fork()s must exec() before searching.
+     * own tasks. The workers do not survive fork(): a forked child
+     * must exec() before it searches.
      */
     static ThreadPool& shared(size_t threads);
 

@@ -39,30 +39,19 @@ hex64(uint64_t v)
     return buf;
 }
 
-} // namespace
-
-uint64_t
-ckptHashBytes(const char* data, size_t n, uint64_t hash)
-{
-    return fnv1aBytes(data, n, hash);
-}
-
-std::string
-ckptHex64(uint64_t v)
-{
-    return hex64(v);
-}
-
+/** fsync an open stdio stream (flush + fsync(fd)); false on failure. */
 bool
-ckptFsyncFile(std::FILE* f)
+fsyncFile(std::FILE* f)
 {
     if (std::fflush(f) != 0)
         return false;
     return ::fsync(fileno(f)) == 0;
 }
 
+/** fsync the directory containing `path`, making a just-renamed entry
+ *  durable; false on failure. */
 bool
-ckptFsyncParentDir(const std::string& path)
+fsyncParentDir(const std::string& path)
 {
     const size_t slash = path.find_last_of('/');
     const std::string dir =
@@ -74,6 +63,8 @@ ckptFsyncParentDir(const std::string& path)
     ::close(fd);
     return ok;
 }
+
+} // namespace
 
 uint64_t
 ckptHash(uint64_t hash, uint64_t word)
@@ -259,7 +250,7 @@ CkptWriter::writeTo(const std::string& path) const
     // new name pointing at an empty/partial file after power loss,
     // destroying the previous good checkpoint the atomic-replace
     // discipline exists to protect.
-    const bool synced = !crash && ckptFsyncFile(f);
+    const bool synced = !crash && fsyncFile(f);
     std::fclose(f);
     if (crash || written != payload.size() || !synced)
         return false; // simulated or real crash: previous file intact
@@ -268,7 +259,7 @@ CkptWriter::writeTo(const std::string& path) const
         return false;
     }
     // ... and fsync the directory so the rename itself is durable.
-    if (!ckptFsyncParentDir(path))
+    if (!fsyncParentDir(path))
         warn("checkpoint: cannot fsync directory of '", path, "'");
     return true;
 }

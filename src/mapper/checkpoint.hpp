@@ -33,7 +33,6 @@
 #define TILEFLOW_MAPPER_CHECKPOINT_HPP
 
 #include <cstdint>
-#include <cstdio>
 #include <optional>
 #include <string>
 
@@ -47,21 +46,6 @@ namespace tileflow {
 constexpr uint64_t kCkptHashInit = 0xcbf29ce484222325ULL;
 uint64_t ckptHash(uint64_t hash, uint64_t word);
 uint64_t ckptHashDouble(uint64_t hash, double value);
-
-/** FNV-1a over raw bytes — the checksum every durable on-disk record
- *  in the repo uses (checkpoints here, the serve job journal). */
-uint64_t ckptHashBytes(const char* data, size_t n,
-                       uint64_t hash = kCkptHashInit);
-
-/** 16-digit lowercase hex of `v` (checksum / length rendering). */
-std::string ckptHex64(uint64_t v);
-
-/** fsync an open stdio stream (flush + fsync(fd)); false on failure. */
-bool ckptFsyncFile(std::FILE* f);
-
-/** fsync the directory containing `path`, making a just-renamed or
- *  just-created entry durable; false on failure. */
-bool ckptFsyncParentDir(const std::string& path);
 
 /** Fold a space's knob structure (menus + structural flags) in. */
 uint64_t ckptHashSpace(uint64_t hash, const MappingSpace& space);

@@ -26,11 +26,9 @@ halveCap(size_t cap, size_t current, size_t floor)
 
 } // namespace
 
-EvalCache::EvalCache(size_t shards, size_t maxEntriesPerShard,
-                     size_t maxBytesPerShard)
+EvalCache::EvalCache(size_t shards, size_t maxEntriesPerShard)
     : shards_(shards == 0 ? 1 : shards),
       maxEntriesPerShard_(maxEntriesPerShard),
-      maxBytesPerShard_(maxBytesPerShard),
       budgetReg_("evalcache", [this] { return bytes(); },
                  [this](MemPressure level) { return shrink(level); })
 {

@@ -103,15 +103,11 @@ class EvalCache
      *        Eviction changes hit rates only, never values — an
      *        evicted mapping is simply re-evaluated on its next
      *        lookup — so checkpoint/resume runs stay bit-identical
-     *        under any cap.
-     * @param maxBytesPerShard    FIFO-evict beyond this many
-     *        (approximate) entry bytes per shard; 0 = unbounded.
-     *        Both caps are halved (to a floor) by soft memory
-     *        pressure — see shrink().
+     *        under any cap. Soft memory pressure halves it (to a
+     *        floor) and also sets a per-shard byte cap — see shrink().
      */
     explicit EvalCache(size_t shards = 16,
-                       size_t maxEntriesPerShard = 0,
-                       size_t maxBytesPerShard = 0);
+                       size_t maxEntriesPerShard = 0);
 
     ~EvalCache();
 
@@ -229,7 +225,9 @@ class EvalCache
 
     std::vector<Shard> shards_;
     std::atomic<size_t> maxEntriesPerShard_;
-    std::atomic<size_t> maxBytesPerShard_;
+    /** Approximate entry bytes per shard; 0 (unbounded) until soft
+     *  memory pressure sets it. */
+    std::atomic<size_t> maxBytesPerShard_{0};
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};
     std::atomic<uint64_t> evictions_{0};

@@ -26,9 +26,8 @@ exploreSpace(const Evaluator& evaluator, const MappingSpace& space,
 
     ThreadPool& pool =
         ThreadPool::shared(config.threads > 0 ? size_t(config.threads) : 0);
-    EvalCache cache(16, config.evalCacheCap, config.evalCacheBytesCap);
-    SubtreeCache subtree_cache(16, config.subtreeCacheCap,
-                               config.subtreeCacheBytesCap);
+    EvalCache cache(16, config.evalCacheCap);
+    SubtreeCache subtree_cache(16, config.subtreeCacheCap);
 
     GeneticMapper mapper(evaluator, space, ga, &pool, &cache);
     mapper.setSubtreeCache(&subtree_cache);
@@ -63,9 +62,8 @@ exploreTiling(const Evaluator& evaluator, const MappingSpace& space,
     Rng rng(seed);
     ThreadPool& pool =
         ThreadPool::shared(config.threads > 0 ? size_t(config.threads) : 0);
-    EvalCache cache(16, config.evalCacheCap, config.evalCacheBytesCap);
-    SubtreeCache subtree_cache(16, config.subtreeCacheCap,
-                               config.subtreeCacheBytesCap);
+    EvalCache cache(16, config.evalCacheCap);
+    SubtreeCache subtree_cache(16, config.subtreeCacheCap);
 
     const StopControl stop(Deadline::afterMs(config.timeBudgetMs),
                            config.cancel, config.maxEvaluations);

@@ -105,14 +105,6 @@ struct MapperConfig
 
     /** EvalCache per-shard entry cap (0 = unbounded). */
     size_t evalCacheCap = 0;
-
-    /** SubtreeCache per-shard byte cap (0 = unbounded). Like the
-     *  entry caps, byte caps change hit rates only, never values,
-     *  and are deliberately NOT part of the checkpoint config hash. */
-    size_t subtreeCacheBytesCap = 0;
-
-    /** EvalCache per-shard byte cap (0 = unbounded). */
-    size_t evalCacheBytesCap = 0;
 };
 
 /** Exploration outcome. */

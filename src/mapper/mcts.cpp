@@ -170,7 +170,7 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
     int done = 0;
 
     // MemoryBudget byte accounting for the search tree (DESIGN.md
-    // §12). Report-only: the tree is search *state*, not a cache —
+    // §11). Report-only: the tree is search *state*, not a cache —
     // pruning it would change the trajectory, so shrink frees
     // nothing and pressure relief comes from the caches and from
     // guardedEvaluate shedding evaluations at hard pressure.

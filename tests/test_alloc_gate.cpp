@@ -7,9 +7,9 @@
  * binary checks that none of that allocates: validateTree on a tree it
  * has nothing to report about, LowerBoundEvaluator::screen when it
  * prunes at the roofline, and the workload's producer/consumer
- * lookups. A full data-movement analysis does allocate (its result and
- * its scratch), but a fixed number of times however large the tree
- * is. It runs over seeded draws from the benchmark's mapping spaces
+ * lookups. A full data-movement analysis and a capacity screen that
+ * passes do allocate (their results and scratch), but a fixed number
+ * of times however large the tree is. It runs over seeded draws from the benchmark's mapping spaces
  * (Bert-S/B attention on Edge and Cloud, the CC1 conv chain on Cloud
  * and Edge, fig4.wl on Edge and tpu_like.arch) and over every
  * differential-fuzz family.
@@ -360,6 +360,61 @@ TEST(AllocGate, DataMovementAnalyzeAllocationsDoNotScaleWithTheTree)
         const DataMovementAnalyzer analyzer(*c.workload, spec);
         EXPECT_LE(dataMovementAllocations(analyzer, *c.tree),
                   kDataMovementAllocCap);
+        kinds.insert(c.kind);
+    }
+    EXPECT_EQ(kinds.size(), 7u);
+}
+
+/**
+ * Allocations of one capacity screen that finds no overflow: the step
+ * geometry's four buffers, the loop-index vector and the slice list,
+ * each reserved once for the whole tree. It does not grow with the
+ * number of Tile nodes screened.
+ */
+constexpr uint64_t kCapacityScreenAllocCap = 6;
+
+/** capacityRejects(tree) after one warm-up call; `rejected` receives
+ *  its verdict. */
+uint64_t
+capacityScreenAllocations(const LowerBoundEvaluator& bound,
+                          const AnalysisTree& tree, bool& rejected)
+{
+    rejected = bound.capacityRejects(tree); // warm the function statics
+    return allocationsOf([&] { rejected = bound.capacityRejects(tree); });
+}
+
+TEST(AllocGate, CapacityScreenThatPassesDoesNotScaleWithTheTree)
+{
+    uint64_t seed = 1;
+    for (const Space& s : benchmarkSpaces()) {
+        SCOPED_TRACE(s.label);
+        const LowerBoundEvaluator bound(*s.model);
+        int passed = 0;
+        for (const AnalysisTree& tree : drawTrees(s, seed++)) {
+            if (!validateTree(tree, s.arch.get()).empty())
+                continue;
+            bool rejected = false;
+            const uint64_t n = capacityScreenAllocations(bound, tree, rejected);
+            if (rejected)
+                continue;
+            EXPECT_LE(n, kCapacityScreenAllocCap) << tree.str();
+            ++passed;
+        }
+        EXPECT_GT(passed, 0) << "no draw passed the capacity screen";
+    }
+    const ArchSpec spec = makeValidationArch();
+    std::set<int> kinds;
+    for (uint64_t i = 0; i < kFuzzCases; ++i) {
+        const FuzzCase c = makeFuzzCase(/*seed=*/2024, i);
+        SCOPED_TRACE(c.summary);
+        if (!validateTree(*c.tree, &spec).empty())
+            continue;
+        const LowerBoundEvaluator bound(*c.workload, spec);
+        bool rejected = false;
+        const uint64_t n = capacityScreenAllocations(bound, *c.tree, rejected);
+        if (rejected)
+            continue;
+        EXPECT_LE(n, kCapacityScreenAllocCap);
         kinds.insert(c.kind);
     }
     EXPECT_EQ(kinds.size(), 7u);

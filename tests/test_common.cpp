@@ -1,15 +1,18 @@
 /**
  * @file
- * Tests for common support: strings, logging and the deterministic RNG.
+ * Tests for common support: strings, logging, the deterministic RNG,
+ * the thread pool and the stop-signal handlers.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdlib>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "common/signalutil.hpp"
 #include "common/strings.hpp"
 #include "common/threadpool.hpp"
 
@@ -182,6 +185,33 @@ TEST(ThreadPool, DefaultThreadCountHonorsEnvVar)
     EXPECT_EQ(ThreadPool::defaultThreadCount(), 3u);
     unsetenv("TILEFLOW_THREADS");
     EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
+}
+
+// raise() rather than kill(getpid()): it delivers to the calling
+// thread before returning, so no pool thread can take the signal.
+TEST(SignalUtilTest, StopSignalCancelsToken)
+{
+    static CancellationToken token;
+    installStopSignalHandlers(&token);
+    EXPECT_FALSE(token.cancelled());
+    EXPECT_EQ(lastStopSignal(), 0);
+    std::raise(SIGTERM);
+    EXPECT_TRUE(token.cancelled());
+    EXPECT_EQ(lastStopSignal(), SIGTERM);
+    std::signal(SIGTERM, SIG_DFL);
+    std::signal(SIGINT, SIG_DFL);
+
+    // The second stop signal kills the process with the signal's own
+    // exit status.
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            static CancellationToken doomed;
+            installStopSignalHandlers(&doomed);
+            std::raise(SIGTERM);
+            std::raise(SIGTERM);
+        },
+        testing::KilledBySignal(SIGTERM), "");
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Memory-pressure robustness tests (DESIGN.md §12): the MemoryBudget
+ * Memory-pressure robustness tests (DESIGN.md §11): the MemoryBudget
  * state machine and component registry, byte-exact cache accounting
  * (gauge == inserted − evicted), the seeded allocation-fault injector,
  * OOM-as-tagged-infeasible through guardedEvaluate, the contract that

@@ -9,8 +9,6 @@
  * Usage:
  *   telemetry_check trace FILE     validate a Chrome trace
  *   telemetry_check metrics FILE   validate a metrics dump
- *   telemetry_check serve FILE     validate a tileflow_jobd
- *                                  --metrics-out export
  *
  * Checks are structural (required keys, types, value sanity) plus the
  * cross-consistency contract: the metrics dump's registry counters
@@ -523,7 +521,7 @@ checkMetrics(const JsonValue& root)
     check(numberOr(result->get("evaluations"), -1.0) >= 0.0,
           "evaluations must be >= 0");
 
-    // Branch-and-bound accounting (DESIGN.md §13). Every candidate the
+    // Branch-and-bound accounting (DESIGN.md §12). Every candidate the
     // guard saw was either pruned by the lower bound or fully
     // evaluated — the two buckets partition mapper.candidates exactly.
     // And the tightness histogram observes only candidates where both
@@ -643,7 +641,7 @@ checkMetrics(const JsonValue& root)
               os.str());
     }
 
-    // Memory-budget identities (DESIGN.md §12). Cache byte gauges are
+    // Memory-budget identities (DESIGN.md §11). Cache byte gauges are
     // maintained with size-pure estimates whose insert credits equal
     // eviction debits exactly, so gauge == inserted - evicted at every
     // instant, including after the per-search caches are destroyed
@@ -697,118 +695,6 @@ checkMetrics(const JsonValue& root)
     return g_failures == 0 ? 0 : 1;
 }
 
-// -------------------------------------------------------------------
-// Serve (tileflow_jobd) metrics schema
-// -------------------------------------------------------------------
-
-int
-checkServe(const JsonValue& root)
-{
-    check(root.isObject(), "serve metrics root must be an object");
-    const JsonValue* metrics = root.get("metrics");
-    const JsonValue* result = root.get("result");
-    if (!metrics || !metrics->isObject()) {
-        problem("missing metrics object");
-        return 1;
-    }
-    if (!result || !result->isObject()) {
-        problem("missing result object");
-        return 1;
-    }
-    const JsonValue* counters = metrics->get("counters");
-    const JsonValue* histograms = metrics->get("histograms");
-    if (!counters || !counters->isObject()) {
-        problem("metrics.counters must be an object");
-        return 1;
-    }
-    check(histograms && histograms->isObject(),
-          "metrics.histograms must be an object");
-
-    // Required batch-summary fields.
-    for (const char* field :
-         {"jobs", "already_terminal", "submitted", "shed",
-          "attempts_started", "succeeded", "failed", "retries",
-          "crashes", "deadline_kills", "interrupted",
-          "resource_failures"}) {
-        check(result->get(field) && result->get(field)->isNumber(),
-              std::string("result lacks numeric ") + field);
-    }
-    for (const char* field : {"shutdown", "complete"}) {
-        check(result->get(field) &&
-                  result->get(field)->type == JsonValue::Type::Bool,
-              std::string("result lacks boolean ") + field);
-    }
-    if (g_failures)
-        return 1;
-
-    // Cross-consistency: the serve.* registry counters are bumped by
-    // the same code paths that build the batch summary, so they must
-    // match exactly.
-    struct Pair
-    {
-        const char* counter;
-        const char* field;
-    };
-    for (const Pair p :
-         {Pair{"serve.jobs_submitted", "submitted"},
-          Pair{"serve.jobs_succeeded", "succeeded"},
-          Pair{"serve.jobs_failed", "failed"},
-          Pair{"serve.jobs_shed", "shed"},
-          Pair{"serve.retries", "retries"},
-          Pair{"serve.crashes", "crashes"},
-          Pair{"serve.deadline_kills", "deadline_kills"},
-          Pair{"serve.interrupted", "interrupted"},
-          Pair{"serve.resource_failures", "resource_failures"},
-          Pair{"serve.attempts_started", "attempts_started"}}) {
-        const double reg = numberOr(counters->get(p.counter), 0.0);
-        const double res = numberOr(result->get(p.field), -1.0);
-        std::ostringstream os;
-        os << p.counter << " (" << reg << ") != result." << p.field
-           << " (" << res << ")";
-        check(reg == res, os.str());
-    }
-
-    // Accounting identities over the batch.
-    const double jobs = numberOr(result->get("jobs"), 0.0);
-    const double already = numberOr(result->get("already_terminal"), 0.0);
-    const double submitted = numberOr(result->get("submitted"), 0.0);
-    const double shed = numberOr(result->get("shed"), 0.0);
-    const double attempts = numberOr(result->get("attempts_started"), 0.0);
-    const double succeeded = numberOr(result->get("succeeded"), 0.0);
-    const double retries = numberOr(result->get("retries"), 0.0);
-    {
-        std::ostringstream os;
-        os << "already_terminal (" << already << ") + submitted ("
-           << submitted << ") + shed (" << shed << ") > jobs (" << jobs
-           << ")";
-        // Resumed-but-pending jobs are in none of the three buckets,
-        // so the split lower-bounds jobs rather than partitioning it.
-        check(already + submitted + shed <= jobs, os.str());
-    }
-    check(succeeded <= attempts,
-          "more successes than attempts started");
-    check(retries <= attempts, "more retries than attempts started");
-
-    // A batch that ran any attempt must have recorded its wall time.
-    const JsonValue* attempt_ns = histograms->get("serve.attempt_ns");
-    if (attempts > 0.0) {
-        if (!attempt_ns || !attempt_ns->isObject()) {
-            problem("missing serve.attempt_ns histogram");
-        } else {
-            const double count = numberOr(attempt_ns->get("count"), -1.0);
-            std::ostringstream os;
-            os << "serve.attempt_ns count (" << count
-               << ") != attempts_started (" << attempts << ")";
-            check(count == attempts, os.str());
-        }
-    }
-
-    std::printf("serve OK: %.0f jobs, %.0f attempts; serve.* counters "
-                "match the batch summary\n",
-                jobs, attempts);
-    return g_failures == 0 ? 0 : 1;
-}
-
 } // namespace
 
 int
@@ -816,10 +702,8 @@ main(int argc, char** argv)
 {
     if (argc != 3 ||
         (std::strcmp(argv[1], "trace") != 0 &&
-         std::strcmp(argv[1], "metrics") != 0 &&
-         std::strcmp(argv[1], "serve") != 0)) {
-        std::fprintf(stderr,
-                     "usage: telemetry_check trace|metrics|serve FILE\n");
+         std::strcmp(argv[1], "metrics") != 0)) {
+        std::fprintf(stderr, "usage: telemetry_check trace|metrics FILE\n");
         return 2;
     }
 
@@ -837,8 +721,6 @@ main(int argc, char** argv)
         const JsonPtr root = parser.parse();
         if (std::strcmp(argv[1], "trace") == 0)
             return checkTrace(*root);
-        if (std::strcmp(argv[1], "serve") == 0)
-            return checkServe(*root);
         return checkMetrics(*root);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "%s: %s\n", argv[2], e.what());
