@@ -23,6 +23,9 @@
  * evaluation without one (the tier-1 property test asserts this per
  * fuzz family).
  *
+ * Storage — shards, FIFO caps, byte accounting, memory-pressure
+ * shrink — is the shared ShardedFifoCache (common/shardedcache.hpp).
+ *
  * Counters (MetricsRegistry): analysis.subtree_lookups / _hits /
  * _misses / _inserts / _evictions, over both kinds of entry. Each Tile
  * node of an evaluated or bounded tree performs exactly one lookup
@@ -32,17 +35,13 @@
 #ifndef TILEFLOW_ANALYSIS_SUBTREECACHE_HPP
 #define TILEFLOW_ANALYSIS_SUBTREECACHE_HPP
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "analysis/datamovement.hpp"
-#include "common/membudget.hpp"
-#include "common/telemetry.hpp"
+#include "common/shardedcache.hpp"
 #include "core/tree.hpp"
 
 namespace tileflow {
@@ -100,7 +99,40 @@ struct SubtreePartial
     double computeCycles = 0.0;
 };
 
+/** What SubtreeCache adds to the shared cache core: the key hash and
+ *  the entry size. Every stored partial is a hit and every insert
+ *  replaces. */
+struct SubtreeCacheTraits
+{
+    static constexpr const char* kMetricPrefix = "analysis.subtree_";
+
+    static uint64_t
+    hash(const SubtreeKey& key)
+    {
+        // hash already mixes the whole subtree; fold in context and
+        // kind.
+        return key.hash ^ (key.context * 0x9e3779b97f4a7c15ULL) ^
+               (uint64_t(key.kind) * 0xc2b2ae3d27d4eb4fULL);
+    }
+
+    /** Size-pure entry estimate (see ShardedFifoCache): the key counted
+     *  twice — map entry + FIFO copy — plus the partial's vectors. */
+    static size_t entryBytes(const SubtreeKey& key,
+                             const SubtreePartial& value);
+
+    static bool countsAsHit(const SubtreePartial&) { return true; }
+    static bool keepsOld(const SubtreePartial&, const SubtreePartial&)
+    {
+        return false;
+    }
+};
+
+extern template class ShardedFifoCache<SubtreeKey, SubtreePartial,
+                                       SubtreeCacheTraits>;
+
 class SubtreeCache
+    : public ShardedFifoCache<SubtreeKey, SubtreePartial,
+                              SubtreeCacheTraits>
 {
   public:
     /**
@@ -111,111 +143,22 @@ class SubtreeCache
      *                            per-shard byte cap (shrink()).
      */
     explicit SubtreeCache(size_t shards = 16,
-                          size_t maxEntriesPerShard = 4096);
-
-    ~SubtreeCache();
-
-    SubtreeCache(const SubtreeCache&) = delete;
-    SubtreeCache& operator=(const SubtreeCache&) = delete;
-
-    /** Find a memoized partial; counts a lookup and a hit or miss. */
-    std::optional<SubtreePartial> lookup(const SubtreeKey& key);
-
-    /** Memoize a partial (last writer wins; may FIFO-evict). */
-    void insert(const SubtreeKey& key, const SubtreePartial& value);
-
-    /** Number of distinct subtrees memoized. */
-    size_t size() const;
-
-    /** Approximate bytes held — exact against this cache's own
-     *  insert/eviction accounting (the `analysis.subtree_bytes`
-     *  gauge); see entryBytes(). */
-    uint64_t bytes() const;
-
-    /** Size-pure per-entry byte estimate (key counted twice: map
-     *  entry + FIFO copy), so insert credits == eviction debits and
-     *  the gauge identity bytes == inserted − evicted is exact. */
-    static size_t entryBytes(const SubtreeKey& key,
-                             const SubtreePartial& value);
-
-    /**
-     * Memory-pressure hook (registered with MemoryBudget at
-     * construction). Soft halves caps and evicts down; Hard drops
-     * everything. Instance hit/miss counters are preserved (unlike
-     * clear()). try_lock per shard — contended shards are skipped.
-     * Returns approximate bytes freed.
-     */
-    uint64_t shrink(MemPressure level);
-
-    /** shrink(Hard): drop every entry, keep hit/miss counters. */
-    uint64_t evictAll();
-
-    /** Drop every entry (counted as evictions). */
-    void clear();
-
-    /** Instance counters since construction or the last clear(). */
-    uint64_t hits() const { return hits_.load(); }
-    uint64_t misses() const { return misses_.load(); }
-    uint64_t evictions() const { return evictions_.load(); }
-
-  private:
-    struct KeyHash
+                          size_t maxEntriesPerShard = 4096)
+        : ShardedFifoCache(shards, maxEntriesPerShard)
     {
-        size_t operator()(const SubtreeKey& key) const
-        {
-            // hash already mixes the whole subtree; fold in context
-            // and kind.
-            return size_t(key.hash ^
-                          (key.context * 0x9e3779b97f4a7c15ULL) ^
-                          (uint64_t(key.kind) * 0xc2b2ae3d27d4eb4fULL));
-        }
-    };
-
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::unordered_map<SubtreeKey, SubtreePartial, KeyHash> map;
-        std::deque<SubtreeKey> order; ///< insertion order (FIFO cap)
-        size_t bytes = 0; ///< sum of entryBytes() over map (under mutex)
-    };
-
-    Shard& shardFor(const SubtreeKey& key)
-    {
-        return shards_[KeyHash{}(key) % shards_.size()];
     }
 
-    size_t evictOneLocked(Shard& shard);
-    void creditEvictions(uint64_t entries, uint64_t bytes);
+    /** Find a memoized partial; counts a lookup and a hit or miss. */
+    std::optional<SubtreePartial>
+    lookup(const SubtreeKey& key)
+    {
+        metricLookups_.add();
+        return ShardedFifoCache::lookup(key);
+    }
 
-    std::vector<Shard> shards_;
-    std::atomic<size_t> maxEntriesPerShard_;
-    /** Approximate entry bytes per shard; 0 (unbounded) until soft
-     *  memory pressure sets it. */
-    std::atomic<size_t> maxBytesPerShard_{0};
-    std::atomic<uint64_t> hits_{0};
-    std::atomic<uint64_t> misses_{0};
-    std::atomic<uint64_t> evictions_{0};
-
+  private:
     Counter& metricLookups_ =
         MetricsRegistry::global().counter("analysis.subtree_lookups");
-    Counter& metricHits_ =
-        MetricsRegistry::global().counter("analysis.subtree_hits");
-    Counter& metricMisses_ =
-        MetricsRegistry::global().counter("analysis.subtree_misses");
-    Counter& metricInserts_ =
-        MetricsRegistry::global().counter("analysis.subtree_inserts");
-    Counter& metricEvictions_ =
-        MetricsRegistry::global().counter("analysis.subtree_evictions");
-    Counter& metricBytesInserted_ = MetricsRegistry::global().counter(
-        "analysis.subtree_bytes_inserted");
-    Counter& metricBytesEvicted_ = MetricsRegistry::global().counter(
-        "analysis.subtree_bytes_evicted");
-    Gauge& metricBytes_ =
-        MetricsRegistry::global().gauge("analysis.subtree_bytes");
-
-    // Last member: destroyed first, so no shrink callback can arrive
-    // once the destructor body runs.
-    MemReclaimRegistration budgetReg_;
 };
 
 /**

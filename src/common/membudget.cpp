@@ -225,13 +225,11 @@ MemoryBudget::sampleLocked(uint64_t rss)
 }
 
 int
-MemoryBudget::registerComponent(std::string name, BytesFn bytes,
-                                ShrinkFn shrink)
+MemoryBudget::registerComponent(ShrinkFn shrink)
 {
     std::lock_guard<std::recursive_mutex> lock(mutex_);
     const int id = nextId_++;
-    components_[id] =
-        Component{std::move(name), std::move(bytes), std::move(shrink)};
+    components_[id] = std::move(shrink);
     return id;
 }
 
@@ -250,17 +248,6 @@ MemoryBudget::componentCount() const
 }
 
 uint64_t
-MemoryBudget::componentBytes() const
-{
-    std::lock_guard<std::recursive_mutex> lock(mutex_);
-    uint64_t total = 0;
-    for (const auto& [id, comp] : components_)
-        if (comp.bytes)
-            total += comp.bytes();
-    return total;
-}
-
-uint64_t
 MemoryBudget::reclaim(MemPressure severity)
 {
     std::lock_guard<std::recursive_mutex> lock(mutex_);
@@ -276,9 +263,9 @@ MemoryBudget::reclaimLocked(MemPressure severity)
         MetricsRegistry::global().counter("mem.reclaimed_bytes");
     cReclaims.add();
     uint64_t freed = 0;
-    for (auto& [id, comp] : components_)
-        if (comp.shrink)
-            freed += comp.shrink(severity);
+    for (auto& [id, shrink] : components_)
+        if (shrink)
+            freed += shrink(severity);
     if (freed > 0)
         cReclaimed.add(freed);
     return freed;

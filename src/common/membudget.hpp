@@ -1,15 +1,15 @@
 /**
  * @file
- * Process-wide memory budget: RSS sampling, per-component byte
- * accounting, and a three-level pressure state machine driving
- * deterministic shrink callbacks (DESIGN.md §11).
+ * Process-wide memory budget: RSS sampling and a three-level
+ * pressure state machine driving deterministic shrink callbacks
+ * (DESIGN.md §11).
  *
  * The budget makes memory exhaustion a *classified, recoverable,
  * observable* event instead of a crash. Reclaimable components (the
- * evaluation caches, the MCTS tree, the telemetry trace buffers)
- * register a byte-accounting callback and a shrink callback; poll()
- * samples RSS from /proc/self/statm every Nth call and walks the
- * state machine:
+ * evaluation caches, the telemetry trace buffers) register only a
+ * shrink callback — the caches keep their exact byte accounting in
+ * their own gauges; poll() samples RSS from /proc/self/statm every
+ * Nth call and walks the state machine:
  *
  *   ok ──rss ≥ soft──▶ soft ──rss ≥ hard──▶ hard
  *
@@ -63,9 +63,6 @@ const char* memPressureName(MemPressure level);
 class MemoryBudget
 {
   public:
-    /** Byte-accounting callback: current approximate bytes held. */
-    using BytesFn = std::function<uint64_t()>;
-
     /**
      * Shrink callback: reduce the component's footprint for the given
      * severity and return the approximate bytes freed. Must be
@@ -121,20 +118,17 @@ class MemoryBudget
     void setPollInterval(uint32_t every);
 
     /**
-     * Register a reclaimable component. The returned id unregisters
-     * it; both callbacks may be invoked from any thread until
-     * unregisterComponent returns (callbacks run under the budget
-     * mutex, so unregistration synchronizes with in-flight calls).
+     * Register a reclaimable component's shrink callback. The
+     * returned id unregisters it; the callback may be invoked from any
+     * thread until unregisterComponent returns (callbacks run under
+     * the budget mutex, so unregistration synchronizes with in-flight
+     * calls).
      */
-    int registerComponent(std::string name, BytesFn bytes,
-                          ShrinkFn shrink);
+    int registerComponent(ShrinkFn shrink);
     void unregisterComponent(int id);
 
     /** Registered components (tests). */
     size_t componentCount() const;
-
-    /** Sum of every component's byte accounting. */
-    uint64_t componentBytes() const;
 
     /** Run every component's shrink at `severity`; returns the
      *  approximate bytes freed. */
@@ -157,15 +151,8 @@ class MemoryBudget
     uint64_t reclaimLocked(MemPressure severity);
     static void newHandlerTrampoline();
 
-    struct Component
-    {
-        std::string name;
-        BytesFn bytes;
-        ShrinkFn shrink;
-    };
-
     mutable std::recursive_mutex mutex_;
-    std::map<int, Component> components_;
+    std::map<int, ShrinkFn> components_;
     int nextId_ = 0;
 
     std::atomic<bool> enabled_{false};
@@ -179,17 +166,15 @@ class MemoryBudget
 /**
  * RAII registration of a reclaimable component — unregisters on
  * destruction, so stack- or member-scoped components (the per-search
- * caches, the MCTS tree) can never leave dangling callbacks behind.
+ * caches) can never leave dangling callbacks behind.
  */
 class MemReclaimRegistration
 {
   public:
     MemReclaimRegistration() = default;
 
-    MemReclaimRegistration(std::string name, MemoryBudget::BytesFn bytes,
-                           MemoryBudget::ShrinkFn shrink)
-        : id_(MemoryBudget::global().registerComponent(
-              std::move(name), std::move(bytes), std::move(shrink)))
+    explicit MemReclaimRegistration(MemoryBudget::ShrinkFn shrink)
+        : id_(MemoryBudget::global().registerComponent(std::move(shrink)))
     {
     }
 

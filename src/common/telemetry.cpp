@@ -409,27 +409,6 @@ struct BufferDirectory
 
 BufferDirectory& directory();
 
-/** Approximate bytes held across all thread buffers. try_lock only:
- *  this runs under the memory budget's mutex and must never wait on a
- *  thread that might be inside an allocation-failure reclaim. */
-uint64_t
-traceBytesApprox()
-{
-    BufferDirectory& dir = directory();
-    std::unique_lock<std::mutex> lock(dir.mutex, std::try_to_lock);
-    if (!lock.owns_lock())
-        return 0;
-    uint64_t total = 0;
-    for (const auto& buf : dir.buffers) {
-        std::unique_lock<std::mutex> blk(buf->mutex, std::try_to_lock);
-        if (!blk.owns_lock())
-            continue;
-        total += sizeof(TraceBuffer) +
-                 buf->events.capacity() * sizeof(TraceEvent);
-    }
-    return total;
-}
-
 /**
  * Memory-pressure shrink for the trace buffers: hard pressure flushes
  * every buffered event (counted as dropped, so the export reports the
@@ -466,8 +445,8 @@ directory()
     // Registered after `dir` (so the budget's static outlives nothing
     // it calls back into) and never unregistered: the directory lives
     // for the whole process.
-    static const int reg = MemoryBudget::global().registerComponent(
-        "telemetry.trace", &traceBytesApprox, &traceShrink);
+    static const int reg =
+        MemoryBudget::global().registerComponent(&traceShrink);
     (void)reg;
     return dir;
 }

@@ -12,27 +12,20 @@
  * pruned leaves a bound-only entry, so a repeat of it skips the build
  * and the bound whenever its threshold still prunes.
  *
- * Sharding: the hash picks one of `shards` independently-locked maps,
- * so concurrent workers evaluating different mappings rarely contend.
- * Hit/miss counters are atomics surfaced in MapperResult.
+ * Storage — shards, FIFO caps, byte accounting, memory-pressure
+ * shrink — is the shared ShardedFifoCache (common/shardedcache.hpp).
+ * Hit/miss counters are surfaced in MapperResult.
  */
 
 #ifndef TILEFLOW_MAPPER_EVALCACHE_HPP
 #define TILEFLOW_MAPPER_EVALCACHE_HPP
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/lowerbound.hpp"
-#include "common/membudget.hpp"
-#include "common/telemetry.hpp"
+#include "common/shardedcache.hpp"
 
 namespace tileflow {
 
@@ -93,164 +86,70 @@ struct CachedEval
     double boundCycles = 0.0;
 };
 
+/** What EvalCache adds to the shared cache core: the choice-vector
+ *  hash, the entry size and the two bound-only policies. */
+struct EvalCacheTraits
+{
+    static constexpr const char* kMetricPrefix = "evalcache.";
+
+    /** FNV-1a over the bytes of the choice vector's int64 entries. */
+    static uint64_t hash(const std::vector<int64_t>& choices);
+
+    /**
+     * Size-pure entry estimate (see ShardedFifoCache): the key counted
+     * twice — the map entry and the FIFO deque copy — plus the verdict
+     * and its failure reason.
+     */
+    static size_t entryBytes(const std::vector<int64_t>& choices,
+                             const CachedEval& value);
+
+    /** A bound-only entry is returned but counts as a miss: it is not
+     *  a verdict. */
+    static bool
+    countsAsHit(const CachedEval& value)
+    {
+        return !value.boundOnly;
+    }
+
+    /** A bound says less than a full verdict: keep the verdict (a
+     *  tuner that looked up before it landed may still send the
+     *  bound). */
+    static bool
+    keepsOld(const CachedEval& old, const CachedEval& incoming)
+    {
+        return incoming.boundOnly && !old.boundOnly;
+    }
+};
+
+extern template class ShardedFifoCache<std::vector<int64_t>, CachedEval,
+                                       EvalCacheTraits>;
+
 class EvalCache
+    : public ShardedFifoCache<std::vector<int64_t>, CachedEval,
+                              EvalCacheTraits>
 {
   public:
     /**
      * @param shards              independently-locked map shards
      * @param maxEntriesPerShard  FIFO-evict beyond this many entries
      *        per shard; 0 (the default) keeps the cache unbounded.
-     *        Eviction changes hit rates only, never values — an
-     *        evicted mapping is simply re-evaluated on its next
-     *        lookup — so checkpoint/resume runs stay bit-identical
-     *        under any cap. Soft memory pressure halves it (to a
-     *        floor) and also sets a per-shard byte cap — see shrink().
+     *        Soft memory pressure halves it (to a floor) and also sets
+     *        a per-shard byte cap — see shrink().
      */
-    explicit EvalCache(size_t shards = 16,
-                       size_t maxEntriesPerShard = 0);
+    explicit EvalCache(size_t shards = 16, size_t maxEntriesPerShard = 0)
+        : ShardedFifoCache(shards, maxEntriesPerShard)
+    {
+    }
 
-    ~EvalCache();
+    static uint64_t
+    hashChoices(const std::vector<int64_t>& choices)
+    {
+        return EvalCacheTraits::hash(choices);
+    }
 
-    EvalCache(const EvalCache&) = delete;
-    EvalCache& operator=(const EvalCache&) = delete;
-
-    /** FNV-1a over the bytes of the choice vector's int64 entries. */
-    static uint64_t hashChoices(const std::vector<int64_t>& choices);
-
-    /**
-     * Find a memoized result; counts a hit or a miss. A bound-only
-     * entry is returned too but counts as a miss: it is not a verdict.
-     */
-    std::optional<CachedEval> lookup(const std::vector<int64_t>& choices);
-
-    /**
-     * Memoize a result (last writer wins on a benign race), except
-     * that a bound-only value never replaces a full verdict.
-     */
+    /** Memoize a result, and sample the `evalcache.*` hit/miss trace
+     *  counter tracks when tracing is on. */
     void insert(const std::vector<int64_t>& choices, CachedEval value);
-
-    /**
-     * Per-instance counters since construction or the last clear().
-     * Searches that need totals scoped to one run must snapshot these
-     * around the run and report the delta (the engines do; see
-     * genetic.cpp / mcts.cpp) — never compare raw totals across a
-     * clear(). The process-cumulative view lives in the global
-     * MetricsRegistry ("evalcache.*"), which clear() does NOT reset.
-     */
-    uint64_t hits() const { return hits_.load(); }
-    uint64_t misses() const { return misses_.load(); }
-
-    /** Entries FIFO-evicted by the per-shard cap (clear() resets it
-     *  along with hits/misses; the registry counter does not reset). */
-    uint64_t evictions() const { return evictions_.load(); }
-
-    /** Number of distinct mappings memoized. */
-    size_t size() const;
-
-    /** Approximate bytes held (exact vs. this cache's own insert /
-     *  eviction accounting; see entryBytes()). */
-    uint64_t bytes() const;
-
-    /**
-     * The per-entry byte estimate the accounting uses: a pure
-     * function of entry *sizes* (never capacities), so the bytes
-     * credited at insert equal the bytes debited at eviction and the
-     * `evalcache.bytes` gauge stays exactly
-     * bytes_inserted − bytes_evicted (telemetry_check asserts it).
-     * Counts the key twice — the map entry and the FIFO deque copy.
-     */
-    static size_t entryBytes(const std::vector<int64_t>& choices,
-                             const CachedEval& value);
-
-    /**
-     * Memory-pressure hook (registered with MemoryBudget at
-     * construction). Soft: halve the entry/byte caps — installing a
-     * byte cap at half the current largest shard when unbounded —
-     * and evict down to them. Hard: drop every entry. Unlike
-     * clear(), instance hit/miss counters are preserved, so engines
-     * snapshotting deltas around a run stay consistent when pressure
-     * fires mid-run. Uses try_lock per shard (a contended shard is
-     * skipped and shrunk at the next pressure event). Returns the
-     * approximate bytes freed.
-     */
-    uint64_t shrink(MemPressure level);
-
-    /** shrink(Hard): drop every entry, keep hit/miss counters. */
-    uint64_t evictAll();
-
-    /**
-     * Visit every memoized entry (checkpoint serialization). Not
-     * synchronized against concurrent insert(): call only while no
-     * workers are running (e.g. at a generation boundary). Iteration
-     * order is unspecified.
-     */
-    void forEach(const std::function<void(const std::vector<int64_t>&,
-                                          const CachedEval&)>& fn) const;
-
-    /**
-     * Drop every entry AND zero the instance hit/miss counters, so
-     * hit rates computed after a clear (tuner restart, rejected
-     * checkpoint) never mix fresh lookups with stale totals. Cleared
-     * entries count as evictions in the metrics registry.
-     */
-    void clear();
-
-  private:
-    struct ChoiceHash
-    {
-        size_t
-        operator()(const std::vector<int64_t>& key) const
-        {
-            return size_t(hashChoices(key));
-        }
-    };
-
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::unordered_map<std::vector<int64_t>, CachedEval, ChoiceHash>
-            map;
-        std::deque<std::vector<int64_t>> order; ///< FIFO for the cap
-        size_t bytes = 0; ///< sum of entryBytes() over map (under mutex)
-    };
-
-    Shard& shardFor(uint64_t hash) { return shards_[hash % shards_.size()]; }
-
-    /** Pop the FIFO-oldest entry; returns its bytes (caller holds the
-     *  shard mutex and credits the metrics). */
-    size_t evictOneLocked(Shard& shard);
-
-    /** Credit an eviction batch to instance + registry accounting. */
-    void creditEvictions(uint64_t entries, uint64_t bytes);
-
-    std::vector<Shard> shards_;
-    std::atomic<size_t> maxEntriesPerShard_;
-    /** Approximate entry bytes per shard; 0 (unbounded) until soft
-     *  memory pressure sets it. */
-    std::atomic<size_t> maxBytesPerShard_{0};
-    std::atomic<uint64_t> hits_{0};
-    std::atomic<uint64_t> misses_{0};
-    std::atomic<uint64_t> evictions_{0};
-
-    // Process-cumulative mirrors (survive clear(); see DESIGN.md §10).
-    Counter& metricHits_ =
-        MetricsRegistry::global().counter("evalcache.hits");
-    Counter& metricMisses_ =
-        MetricsRegistry::global().counter("evalcache.misses");
-    Counter& metricInserts_ =
-        MetricsRegistry::global().counter("evalcache.inserts");
-    Counter& metricEvictions_ =
-        MetricsRegistry::global().counter("evalcache.evictions");
-    Counter& metricBytesInserted_ =
-        MetricsRegistry::global().counter("evalcache.bytes_inserted");
-    Counter& metricBytesEvicted_ =
-        MetricsRegistry::global().counter("evalcache.bytes_evicted");
-    Gauge& metricBytes_ =
-        MetricsRegistry::global().gauge("evalcache.bytes");
-
-    // Registered last so it is destroyed first: no shrink callback
-    // can arrive once the destructor body runs.
-    MemReclaimRegistration budgetReg_;
 };
 
 } // namespace tileflow

@@ -169,20 +169,14 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
     double best = std::numeric_limits<double>::infinity();
     int done = 0;
 
-    // MemoryBudget byte accounting for the search tree (DESIGN.md
-    // §11). Report-only: the tree is search *state*, not a cache —
-    // pruning it would change the trajectory, so shrink frees
-    // nothing and pressure relief comes from the caches and from
+    // Search-tree bytes, reported through the mapper.mcts_tree_bytes
+    // gauge. The tree is search *state*, not a cache — pruning it would
+    // change the trajectory — so it does not register with the
+    // MemoryBudget: pressure relief comes from the caches and from
     // guardedEvaluate shedding evaluations at hard pressure.
     std::atomic<uint64_t> tree_bytes{kNodeBytes};
     static Gauge& tree_gauge =
         MetricsRegistry::global().gauge("mapper.mcts_tree_bytes");
-    const MemReclaimRegistration budget_reg(
-        "mcts.tree",
-        [&tree_bytes] {
-            return tree_bytes.load(std::memory_order_relaxed);
-        },
-        [](MemPressure) -> uint64_t { return 0; });
     tree_gauge.set(double(kNodeBytes));
 
     uint64_t config_hash = kCkptHashInit;

@@ -475,6 +475,26 @@ TEST(SubtreeCache, ReinsertDoesNotEvict)
     EXPECT_TRUE(cache.lookup(k1)->hasLatency);
 }
 
+TEST(SubtreeCache, ClearZeroesEvictionsAndCreditsOnlyTheRegistry)
+{
+    Counter& registry_evictions =
+        MetricsRegistry::global().counter("analysis.subtree_evictions");
+    SubtreeCache cache(1, 2);
+    SubtreePartial partial;
+    for (uint64_t i = 1; i <= 3; ++i)
+        cache.insert(SubtreeKey{i, 0}, partial);
+    EXPECT_EQ(cache.evictions(), 1u);
+    const uint64_t reg_before = registry_evictions.value();
+
+    // Instance counters run since construction or the last clear(), so
+    // clear() zeroes evictions too; the two cleared entries go to the
+    // process-cumulative registry counter only.
+    cache.clear();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.evictions(), 0u);
+    EXPECT_EQ(registry_evictions.value(), reg_before + 2);
+}
+
 // -------------------------------------------------------------------
 // EvalCache: bounded eviction + concurrent clear (satellite fixes)
 // -------------------------------------------------------------------
@@ -533,6 +553,23 @@ TEST(EvalCacheBounded, DefaultCapIsUnbounded)
     EXPECT_EQ(cache.evictions(), 0u);
 }
 
+TEST(EvalCacheBounded, ClearZeroesEvictionsAndCreditsOnlyTheRegistry)
+{
+    Counter& registry_evictions =
+        MetricsRegistry::global().counter("evalcache.evictions");
+    EvalCache cache(1, 2);
+    CachedEval v;
+    for (int64_t i = 1; i <= 3; ++i)
+        cache.insert(choiceVec(i), v);
+    EXPECT_EQ(cache.evictions(), 1u);
+    const uint64_t reg_before = registry_evictions.value();
+
+    cache.clear();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.evictions(), 0u);
+    EXPECT_EQ(registry_evictions.value(), reg_before + 2);
+}
+
 TEST(EvalCacheConcurrency, CountersStayConsistentUnderConcurrentClear)
 {
     EvalCache cache(4, 8);
@@ -589,6 +626,73 @@ TEST(EvalCacheConcurrency, CountersStayConsistentUnderConcurrentClear)
         EXPECT_TRUE(cache.lookup(choiceVec(1000 + i)).has_value());
     EXPECT_EQ(cache.misses(), 10u);
     EXPECT_EQ(cache.hits(), 10u);
+}
+
+TEST(SubtreeCacheConcurrency, CountersStayConsistentUnderConcurrentClear)
+{
+    SubtreeCache cache(4, 8);
+    constexpr int kWorkers = 4;
+    constexpr int kOpsPerWorker = 2000;
+    std::atomic<bool> stop{false};
+    auto keyOf = [](uint64_t tag) {
+        return SubtreeKey{tag, tag * 7, SubtreeKind(tag % 2)};
+    };
+
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kWorkers; ++w) {
+        workers.emplace_back([&cache, &keyOf, w]() {
+            for (int i = 0; i < kOpsPerWorker; ++i) {
+                const uint64_t tag = uint64_t((w * kOpsPerWorker + i) % 64);
+                const std::optional<SubtreePartial> found =
+                    cache.lookup(keyOf(tag));
+                if (found) {
+                    // Values are never torn: the entry for tag was
+                    // inserted with footprintBytes == tag and a
+                    // tag-long fill vector.
+                    EXPECT_EQ(found->footprintBytes, int64_t(tag));
+                    EXPECT_EQ(found->dm.childFill.size(), size_t(tag));
+                } else {
+                    SubtreePartial partial;
+                    partial.footprintBytes = int64_t(tag);
+                    partial.dm.childFill.assign(tag, double(tag));
+                    cache.insert(keyOf(tag), partial);
+                }
+            }
+        });
+    }
+    std::thread clearer([&cache, &stop]() {
+        while (!stop.load()) {
+            cache.clear();
+            std::this_thread::yield();
+        }
+    });
+    for (std::thread& t : workers)
+        t.join();
+    stop.store(true);
+    clearer.join();
+
+    EXPECT_LE(cache.hits() + cache.misses(),
+              uint64_t(kWorkers) * kOpsPerWorker);
+    EXPECT_LE(cache.evictions(), uint64_t(kWorkers) * kOpsPerWorker);
+
+    // Deterministic tail: from a clean slate the counters partition
+    // lookups exactly, and the byte count matches the entries held.
+    cache.clear();
+    EXPECT_EQ(cache.evictions(), 0u);
+    EXPECT_EQ(cache.bytes(), 0u);
+    for (uint64_t i = 0; i < 10; ++i)
+        EXPECT_FALSE(cache.lookup(keyOf(1000 + i)).has_value());
+    SubtreePartial partial;
+    uint64_t expected_bytes = 0;
+    for (uint64_t i = 0; i < 10; ++i) {
+        cache.insert(keyOf(1000 + i), partial);
+        expected_bytes += SubtreeCache::entryBytes(keyOf(1000 + i), partial);
+    }
+    for (uint64_t i = 0; i < 10; ++i)
+        EXPECT_TRUE(cache.lookup(keyOf(1000 + i)).has_value());
+    EXPECT_EQ(cache.misses(), 10u);
+    EXPECT_EQ(cache.hits(), 10u);
+    EXPECT_EQ(cache.bytes(), expected_bytes);
 }
 
 // -------------------------------------------------------------------

@@ -178,25 +178,22 @@ TEST(MemBudget, ComponentAccountingAndReclaim)
     uint64_t held = 1000;
     std::vector<MemPressure> shrinks;
     {
-        MemReclaimRegistration reg(
-            "test.component", [&held] { return held; },
-            [&held, &shrinks](MemPressure level) {
-                shrinks.push_back(level);
-                const uint64_t freed =
-                    level == MemPressure::Hard ? held : held / 2;
-                held -= freed;
-                return freed;
-            });
+        MemReclaimRegistration reg([&held, &shrinks](MemPressure level) {
+            shrinks.push_back(level);
+            const uint64_t freed =
+                level == MemPressure::Hard ? held : held / 2;
+            held -= freed;
+            return freed;
+        });
         EXPECT_EQ(budget.componentCount(), 1u);
-        EXPECT_EQ(budget.componentBytes(), 1000u);
 
         EXPECT_EQ(budget.reclaim(MemPressure::Soft), 500u);
         ASSERT_EQ(shrinks.size(), 1u);
         EXPECT_EQ(shrinks[0], MemPressure::Soft);
-        EXPECT_EQ(budget.componentBytes(), 500u);
 
         EXPECT_EQ(budget.reclaim(MemPressure::Hard), 500u);
-        EXPECT_EQ(budget.componentBytes(), 0u);
+        ASSERT_EQ(shrinks.size(), 2u);
+        EXPECT_EQ(shrinks[1], MemPressure::Hard);
     }
     // RAII unregistration: no dangling callbacks, reclaim finds
     // nothing to call.
@@ -350,6 +347,45 @@ TEST(MemBudget, EvalCacheShrinkSoftHalvesThenHardFlushes)
 
     // Hard shrink flushes everything but keeps hit/miss telemetry.
     (void)cache.lookup(fatKey(999)); // one recorded miss
+    const uint64_t misses_before = cache.misses();
+    const uint64_t freed_hard = cache.shrink(MemPressure::Hard);
+    EXPECT_GT(freed_hard, 0u);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.bytes(), 0u);
+    EXPECT_EQ(cache.misses(), misses_before);
+}
+
+TEST(MemBudget, SubtreeCacheShrinkSoftHalvesThenHardFlushes)
+{
+    // The SubtreeCache counterpart: fat partials (long fill vectors) so
+    // the shard's bytes dwarf the floor, and a default-sized entry cap
+    // that the byte cap, not the entry count, binds.
+    BudgetGuard guard;
+    SubtreeCache cache(1, 1024);
+    SubtreePartial fat;
+    fat.dm.childFill.assign(1024, 1.0);
+    for (uint64_t i = 0; i < 8; ++i)
+        cache.insert(SubtreeKey{i, i}, fat);
+    ASSERT_EQ(cache.size(), 8u);
+    const uint64_t bytes_before = cache.bytes();
+    ASSERT_GT(bytes_before, 8u * 4096u); // comfortably above the floor
+
+    const uint64_t evictions_before = cache.evictions();
+    const uint64_t freed_soft = cache.shrink(MemPressure::Soft);
+    EXPECT_GT(freed_soft, 0u);
+    EXPECT_EQ(cache.bytes(), bytes_before - freed_soft);
+    EXPECT_LE(cache.bytes(), bytes_before / 2);
+    EXPECT_GT(cache.size(), 0u);
+    EXPECT_EQ(cache.evictions() - evictions_before, 8u - cache.size());
+
+    // The ratchet: the halved byte cap keeps binding on later inserts.
+    for (uint64_t i = 100; i < 108; ++i)
+        cache.insert(SubtreeKey{i, i}, fat);
+    EXPECT_LE(cache.bytes(), bytes_before / 2);
+    EXPECT_LT(cache.size(), 16u);
+
+    // Hard shrink flushes everything but keeps hit/miss telemetry.
+    (void)cache.lookup(SubtreeKey{999, 999}); // one recorded miss
     const uint64_t misses_before = cache.misses();
     const uint64_t freed_hard = cache.shrink(MemPressure::Hard);
     EXPECT_GT(freed_hard, 0u);
