@@ -15,11 +15,6 @@
  * actually skipped. A fuzz-stream section repeats the comparison on
  * the oracle's small random trees, where the spine is a larger share
  * of the tree and the benefit is accordingly smaller.
- *
- * A bound section replays the same mutation streams through the
- * branch-and-bound screen's LowerBoundEvaluator::costBound: cold (no
- * cache) vs warm (a SubtreeCache warmed on the base tree), in ns per
- * call, so the bound memo's saving shows next to the evaluator's.
  */
 
 #include <chrono>
@@ -27,7 +22,6 @@
 #include <vector>
 
 #include "analysis/incremental.hpp"
-#include "analysis/lowerbound.hpp"
 #include "arch/presets.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
@@ -145,49 +139,6 @@ report(const char* label, const SweepStats& stats, int trials)
                     double(stats.hits + stats.misses));
 }
 
-/**
- * Mean ns per costBound() call over the neighbor sweep. Only the bound
- * calls are timed: the analyzable() check in front of them is the
- * guard's validation, paid the same with or without the memo.
- */
-double
-boundSweepNs(const AnalysisTree& base, uint64_t seed, int trials,
-             const LowerBoundEvaluator& bound)
-{
-    double ns = 0.0;
-    int calls = 0;
-    neighborSweep(base, seed, trials, [&](const AnalysisTree& t) {
-        if (!bound.analyzable(t))
-            return 0.0;
-        const auto t0 = std::chrono::steady_clock::now();
-        const double cycles = bound.costBound(t).cycles;
-        ns += 1e9 * secondsSince(t0);
-        ++calls;
-        return cycles;
-    });
-    return calls > 0 ? ns / calls : 0.0;
-}
-
-void
-reportBound(const char* label, const AnalysisTree& base,
-            const Evaluator& model, uint64_t seed, int trials)
-{
-    const double cold_ns =
-        boundSweepNs(base, seed, trials, LowerBoundEvaluator(model));
-
-    SubtreeCache cache;
-    const LowerBoundEvaluator warm(model, &cache);
-    if (warm.analyzable(base))
-        (void)warm.costBound(base);
-    const double warm_ns = boundSweepNs(base, seed, trials, warm);
-    const uint64_t hits = cache.hits();
-    const uint64_t misses = cache.misses();
-    std::printf("%-18s %10.0f %10.0f %9.2fx %10llu %10llu %7.1f%%\n",
-                label, cold_ns, warm_ns, cold_ns / warm_ns,
-                (unsigned long long)hits, (unsigned long long)misses,
-                100.0 * double(hits) / double(hits + misses));
-}
-
 } // namespace
 
 int
@@ -235,25 +186,6 @@ main()
                 ">= 2.0x)\n",
                 worst_speedup);
 
-    bench::banner("Lower bound: costBound ns per call on the same "
-                  "mutation streams, cold vs SubtreeCache-warm");
-    std::printf("%-18s %10s %10s %10s %10s %10s %8s\n", "workload",
-                "cold ns", "warm ns", "speedup", "hits", "misses",
-                "hit%");
-    for (const char* name : {"Bert-S", "Bert-L"}) {
-        const Workload workload =
-            buildAttention(attentionShape(name), true);
-        const AnalysisTree tree = buildAttentionDataflow(
-            workload, edge, AttentionDataflow::TileFlowDF);
-        reportBound(name, tree, Evaluator(workload, edge), kSeed,
-                    kTrials);
-    }
-    {
-        const ArchSpec validation = makeValidationArch();
-        const FuzzCase fc = makeFuzzCase(0xBE7Cu, 7);
-        reportBound("fuzz case", *fc.tree,
-                    Evaluator(*fc.workload, validation), kSeed, kTrials);
-    }
     std::printf("\nprocess-cumulative telemetry:\n%s",
                 MetricsRegistry::global().table().c_str());
     return worst_speedup >= 2.0 ? 0 : 1;

@@ -19,8 +19,8 @@
  * the exact model on the candidates that were fully evaluated
  * (100 * bound / actual, in percent). Per run, bound_evals counts the
  * bounds computed and bound_memo_hits the bounds read back from
- * bound-only EvalCache entries, and prune_share_{roofline,compulsory,
- * capacity} the share of prunes each tier of the bound screen decided.
+ * bound-only EvalCache entries, and prune_share_{roofline,capacity}
+ * the share of prunes each tier of the bound screen decided.
  *
  * Emits the headline numbers as JSON (default BENCH_mapper.json; CI
  * uploads it as an artifact) so throughput regressions are diffable
@@ -46,10 +46,10 @@ namespace {
 
 /** The bound screen's tiers, in screen order, and their prune
  *  counters. */
-const char* const kTiers[3] = {"roofline", "compulsory", "capacity"};
-const char* const kTierCounters[3] = {"mapper.bound_pruned_roofline",
-                                      "mapper.bound_pruned_compulsory",
-                                      "mapper.bound_pruned_capacity"};
+constexpr int kNumTiers = 2;
+const char* const kTiers[kNumTiers] = {"roofline", "capacity"};
+const char* const kTierCounters[kNumTiers] = {
+    "mapper.bound_pruned_roofline", "mapper.bound_pruned_capacity"};
 
 struct RunStats
 {
@@ -59,7 +59,7 @@ struct RunStats
     uint64_t pruned = 0;
     uint64_t boundEvals = 0;
     uint64_t boundMemoHits = 0;
-    uint64_t prunedByTier[3] = {}; // indexed like kTiers
+    uint64_t prunedByTier[kNumTiers] = {}; // indexed like kTiers
     double bestCycles = 0.0;
     bool found = false;
 };
@@ -74,8 +74,8 @@ runOnce(const Evaluator& model, const MappingSpace& space, int samples,
     const uint64_t bound_evals0 = metrics.counterValue("mapper.bound_evals");
     const uint64_t memo_hits0 =
         metrics.counterValue("mapper.bound_memo_hits");
-    uint64_t tier0[3];
-    for (int t = 0; t < 3; ++t)
+    uint64_t tier0[kNumTiers];
+    for (int t = 0; t < kNumTiers; ++t)
         tier0[t] = metrics.counterValue(kTierCounters[t]);
     const auto t0 = std::chrono::steady_clock::now();
     const MapperResult result =
@@ -88,7 +88,7 @@ runOnce(const Evaluator& model, const MappingSpace& space, int samples,
         metrics.counterValue("mapper.bound_evals") - bound_evals0;
     stats.boundMemoHits =
         metrics.counterValue("mapper.bound_memo_hits") - memo_hits0;
-    for (int t = 0; t < 3; ++t)
+    for (int t = 0; t < kNumTiers; ++t)
         stats.prunedByTier[t] =
             metrics.counterValue(kTierCounters[t]) - tier0[t];
     stats.evaluations = uint64_t(result.evaluations);
@@ -167,7 +167,7 @@ main(int argc, char** argv)
         json.number(key + ".best_cycles_on", on.bestCycles);
         // Which screen tier decided the prunes (shares of on.pruned).
         std::printf("%-10s prunes by tier:", "");
-        for (int t = 0; t < 3; ++t) {
+        for (int t = 0; t < kNumTiers; ++t) {
             const double share =
                 on.pruned > 0 ? double(on.prunedByTier[t]) /
                                     double(on.pruned)

@@ -280,7 +280,7 @@ reserveScratch(DmScratch& s, const TreeSizes& sizes, size_t num_dims)
  */
 void
 planTile(const Workload& workload, const Node* node, double executions,
-         int64_t stream_threshold, bool relevant_weights, DmScratch& s)
+         int64_t stream_threshold, DmScratch& s)
 {
     const StepGeometry& geom = s.geom;
     s.executions = executions;
@@ -327,8 +327,8 @@ planTile(const Workload& workload, const Node* node, double executions,
 
     const size_t rows = s.plan.size();
     const size_t num_loops = geom.temporalLoops().size();
-    s.advanceWeights.assign(relevant_weights ? num_loops * rows : 0, 0.0);
-    for (size_t k = 0; relevant_weights && k < num_loops; ++k) {
+    s.advanceWeights.assign(s.conservative ? 0 : num_loops * rows, 0.0);
+    for (size_t k = 0; !s.conservative && k < num_loops; ++k) {
         if (geom.advances(k) == 0)
             continue;
         for (size_t a = 0; a < rows; ++a) {
@@ -463,14 +463,12 @@ simulateStep(DmScratch& s, const std::vector<int64_t>& idx,
 }
 
 /**
- * Whole-run traffic of one Tile node into `s.out`: analyzeTile's
- * value, or compulsoryTile's when `compulsory_only`. `executions` is
- * executionCount(node).
+ * Whole-run traffic of one Tile node into `s.out` (analyzeTile's
+ * value). `executions` is executionCount(node).
  */
 void
 simulateTile(const Workload& workload, const ArchSpec& spec,
-             const Node* node, double executions, bool compulsory_only,
-             DmScratch& s)
+             const Node* node, double executions, DmScratch& s)
 {
     s.geom.reset(workload, node);
     childGroupOf(node, s.group);
@@ -494,8 +492,7 @@ simulateTile(const Workload& workload, const ArchSpec& spec,
             ? spec.level(0).capacityBytes
             : 0;
 
-    planTile(workload, node, executions, stream_threshold,
-             !s.conservative && !compulsory_only, s);
+    planTile(workload, node, executions, stream_threshold, s);
 
     std::array<PassKind, 2> passes{PassKind::All, PassKind::All};
     size_t num_passes = 1;
@@ -531,12 +528,8 @@ simulateTile(const Workload& workload, const ArchSpec& spec,
         accumulate();
 
         // One boundary type per temporal loop; contributions arrive
-        // pre-weighted by the advance counts. The compulsory-only mode
-        // skips this block entirely — the totals it returns must stay
-        // an in-order subsequence of the exact accumulation (see
-        // compulsoryTile).
-        for (size_t k = 0;
-             !compulsory_only && k < geom.temporalLoops().size(); ++k) {
+        // pre-weighted by the advance counts.
+        for (size_t k = 0; k < geom.temporalLoops().size(); ++k) {
             if (geom.advances(k) == 0)
                 continue;
             traffic.reset(num_children);
@@ -592,22 +585,13 @@ DataMovementAnalyzer::analyzeTile(const Node* node) const
 {
     DmScratch scratch;
     simulateTile(*workload_, *spec_, node, double(executionCount(node)),
-                 /*compulsory_only=*/false, scratch);
-    return std::move(scratch.out);
-}
-
-DmNodePartial
-DataMovementAnalyzer::compulsoryTile(const Node* node) const
-{
-    DmScratch scratch;
-    simulateTile(*workload_, *spec_, node, double(executionCount(node)),
-                 /*compulsory_only=*/true, scratch);
+                 scratch);
     return std::move(scratch.out);
 }
 
 DataMovementResult
 DataMovementAnalyzer::analyze(const AnalysisTree& tree,
-                              SubtreeSlots* slots, TrafficMode mode) const
+                              SubtreeSlots* slots) const
 {
     DataMovementResult result;
     result.levels.assign(size_t(spec_->numLevels()), LevelTraffic{});
@@ -623,27 +607,23 @@ DataMovementAnalyzer::analyze(const AnalysisTree& tree,
     result.perNode.reserve(sizes.tiles);
 
     // Compute op counts once. The spans are cheap and exact (int64),
-    // so op counts are always recomputed, never cached. The
-    // compulsory mode leaves them at zero: utilization, their one
-    // consumer, is not part of the bound.
-    if (mode == TrafficMode::Exact) {
-        SmallBuffer<int64_t, 16> spans(num_dims, 1);
-        visitOpLeaves(tree.root(), [&](const Node* leaf) {
-            const Operator& op = workload_->op(leaf->op());
-            pathSpans(tree.root(), leaf, num_dims, spans.data());
-            double effective = op.opsPerPoint();
-            double padded = op.opsPerPoint();
-            for (DimId dim : op.dims()) {
-                effective *= double(workload_->dim(dim).extent);
-                padded *= double(spans[size_t(dim)]);
-            }
-            result.effectiveOps += effective;
-            result.paddedOps += padded;
-            if (op.kind() == ComputeKind::Matrix)
-                result.effectiveMatrixOps += effective;
-            return true;
-        });
-    }
+    // so op counts are always recomputed, never cached.
+    SmallBuffer<int64_t, 16> spans(num_dims, 1);
+    visitOpLeaves(tree.root(), [&](const Node* leaf) {
+        const Operator& op = workload_->op(leaf->op());
+        pathSpans(tree.root(), leaf, num_dims, spans.data());
+        double effective = op.opsPerPoint();
+        double padded = op.opsPerPoint();
+        for (DimId dim : op.dims()) {
+            effective *= double(workload_->dim(dim).extent);
+            padded *= double(spans[size_t(dim)]);
+        }
+        result.effectiveOps += effective;
+        result.paddedOps += padded;
+        if (op.kind() == ComputeKind::Matrix)
+            result.effectiveMatrixOps += effective;
+        return true;
+    });
 
     // Walk all Tile nodes. Cached and fresh partials feed the same
     // accumulation statements in the same traversal order with the
@@ -654,8 +634,7 @@ DataMovementAnalyzer::analyze(const AnalysisTree& tree,
         const DmNodePartial* partial =
             slots ? slots->dmLookup(node) : nullptr;
         if (partial == nullptr) {
-            simulateTile(*workload_, *spec_, node, executions,
-                         mode == TrafficMode::Compulsory, scratch);
+            simulateTile(*workload_, *spec_, node, executions, scratch);
             if (slots)
                 slots->dmRecord(node, scratch.out);
             partial = &scratch.out;

@@ -103,13 +103,6 @@ struct DmNodePartial
     std::vector<int> childLevels;
 };
 
-/** Which per-node traffic DataMovementAnalyzer::analyze aggregates. */
-enum class TrafficMode
-{
-    Exact,      ///< analyzeTile: the full Sec. 5.1 traffic
-    Compulsory, ///< compulsoryTile: the lower bound's traffic
-};
-
 /**
  * The Sec. 5.1 analyzer. Stateless apart from workload/arch refs: each
  * call keeps its working buffers on its own stack, so one analyzer
@@ -130,12 +123,6 @@ class DataMovementAnalyzer
      * order, so the result is bit-identical with or without it (the
      * memoized-evaluation property tests assert this).
      *
-     * In Compulsory mode the partials are compulsoryTile's and the op
-     * counts stay zero (the lower bound's latency pass never reads
-     * them): each per-node and per-level total is then an fl-sum of
-     * an in-order subsequence of the exact sum's non-negative terms,
-     * hence bitwise <= it.
-     *
      * One scratch serves every Tile node of the call: the node's access
      * plan (the per-access facts the step simulation reads), the
      * resident table and the traffic buffers are reserved once for the
@@ -144,22 +131,10 @@ class DataMovementAnalyzer
      * of the scratch only when `slots` records it.
      */
     DataMovementResult analyze(const AnalysisTree& tree,
-                               SubtreeSlots* slots = nullptr,
-                               TrafficMode mode = TrafficMode::Exact) const;
+                               SubtreeSlots* slots = nullptr) const;
 
     /** Whole-run traffic of one Tile node (the per-node hot path). */
     DmNodePartial analyzeTile(const Node* node) const;
-
-    /**
-     * Compulsory-only traffic of one Tile node: the initial cold-start
-     * step of each pass plus the final write-back, skipping every
-     * per-loop boundary simulation (the revisit/eviction traffic).
-     * Every accumulated term is an in-order subsequence of
-     * analyzeTile's non-negative terms, so each byte total is bitwise
-     * <= the exact partial — the admissibility obligation of the
-     * lower-bound evaluator (analysis/lowerbound.hpp) rests on this.
-     */
-    DmNodePartial compulsoryTile(const Node* node) const;
 
   private:
     const Workload* workload_;

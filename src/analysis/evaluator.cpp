@@ -80,7 +80,7 @@ Evaluator::evaluate(const AnalysisTree& tree, SubtreeCache* cache) const
         }
     }
 
-    SubtreeSlots slots(cache, tree, SubtreeKind::Eval);
+    SubtreeSlots slots(cache, tree);
 
     {
         // Slice geometry is computed inside this walk (StepGeometry

@@ -9,36 +9,22 @@
  * mapper can discard a candidate whose *bound* already exceeds the
  * best mapping found so far without paying for its full evaluation.
  *
- * The full bound is cheaper than that evaluation, not cheap: cold,
- * the compulsory-traffic pass walks every node's slices, about 20-26
- * us per call on bench_incremental's Bert-S and Bert-L streams (Xeon
- * VM), where the compute roofline alone costs well under a microsecond
- * and decides almost every prune. So the mapper's guard screens in
- * tiers (screen(): roofline, then the compulsory bound, then the
- * capacity screen) and memoizes each pruned candidate's bound and tier
- * in the EvalCache. Given the search's SubtreeCache, the compulsory
- * pass is also incremental per Tile node, like the full evaluation:
- * after a single-knob mutation only the changed node's ancestor spine
- * is re-bounded (about 7-9 us per call on the same streams).
+ * The mapper's guard screens in two tiers (screen()): the compute
+ * roofline, which costs well under a microsecond and decides almost
+ * every prune, then the capacity screen; it memoizes each pruned
+ * candidate's bound in the EvalCache.
  *
- * Three ingredients, each individually admissible:
+ * Two ingredients, each individually admissible:
  *
  *  - a compute roofline: the latency model's pure-compute pass, which
- *    reads no traffic at all and is by construction <= total cycles;
- *  - a bandwidth bound: per-node *compulsory* traffic only (the
- *    cold-start slice fills plus the final write-back), skipping all
- *    revisit/eviction boundary traffic. Every skipped term is
- *    non-negative and fl-addition is monotone, so the compulsory
- *    fl-sum — an in-order subsequence of the exact accumulation — is
- *    bitwise <= the exact bytes, and the latency model's per-node
- *    max(compute, load+store/BW) combination preserves that ordering;
+ *    reads no traffic at all and is by construction <= total cycles
+ *    (the latency recursion takes a max over the compute term);
  *  - a capacity screen: per-tile step footprints lower-bounded by the
  *    largest single staged slice per tensor (exact int64), with the
  *    full analyzer's binding and boundary-crossing rules — a capacity
  *    this bound exceeds, the exact footprint exceeds too.
  *
- * What the bound deliberately ignores: revisit and eviction traffic,
- * Seq dirty-eviction write-backs beyond the final one, energy, and
+ * What the bound deliberately ignores: all data movement, energy, and
  * all compute/fanout feasibility checks (those stay with the full
  * evaluator — only the *memory capacity* screen is replicated here,
  * because a buffer overflow is the one rejection provable without
@@ -57,20 +43,16 @@
 
 namespace tileflow {
 
-class SubtreeCache;
-
 /** What the lower-bound evaluator can say about one mapping. */
 struct LowerBound
 {
     /**
-     * Admissible bound on the full model's cycles: for every tree the
-     * full evaluator accepts, cycles <= EvalResult::cycles bitwise.
-     * Zero when `analyzed` is false or the capacity screen rejected.
+     * The compute roofline, an admissible bound on the full model's
+     * cycles: for every tree the full evaluator accepts, cycles <=
+     * EvalResult::cycles bitwise. Zero when `analyzed` is false or
+     * the capacity screen rejected.
      */
     double cycles = 0.0;
-
-    /** The pure-compute (roofline) component of `cycles`. */
-    double computeCycles = 0.0;
 
     /** The step-footprint lower bound of some tile exceeds a finite
      *  buffer capacity: the full evaluator (with enforceMemory on)
@@ -86,17 +68,12 @@ struct LowerBound
     bool analyzed = false;
 };
 
-/**
- * The tiers of the mapper guard's bound screen, cheapest first; each
- * bound is bitwise <= the next, so running them in order prunes
- * exactly what the deepest alone would.
- */
+/** The tiers of the mapper guard's bound screen, cheapest first. */
 enum class BoundTier : uint8_t
 {
-    None,       ///< no tier has run
-    Roofline,   ///< the latency model's pure-compute pass
-    Compulsory, ///< costBound(): the compulsory-traffic latency bound
-    Capacity,   ///< capacityRejects(): the capacity screen
+    None,     ///< no tier has run
+    Roofline, ///< the latency model's pure-compute pass
+    Capacity, ///< capacityRejects(): the capacity screen
 };
 
 /** One run of LowerBoundEvaluator::screen(). */
@@ -109,11 +86,11 @@ struct BoundScreen
      *  that the full evaluator rejects it for capacity. */
     bool pruned = false;
 
-    /** The tier that pruned; otherwise the deepest cost tier that
-     *  completed (None when none did). */
+    /** The tier that pruned; otherwise Roofline when the roofline
+     *  completed (None when it did not). */
     BoundTier tier = BoundTier::None;
 
-    /** That cost tier's bound on the full model's cycles. */
+    /** The roofline's bound on the full model's cycles. */
     double cycles = 0.0;
 
     /** The capacity screen rejected the tree (`tier` is Capacity). */
@@ -122,37 +99,24 @@ struct BoundScreen
 
 /**
  * The bound computer. Like Evaluator it is stateless after
- * construction and safe to share across threads (the optional
- * SubtreeCache is internally synchronized). It must be constructed
- * with the SAME workload/spec/options as the full evaluator it screens
- * for — the capacity screen in particular is only sound against an
- * evaluator that enforces memory capacities.
- *
- * With a SubtreeCache, costBound() is incremental: each Tile node's
- * compulsory traffic partial and bound-pass latencies are looked up
- * under its (subtreeHash, contextSignature) key tagged
- * SubtreeKind::Bound, and fresh ones are recorded, exactly as
- * Evaluator::evaluate does for the full model (the two share
- * SubtreeSlots and may share one cache). Cached partials are the
- * values a fresh pass computes, so the bound is bit-identical with or
- * without the cache; a null cache runs the same code.
+ * construction and safe to share across threads. It must be
+ * constructed with the SAME workload/spec/options as the full
+ * evaluator it screens for — the capacity screen in particular is
+ * only sound against an evaluator that enforces memory capacities.
  */
 class LowerBoundEvaluator
 {
   public:
     LowerBoundEvaluator(const Workload& workload, const ArchSpec& spec,
-                        EvalOptions options = {},
-                        SubtreeCache* cache = nullptr)
-        : workload_(&workload), spec_(&spec), options_(options),
-          cache_(cache)
+                        EvalOptions options = {})
+        : workload_(&workload), spec_(&spec), options_(options)
     {
     }
 
     /** Convenience: mirror the full evaluator's configuration. */
-    explicit LowerBoundEvaluator(const Evaluator& model,
-                                 SubtreeCache* cache = nullptr)
+    explicit LowerBoundEvaluator(const Evaluator& model)
         : LowerBoundEvaluator(model.workload(), model.spec(),
-                              model.options(), cache)
+                              model.options())
     {
     }
 
@@ -163,7 +127,7 @@ class LowerBoundEvaluator
     /**
      * Bound one mapping. Runs structural validation first, then the
      * capacity screen, then — only for capacity-clean trees — the
-     * compulsory-traffic latency bound.
+     * compute roofline.
      */
     LowerBound bound(const AnalysisTree& tree) const;
 
@@ -175,24 +139,15 @@ class LowerBoundEvaluator
     bool analyzable(const AnalysisTree& tree) const;
 
     /**
-     * bound()'s cost part alone — the compulsory-traffic latency
-     * bound, with no validation and no capacity screen. The tree must
-     * be analyzable(). For a capacity-clean tree the result equals
-     * bound()'s bitwise; its `computeCycles` is the roofline.
-     */
-    LowerBound costBound(const AnalysisTree& tree) const;
-
-    /**
      * The mapper guard's tiered screen against `threshold`: the
-     * roofline, then the compulsory-traffic bound, each only while
-     * the cheaper one stays below the threshold, then the capacity
-     * screen. The verdict equals bound()'s `capacityReject || cycles
-     * >= threshold` at every threshold. A failing cost tier is never
-     * a verdict: the capacity screen still runs. `from` / `fromCycles`
-     * resume a screen that reached that tier with that bound before
-     * (a memoized bound-only entry): only the deeper tiers run, and
-     * the tree is not validated again. Not analyzable (from None):
-     * nothing runs and `analyzed` is false.
+     * roofline, then — only while it stays below the threshold — the
+     * capacity screen. The verdict equals bound()'s `capacityReject ||
+     * cycles >= threshold` at every threshold. A failing roofline is
+     * never a verdict: the capacity screen still runs. `from` =
+     * Roofline with `fromCycles` resumes a screen whose roofline ran
+     * before (a memoized roofline entry): only the capacity screen
+     * runs, and the tree is not validated again. Not analyzable (from
+     * None): nothing runs and `analyzed` is false.
      */
     BoundScreen screen(const AnalysisTree& tree, double threshold,
                        BoundTier from = BoundTier::None,
@@ -213,16 +168,15 @@ class LowerBoundEvaluator
     const Workload* workload_;
     const ArchSpec* spec_;
     EvalOptions options_;
-    SubtreeCache* cache_;
 };
 
 /**
- * Test hook: the next `count` screen() calls (process-wide) throw
- * FatalError from their cost tiers, before the roofline, so the
- * capacity-screen fall-through can be exercised; 0 disarms. No
- * well-formed tree makes a cost tier throw on its own.
+ * Test hook: the next `count` screen() calls that run the roofline
+ * (process-wide) throw FatalError before it, so the capacity-screen
+ * fall-through can be exercised; 0 disarms. No well-formed tree makes
+ * the roofline throw on its own.
  */
-void armCostBoundFaultForTesting(int count);
+void armScreenFaultForTesting(int count);
 
 } // namespace tileflow
 

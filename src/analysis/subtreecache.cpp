@@ -20,8 +20,7 @@ SubtreeCacheTraits::entryBytes(const SubtreeKey& key,
            kCacheEntryOverheadBytes;
 }
 
-SubtreeSlots::SubtreeSlots(SubtreeCache* cache, const AnalysisTree& tree,
-                           SubtreeKind kind)
+SubtreeSlots::SubtreeSlots(SubtreeCache* cache, const AnalysisTree& tree)
     : cache_(cache)
 {
     if (cache_ == nullptr || !tree.hasRoot())
@@ -31,7 +30,7 @@ SubtreeSlots::SubtreeSlots(SubtreeCache* cache, const AnalysisTree& tree,
     index_.reserve(keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
         Slot& slot = slots_[i];
-        slot.key = SubtreeKey{keys[i].hash, keys[i].context, kind};
+        slot.key = SubtreeKey{keys[i].hash, keys[i].context};
         slot.cached = cache_->lookup(slot.key);
         index_.emplace(keys[i].node, i);
     }

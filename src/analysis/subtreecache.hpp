@@ -9,9 +9,7 @@
  * data-movement simulation, step-footprint geometry, and per-execution
  * latency — keyed on (subtreeHash, contextSignature), so re-evaluating
  * a mutated tree recomputes only the changed node's ancestor spine
- * while untouched sibling subtrees are served from cache. The lower
- * bound's compulsory-traffic partials live in the same cache under
- * SubtreeKind::Bound keys, with the same caps, byte gauge and shrink.
+ * while untouched sibling subtrees are served from cache.
  *
  * Key contract (see core/tree.hpp): two Tile nodes with equal
  * subtreeHash and equal contextSignature produce bit-identical
@@ -27,9 +25,9 @@
  * shrink — is the shared ShardedFifoCache (common/shardedcache.hpp).
  *
  * Counters (MetricsRegistry): analysis.subtree_lookups / _hits /
- * _misses / _inserts / _evictions, over both kinds of entry. Each Tile
- * node of an evaluated or bounded tree performs exactly one lookup
- * (SubtreeSlots), so hits + misses == lookups always holds.
+ * _misses / _inserts / _evictions. Each Tile node of an evaluated tree
+ * performs exactly one lookup (SubtreeSlots), so hits + misses ==
+ * lookups always holds.
  */
 
 #ifndef TILEFLOW_ANALYSIS_SUBTREECACHE_HPP
@@ -46,29 +44,15 @@
 
 namespace tileflow {
 
-/**
- * Which analysis pass memoized an entry. The lower bound's entries
- * hold compulsory traffic and the latencies it yields, so they must
- * never answer a full evaluation's lookup for the same node (or the
- * other way round).
- */
-enum class SubtreeKind : uint8_t
-{
-    Eval,  ///< Evaluator::evaluate: exact partials
-    Bound, ///< LowerBoundEvaluator::costBound: compulsory partials
-};
-
-/** Cache key: structural identity + ancestor-loop context + kind. */
+/** Cache key: structural identity + ancestor-loop context. */
 struct SubtreeKey
 {
     uint64_t hash = 0;    ///< subtreeHash(node)
     uint64_t context = 0; ///< contextSignature(node)
-    SubtreeKind kind = SubtreeKind::Eval;
 
     bool operator==(const SubtreeKey& other) const
     {
-        return hash == other.hash && context == other.context &&
-               kind == other.kind;
+        return hash == other.hash && context == other.context;
     }
 };
 
@@ -109,10 +93,8 @@ struct SubtreeCacheTraits
     static uint64_t
     hash(const SubtreeKey& key)
     {
-        // hash already mixes the whole subtree; fold in context and
-        // kind.
-        return key.hash ^ (key.context * 0x9e3779b97f4a7c15ULL) ^
-               (uint64_t(key.kind) * 0xc2b2ae3d27d4eb4fULL);
+        // hash already mixes the whole subtree; fold in context.
+        return key.hash ^ (key.context * 0x9e3779b97f4a7c15ULL);
     }
 
     /** Size-pure entry estimate (see ShardedFifoCache): the key counted
@@ -162,10 +144,8 @@ class SubtreeCache
 };
 
 /**
- * One analysis pass's view of a SubtreeCache: the only memoization
- * hook the analyzers take. Evaluator::evaluate uses it with
- * SubtreeKind::Eval, the lower bound's cost pass with
- * SubtreeKind::Bound.
+ * One evaluation's view of a SubtreeCache: the only memoization hook
+ * the analyzers take.
  *
  * The constructor is the pre-pass: exactly ONE cache lookup per Tile
  * node, under the keys of one tileKeys() walk, so subtree_hits +
@@ -183,8 +163,7 @@ class SubtreeCache
 class SubtreeSlots
 {
   public:
-    SubtreeSlots(SubtreeCache* cache, const AnalysisTree& tree,
-                 SubtreeKind kind);
+    SubtreeSlots(SubtreeCache* cache, const AnalysisTree& tree);
 
     SubtreeSlots(const SubtreeSlots&) = delete;
     SubtreeSlots& operator=(const SubtreeSlots&) = delete;

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/lowerbound.hpp"
 #include "common/shardedcache.hpp"
 
 namespace tileflow {
@@ -72,16 +71,14 @@ struct CachedEval
     bool boundOnly = false;
 
     /** The capacity screen rejected the tree (a threshold-free prune).
-     *  False means it was not run: a clean screen always leads on to
-     *  a full evaluation, whose verdict replaces the entry. */
+     *  False on a prune or a bound-only entry means the roofline
+     *  decided it and the capacity screen has not run, so a replay
+     *  that the roofline no longer prunes resumes at that screen (a
+     *  clean screen always leads on to a full evaluation, whose
+     *  verdict replaces the entry). */
     bool capacityReject = false;
 
-    /** The bound screen tier behind `boundCycles` / `capacityReject`
-     *  (LowerBoundEvaluator::screen): a bound-only entry replays it
-     *  and resumes the screen below it. */
-    BoundTier boundTier = BoundTier::None;
-
-    /** The cycle bound of the deepest cost tier that ran (meaningless
+    /** The roofline bound on the full model's cycles (meaningless
      *  when `capacityReject` was decided without one). */
     double boundCycles = 0.0;
 };

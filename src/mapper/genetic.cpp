@@ -121,9 +121,8 @@ GeneticMapper::run()
 
     // Admissible lower bounds for the offspring prescreen's capacity
     // check and (when config_.boundPrune) the tuners' branch-and-bound
-    // screen; mirrors the evaluator's workload/spec/options and shares
-    // the evaluations' SubtreeCache, when there is one.
-    const LowerBoundEvaluator lower_bound(*evaluator_, subtrees_);
+    // screen; mirrors the evaluator's workload/spec/options.
+    const LowerBoundEvaluator lower_bound(*evaluator_);
 
     // Declared before the lambdas that read it: `best` is only
     // written serially at generation boundaries (and by the restore

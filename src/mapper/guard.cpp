@@ -13,32 +13,19 @@ namespace tileflow {
 namespace {
 
 /** mapper.bound_pruned and its per-tier buckets: each prune counts
- *  in the total and under the tier that decided it. */
+ *  in the total and under the tier that decided it — the capacity
+ *  screen for a capacity reject, else the roofline. */
 struct PruneCounters
 {
     Counter& total;
     Counter& roofline;
-    Counter& compulsory;
     Counter& capacity;
 
     void
-    add(BoundTier tier)
+    add(bool capacity_reject)
     {
         total.add();
-        switch (tier) {
-        case BoundTier::Roofline:
-            roofline.add();
-            return;
-        case BoundTier::Compulsory:
-            compulsory.add();
-            return;
-        case BoundTier::Capacity:
-            capacity.add();
-            return;
-        case BoundTier::None:
-            break;
-        }
-        panic("bound prune without a tier");
+        (capacity_reject ? capacity : roofline).add();
     }
 };
 
@@ -50,7 +37,6 @@ boundOnlyEntry(const CachedEval& pruned)
     CachedEval entry;
     entry.boundOnly = true;
     entry.capacityReject = pruned.capacityReject;
-    entry.boundTier = pruned.boundTier;
     entry.boundCycles = pruned.boundCycles;
     return entry;
 }
@@ -66,7 +52,7 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
     //   mapper.candidates == mapper.bound_pruned + mapper.evaluations
     //   mapper.bound_evals + mapper.bound_memo_hits >= bound_pruned
     //   mapper.bound_pruned == the sum of bound_pruned_{roofline,
-    //       compulsory,capacity,restored}
+    //       capacity,restored}
     // — every candidate either prunes on the lower bound (computed,
     // or read from a bound-only cache entry) or pays a full
     // evaluation; `mapper.evaluations`, plus the restored-portion
@@ -87,12 +73,11 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
     static PruneCounters boundPruned{
         MetricsRegistry::global().counter("mapper.bound_pruned"),
         MetricsRegistry::global().counter("mapper.bound_pruned_roofline"),
-        MetricsRegistry::global().counter("mapper.bound_pruned_compulsory"),
         MetricsRegistry::global().counter("mapper.bound_pruned_capacity")};
-    // Bound/actual ratio in percent per fully evaluated valid
-    // candidate: 100 means the bound was exact, small values mean it
-    // was loose. Tightness telemetry only — no invariant beyond
-    // histogram well-formedness depends on it.
+    // Roofline/actual ratio in percent per screened, fully evaluated
+    // valid candidate: 100 means the roofline was exact, small values
+    // mean it was loose. Tightness telemetry only — no invariant
+    // beyond histogram well-formedness depends on it.
     static Histogram& tightness =
         MetricsRegistry::global().histogram("mapper.bound_tightness");
     candidates.add();
@@ -124,11 +109,10 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
         boundMemoHits.add();
         out.boundCycles = memo->boundCycles;
         out.capacityReject = memo->capacityReject;
-        out.boundTier = memo->boundTier;
         if (memo->capacityReject ||
             memo->boundCycles >= prune->bestCycles) {
             out.pruned = true;
-            boundPruned.add(out.boundTier);
+            boundPruned.add(out.capacityReject);
             return out;
         }
     }
@@ -142,31 +126,31 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
         // it is trying to save).
         const AnalysisTree tree = space.build(choices);
 
-        // Only a completed compulsory bound feeds the tightness
-        // histogram.
+        // Only a completed roofline feeds the tightness histogram.
         bool have_bound = false;
         if (lbe != nullptr) {
             // Either prune is sound: the candidate's cycles provably
             // cannot beat the caller's best, or the full evaluator
             // provably rejects it for capacity. A failing screen is
             // never a verdict: the full evaluator classifies the
-            // candidate. A memo's tier and bound (copied into `out`
-            // above) resume the screen below that tier.
+            // candidate. A memo that did not prune is a roofline
+            // entry: its bound (copied into `out` above) resumes the
+            // screen at the capacity tier.
             try {
                 const BoundScreen screen = lbe->screen(
-                    tree, prune->bestCycles, out.boundTier,
+                    tree, prune->bestCycles,
+                    memo != nullptr ? BoundTier::Roofline : BoundTier::None,
                     out.boundCycles);
                 if (memo == nullptr && screen.analyzed)
                     boundEvals.add();
                 out.boundCycles = screen.cycles;
                 out.capacityReject = screen.capacityReject;
-                out.boundTier = screen.tier;
                 if (screen.pruned) {
                     out.pruned = true;
-                    boundPruned.add(screen.tier);
+                    boundPruned.add(out.capacityReject);
                     return out;
                 }
-                have_bound = screen.tier == BoundTier::Compulsory;
+                have_bound = screen.tier == BoundTier::Roofline;
             } catch (const std::exception&) {
             }
         }

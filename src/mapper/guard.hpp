@@ -41,21 +41,20 @@ using FailureHistogram = std::map<std::string, uint64_t>;
  * Branch-and-bound context for guardedEvaluate's bound-first path.
  * When passed (non-null, with a non-null evaluator), the candidate's
  * tree is built once and lower-bounded before full evaluation: a
- * cost bound already >= `bestCycles`, or a capacity-screen reject,
+ * roofline already >= `bestCycles`, or a capacity-screen reject,
  * returns a CachedEval with `pruned` set — never fully evaluated and
  * never counted in `mapper.evaluations`. The pruned verdict carries
  * the bound (`boundCycles`, `capacityReject`); because the verdict
  * itself depends on the caller's threshold, callers cache the bound
  * as a bound-only entry, never the verdict.
  *
- * The screen runs in tiers (LowerBoundEvaluator::screen): the compute
- * roofline, then the compulsory-traffic bound only when the roofline
- * does not prune, then the capacity screen only when neither prunes
- * (or a cost tier throws). The verdict is the same `capacityReject ||
- * bound >= bestCycles` as LowerBoundEvaluator::bound() gives. The
- * verdict's `boundTier` names the tier that pruned, and each prune
- * is counted under it (mapper.bound_pruned_{roofline,compulsory,
- * capacity}).
+ * The screen runs in two tiers (LowerBoundEvaluator::screen): the
+ * compute roofline, then the capacity screen only when the roofline
+ * does not prune (or throws). The verdict is the same `capacityReject
+ * || bound >= bestCycles` as LowerBoundEvaluator::bound() gives. Each
+ * prune is counted under the tier that decided it — the capacity
+ * screen when the verdict's `capacityReject` is set, else the roofline
+ * (mapper.bound_pruned_{roofline,capacity}).
  *
  * Caller contract: `bound` must be constructed from the same
  * workload/spec/options as the evaluator it screens for, and
@@ -73,16 +72,15 @@ struct BoundPrune
     /**
      * The candidate's bound-only EvalCache entry, if the lookup found
      * one. It replaces the tiers it covers: when it prunes against
-     * `bestCycles` the tree is not even built, and otherwise only the
-     * tiers below its `boundTier` run.
+     * `bestCycles` the tree is not even built, and otherwise (a
+     * roofline entry) only the capacity screen runs.
      */
     const CachedEval* memo = nullptr;
 };
 
 /**
  * The bound-only EvalCache entry that stands for a pruned verdict:
- * its bound, capacity reject and tier, and nothing
- * threshold-dependent.
+ * its bound and capacity reject, and nothing threshold-dependent.
  */
 CachedEval boundOnlyEntry(const CachedEval& pruned);
 

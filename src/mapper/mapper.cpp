@@ -68,7 +68,7 @@ exploreTiling(const Evaluator& evaluator, const MappingSpace& space,
     const StopControl stop(Deadline::afterMs(config.timeBudgetMs),
                            config.cancel, config.maxEvaluations);
 
-    const LowerBoundEvaluator lower_bound(evaluator, &subtree_cache);
+    const LowerBoundEvaluator lower_bound(evaluator);
 
     MctsTuner tuner(evaluator, space, rng);
     tuner.setSubtreeCache(&subtree_cache);

@@ -468,14 +468,16 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         // batch's threshold, so only the bound behind it enters the
         // cache (a later batch with a different best re-judges it).
         // A candidate pruned from its memo already has its entry; one
-        // whose memo led on to a deeper tier gets that tier's.
+        // whose roofline memo led on to a capacity prune gets that
+        // tier's.
         int evaluated = 0;
         for (size_t k : to_evaluate) {
             const CachedEval& eval = pending[k].eval;
             const std::optional<CachedEval>& memo = pending[k].memo;
             if (eval.pruned) {
                 result.boundPruned += 1;
-                if (cache_ && (!memo || eval.boundTier > memo->boundTier))
+                if (cache_ && (!memo || (eval.capacityReject &&
+                                         !memo->capacityReject)))
                     cache_->insert(pending[k].choices, boundOnlyEntry(eval));
                 continue;
             }

@@ -438,68 +438,6 @@ TEST(DataMovement, PassthroughChildMovesNothingAtItsParent)
     expectBits(dm.levels[0].readBytes, 28672.0, "L0 read");
 }
 
-TEST(DataMovement, CompulsoryTileIsBelowAnalyzeTilePerField)
-{
-    // Every byte total of compulsoryTile is an in-order subsequence of
-    // analyzeTile's non-negative terms, so it is <= field by field;
-    // on these trees the revisit traffic makes some field strictly
-    // larger.
-    const Workload mm = buildMatmul("mm", 64, 64, 256);
-    const Workload me = buildMatmulExp("me", 256, 256, 256);
-    const ArchSpec spec = makeValidationArch();
-    std::vector<std::pair<const Workload*, AnalysisTree>> cases;
-    cases.emplace_back(&mm, parseNotation(mm, R"(
-        tile @L1 [k:t4, i:t4, j:t4] {
-          tile @L0 [i:s16, j:s16, k:t64] { op matmul }
-        }
-    )"));
-    cases.emplace_back(&mm, parseNotation(mm, R"(
-        tile @L1 [i:t4, j:t4] {
-          tile @L0 [i:s16, j:s16, k:t256] { op matmul }
-        }
-    )"));
-    cases.emplace_back(&me, parseNotation(me, R"(
-        tile @L1 [i:t16, j:t16] {
-          seq {
-            tile @L0 [i:s16, j:s16, k:t256] { op matmul }
-            tile @L0 [i:s16, j:t16]         { op exp }
-          }
-        }
-    )"));
-    for (const auto& [workload, tree] : cases) {
-        SCOPED_TRACE(tree.str());
-        const DataMovementAnalyzer analyzer(*workload, spec);
-        const DmNodePartial exact = analyzer.analyzeTile(tree.root());
-        const DmNodePartial floor = analyzer.compulsoryTile(tree.root());
-        EXPECT_LE(floor.loadBytes, exact.loadBytes);
-        EXPECT_LE(floor.storeBytes, exact.storeBytes);
-        ASSERT_EQ(floor.childFill.size(), exact.childFill.size());
-        ASSERT_EQ(floor.childDrain.size(), exact.childDrain.size());
-        for (size_t j = 0; j < exact.childFill.size(); ++j) {
-            EXPECT_LE(floor.childFill[j], exact.childFill[j]);
-            EXPECT_LE(floor.childDrain[j], exact.childDrain[j]);
-        }
-        EXPECT_EQ(floor.childLevels, exact.childLevels);
-        EXPECT_LT(floor.loadBytes + floor.storeBytes,
-                  exact.loadBytes + exact.storeBytes);
-    }
-    // The exact and compulsory (load, store) of each case.
-    const double pinned[3][4] = {{65536.0, 31232.0, 4096.0, 512.0},
-                                 {163840.0, 8192.0, 16384.0, 512.0},
-                                 {4194304.0, 262144.0, 16384.0, 1024.0}};
-    for (size_t c = 0; c < cases.size(); ++c) {
-        SCOPED_TRACE(c);
-        const DataMovementAnalyzer analyzer(*cases[c].first, spec);
-        const Node* root = cases[c].second.root();
-        const DmNodePartial exact = analyzer.analyzeTile(root);
-        const DmNodePartial floor = analyzer.compulsoryTile(root);
-        expectBits(exact.loadBytes, pinned[c][0], "exact load");
-        expectBits(exact.storeBytes, pinned[c][1], "exact store");
-        expectBits(floor.loadBytes, pinned[c][2], "compulsory load");
-        expectBits(floor.storeBytes, pinned[c][3], "compulsory store");
-    }
-}
-
 /** Bitwise equality of two evaluations' numbers, or the first field
  *  that differs. */
 std::string

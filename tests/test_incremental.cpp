@@ -376,28 +376,6 @@ TEST(SubtreeHash, OneWalkKeysEqualSingleNodeFunctions)
     EXPECT_TRUE(tileKeys(nullptr).empty());
 }
 
-TEST(SubtreeCache, KindTagSeparatesBoundAndEvalEntries)
-{
-    SubtreeCache cache(1, 0);
-    SubtreePartial eval_entry;
-    eval_entry.footprintBytes = 7;
-    const SubtreeKey eval_key{0x1234u, 0x5678u};
-    const SubtreeKey bound_key{0x1234u, 0x5678u, SubtreeKind::Bound};
-    EXPECT_EQ(eval_key.kind, SubtreeKind::Eval);
-    cache.insert(eval_key, eval_entry);
-    EXPECT_FALSE(cache.lookup(bound_key).has_value());
-    SubtreePartial bound_entry;
-    bound_entry.cycles = 3.0;
-    bound_entry.hasLatency = true;
-    cache.insert(bound_key, bound_entry);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.lookup(eval_key)->footprintBytes, 7);
-    EXPECT_EQ(cache.lookup(bound_key)->cycles, 3.0);
-    EXPECT_EQ(cache.bytes(), SubtreeCache::entryBytes(eval_key, eval_entry) +
-                                 SubtreeCache::entryBytes(bound_key,
-                                                          bound_entry));
-}
-
 // -------------------------------------------------------------------
 // SubtreeCache unit tests
 // -------------------------------------------------------------------
@@ -635,7 +613,7 @@ TEST(SubtreeCacheConcurrency, CountersStayConsistentUnderConcurrentClear)
     constexpr int kOpsPerWorker = 2000;
     std::atomic<bool> stop{false};
     auto keyOf = [](uint64_t tag) {
-        return SubtreeKey{tag, tag * 7, SubtreeKind(tag % 2)};
+        return SubtreeKey{tag, tag * 7};
     };
 
     std::vector<std::thread> workers;

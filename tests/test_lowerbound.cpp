@@ -7,9 +7,9 @@
  * evaluator's cycles (compared as exact doubles — the bound is
  * admissible bitwise, not just mathematically), against both the plain
  * and the incremental evaluation paths; and the capacity screen only
- * ever rejects trees the full evaluator also rejects. The screen's
- * tiers are ordered bitwise: roofline == costBound().computeCycles <=
- * costBound().cycles <= exact cycles. Plus the search integration:
+ * ever rejects trees the full evaluator also rejects. The roofline is
+ * the full model's compute term, bitwise, and so <= its cycles. Plus
+ * the search integration:
  * prune-on and prune-off searches find equal-cost best mappings (GA
  * and MCTS), kill/resume with pruning stays bit-identical, the guard's
  * candidate accounting partitions exactly into pruned + evaluated and
@@ -68,7 +68,6 @@ struct PruneTally
 {
     uint64_t total = 0;
     uint64_t roofline = 0;
-    uint64_t compulsory = 0;
     uint64_t capacity = 0;
     uint64_t restored = 0;
 
@@ -78,7 +77,6 @@ struct PruneTally
         const MetricsRegistry& m = MetricsRegistry::global();
         return {m.counterValue("mapper.bound_pruned"),
                 m.counterValue("mapper.bound_pruned_roofline"),
-                m.counterValue("mapper.bound_pruned_compulsory"),
                 m.counterValue("mapper.bound_pruned_capacity"),
                 m.counterValue("mapper.bound_pruned_restored")};
     }
@@ -87,13 +85,12 @@ struct PruneTally
     since(const PruneTally& before) const
     {
         return {total - before.total, roofline - before.roofline,
-                compulsory - before.compulsory,
                 capacity - before.capacity, restored - before.restored};
     }
 
     uint64_t buckets() const
     {
-        return roofline + compulsory + capacity + restored;
+        return roofline + capacity + restored;
     }
 
     uint64_t
@@ -102,8 +99,6 @@ struct PruneTally
         switch (tier) {
         case BoundTier::Roofline:
             return roofline;
-        case BoundTier::Compulsory:
-            return compulsory;
         case BoundTier::Capacity:
             return capacity;
         case BoundTier::None:
@@ -113,27 +108,36 @@ struct PruneTally
     }
 };
 
+/** The tier that decided a pruned verdict: with two tiers, the
+ *  capacity screen exactly when the verdict is a capacity reject. */
+BoundTier
+tierOf(const CachedEval& pruned)
+{
+    return pruned.capacityReject ? BoundTier::Capacity : BoundTier::Roofline;
+}
+
 /**
- * The screen's tier bounds on one analyzable tree: the roofline is
- * costBound()'s compute term, bitwise, and roofline <= compulsory
- * bound <= the full model's cycles (when it accepts the tree). Returns
- * whether the full evaluator accepted.
+ * The screen's roofline on one analyzable tree: it is bound()'s cycles
+ * (unless the capacity screen rejects), and when the full model
+ * accepts the tree it is that model's compute term, bitwise, and so
+ * <= its cycles. Returns whether the full evaluator accepted.
  */
 bool
-expectTierBoundsOrdered(const Evaluator& model,
-                        const LowerBoundEvaluator& lbe,
-                        const AnalysisTree& tree, const std::string& what)
+expectRooflineBelowExact(const Evaluator& model,
+                         const LowerBoundEvaluator& lbe,
+                         const AnalysisTree& tree, const std::string& what)
 {
     const double roofline =
         LatencyModel(model.workload(), model.spec()).rooflineCycles(tree);
-    const LowerBound cost = lbe.costBound(tree);
-    EXPECT_TRUE(sameBits(roofline, cost.computeCycles))
-        << what << ": roofline " << roofline << " vs compute term "
-        << cost.computeCycles;
-    EXPECT_LE(roofline, cost.cycles) << what;
+    const LowerBound lb = lbe.bound(tree);
+    if (!lb.capacityReject) {
+        EXPECT_TRUE(sameBits(roofline, lb.cycles))
+            << what << ": roofline " << roofline << " vs bound "
+            << lb.cycles;
+    }
     const EvalResult full = model.evaluate(tree);
     if (full.valid) {
-        EXPECT_LE(cost.cycles, full.cycles) << what;
+        EXPECT_LE(roofline, full.cycles) << what;
         EXPECT_TRUE(sameBits(roofline, full.latency.computeCycles))
             << what;
     }
@@ -253,7 +257,7 @@ TEST(LowerBound, AdmissibleOnEveryFuzzCandidate)
             const EvalResult b = inc.evaluate(*fc.tree);
 
             if (lb.analyzed) {
-                expectTierBoundsOrdered(
+                expectRooflineBelowExact(
                     full, lbe, *fc.tree,
                     concat("case ", index, " mutation ", m, " (",
                            fc.summary, ")"));
@@ -281,7 +285,6 @@ TEST(LowerBound, AdmissibleOnEveryFuzzCandidate)
             EXPECT_LE(lb.cycles, b.cycles)
                 << "bound above incremental cycles: case " << index
                 << " mutation " << m << " (" << fc.summary << ")";
-            EXPECT_LE(lb.computeCycles, lb.cycles);
             EXPECT_GE(lb.cycles, 0.0);
             EXPECT_TRUE(std::isfinite(lb.cycles));
         }
@@ -318,7 +321,7 @@ TEST(LowerBound, TierBoundsOrderedOverTheBenchmarkSpaces)
             const AnalysisTree tree = space->build(choices);
             ++mappings;
             if (lbe.analyzable(tree)) {
-                accepted += expectTierBoundsOrdered(
+                accepted += expectRooflineBelowExact(
                     model, lbe, tree,
                     concat(workload->name(), " mapping ", mappings));
             }
@@ -365,7 +368,7 @@ TEST(LowerBound, ScreenNeverFiresWhenMemoryUnenforced)
         const FuzzCase fc = makeFuzzCase(0xCAFEu, index);
         const LowerBoundEvaluator lbe(*fc.workload, starved, no_memory);
         EXPECT_FALSE(lbe.capacityRejects(*fc.tree));
-        // And the traffic bound still stands against that evaluator.
+        // And the roofline still stands against that evaluator.
         const Evaluator full(*fc.workload, starved, no_memory);
         const EvalResult r = full.evaluate(*fc.tree);
         const LowerBound lb = lbe.bound(*fc.tree);
@@ -448,7 +451,7 @@ struct VerdictStats
  * from every bound-only entry a pruned verdict leaves — must equal
  * `capacityReject || bound >= T` from a fresh LowerBoundEvaluator::
  * bound() at every threshold T; a surviving candidate gets the full
- * evaluator's verdict. With the cost pass throwing, only the capacity
+ * evaluator's verdict. With the roofline throwing, only the capacity
  * screen can prune.
  */
 void
@@ -467,30 +470,21 @@ expectGuardMatchesFreshBound(const Evaluator& model,
     const double inf = std::numeric_limits<double>::infinity();
     ++stats.trees;
 
-    // Thresholds around the cost bound, which the guard computes even
-    // for trees bound() rejects on capacity alone.
+    // Thresholds around the roofline, which the guard computes even
+    // for trees bound() rejects on capacity alone, and where the
+    // screen hands over from its first tier to the capacity screen.
     std::vector<double> thresholds = {inf};
     if (full.valid)
         thresholds.push_back(full.cycles);
-    const double base = fresh.analyzed ? lbe.costBound(tree).cycles
-                                       : (full.valid ? full.cycles
-                                                     : 1000.0);
-    thresholds.push_back(base);
-    thresholds.push_back(std::nextafter(base, inf));
-    thresholds.push_back(std::nextafter(base, 0.0));
-    // And around the roofline, where the screen hands over from its
-    // first tier to the compulsory bound.
     const double roofline =
         fresh.analyzed ? LatencyModel(model.workload(), model.spec())
                              .rooflineCycles(tree)
-                       : 0.0;
-    if (fresh.analyzed) {
-        thresholds.push_back(roofline);
-        thresholds.push_back(std::nextafter(roofline, inf));
-        thresholds.push_back(std::nextafter(roofline, 0.0));
-    }
+                       : (full.valid ? full.cycles : 1000.0);
+    thresholds.push_back(roofline);
+    thresholds.push_back(std::nextafter(roofline, inf));
+    thresholds.push_back(std::nextafter(roofline, 0.0));
     for (int i = 0; i < 3; ++i)
-        thresholds.push_back(base * (0.5 + rng.uniformReal()));
+        thresholds.push_back(roofline * (0.5 + rng.uniformReal()));
 
     auto expected = [&](double t) {
         return fresh.analyzed &&
@@ -504,7 +498,7 @@ expectGuardMatchesFreshBound(const Evaluator& model,
         EXPECT_EQ(delta.total, got.pruned ? 1u : 0u) << what;
         EXPECT_EQ(delta.buckets(), delta.total) << what;
         if (got.pruned) {
-            EXPECT_EQ(delta.of(got.boundTier), 1u) << what;
+            EXPECT_EQ(delta.of(tierOf(got)), 1u) << what;
         }
         return got;
     };
@@ -519,11 +513,9 @@ expectGuardMatchesFreshBound(const Evaluator& model,
         }
     };
 
-    // The cheapest tier whose bound reaches `t` decides a prune.
+    // The roofline decides a prune whenever it reaches `t`.
     auto expected_tier = [&](double t) {
-        if (roofline >= t)
-            return BoundTier::Roofline;
-        return base >= t ? BoundTier::Compulsory : BoundTier::Capacity;
+        return roofline >= t ? BoundTier::Roofline : BoundTier::Capacity;
     };
 
     // One bound-only entry per tier: entries of one tree and tier are
@@ -531,7 +523,7 @@ expectGuardMatchesFreshBound(const Evaluator& model,
     std::vector<CachedEval> memos;
     auto remember = [&](const CachedEval& pruned) {
         for (const CachedEval& memo : memos) {
-            if (memo.boundTier == pruned.boundTier)
+            if (memo.capacityReject == pruned.capacityReject)
                 return;
         }
         memos.push_back(boundOnlyEntry(pruned));
@@ -541,7 +533,7 @@ expectGuardMatchesFreshBound(const Evaluator& model,
         check(got, t, "tiered");
         if (got.pruned) {
             ++stats.prunes;
-            EXPECT_EQ(got.boundTier, expected_tier(t))
+            EXPECT_EQ(tierOf(got), expected_tier(t))
                 << what << " (T=" << t << ")";
             remember(got);
         }
@@ -550,9 +542,8 @@ expectGuardMatchesFreshBound(const Evaluator& model,
         ++stats.capacityRejects;
 
     // Replay each memo against every threshold; one that prunes on
-    // its own never builds the tree. A memo that led on to a deeper
-    // tier (a roofline memo whose compulsory bound, or a cost memo
-    // whose capacity screen, pruned) is replayed too.
+    // its own never builds the tree. A roofline memo that led on to a
+    // capacity prune leaves a capacity memo, which is replayed too.
     for (size_t m = 0; m < memos.size(); ++m) {
         for (double t : thresholds) {
             const CachedEval memo = memos[m];
@@ -563,23 +554,22 @@ expectGuardMatchesFreshBound(const Evaluator& model,
             if (memo.capacityReject || memo.boundCycles >= t) {
                 EXPECT_EQ(builds, builds_before) << what;
             }
-            if (got.pruned && got.boundTier != memo.boundTier) {
-                EXPECT_GT(got.boundTier, memo.boundTier) << what;
-                stats.handOffs += memo.boundTier == BoundTier::Roofline &&
-                                  got.boundTier == BoundTier::Compulsory;
+            if (got.pruned && got.capacityReject != memo.capacityReject) {
+                EXPECT_TRUE(got.capacityReject) << what;
+                ++stats.handOffs;
                 remember(got);
             }
         }
     }
 
-    // A throwing cost pass leaves the capacity screen as the only
+    // A throwing roofline leaves the capacity screen as the only
     // prune, exactly as bound() (screen first) would.
-    armCostBoundFaultForTesting(1);
+    armScreenFaultForTesting(1);
     const BoundPrune prune{&lbe, 0.0};
     const CachedEval got = guardedEvaluate(model, space, {}, &prune);
-    armCostBoundFaultForTesting(0);
+    armScreenFaultForTesting(0);
     EXPECT_EQ(got.pruned, fresh.analyzed && fresh.capacityReject)
-        << what << " (cost pass throws)";
+        << what << " (roofline throws)";
     if (got.pruned) {
         EXPECT_TRUE(got.capacityReject) << what;
     } else if (!got.failed) {
@@ -632,7 +622,7 @@ TEST(LowerBound, GuardVerdictMatchesFreshBoundOnFuzzFamilies)
     EXPECT_GT(stats.capacityRejects, 0);
     EXPECT_GT(stats.memoVerdicts, 0);
     EXPECT_GT(stats.handOffs, 0)
-        << "no roofline memo led on to a compulsory prune";
+        << "no roofline memo led on to a capacity prune";
 }
 
 TEST(LowerBound, GuardVerdictMatchesFreshBoundOnSearchSpaces)
@@ -664,165 +654,6 @@ TEST(LowerBound, GuardVerdictMatchesFreshBoundOnSearchSpaces)
     EXPECT_GE(stats.trees, 20);
     EXPECT_GT(stats.prunes, 0);
     EXPECT_GT(stats.memoVerdicts, 0);
-}
-
-// -------------------------------------------------------------------
-// Incremental cost bound: SubtreeCache-served partials
-// -------------------------------------------------------------------
-
-namespace {
-
-struct MemoStats
-{
-    int bounds = 0;
-    int evaluations = 0;
-    int looseBounds = 0;    ///< bound < full cycles: compulsory != exact
-    uint64_t boundHits = 0; ///< cache hits taken by memoized bounds
-};
-
-/**
- * Bound `tree` through `memo` (whose SubtreeCache `inc` shares) and
- * through a fresh uncached evaluator, and evaluate it incrementally on
- * the same cache: the memoized bound must equal the fresh one bit for
- * bit, and the incremental evaluation the full one. `step` alternates
- * the order (and repeats the bound, all warm), so bound entries and
- * evaluation entries for the same nodes meet in both orders — an
- * aliased entry would hand one pass the other's partials.
- */
-void
-expectMemoizedBoundMatchesFresh(const Evaluator& model,
-                                const LowerBoundEvaluator& memo,
-                                const IncrementalEvaluator& inc,
-                                const AnalysisTree& tree, int step,
-                                const std::string& what, MemoStats& stats)
-{
-    const LowerBoundEvaluator fresh(model);
-    const bool analyzable = fresh.analyzable(tree);
-    LowerBound reference;
-    if (analyzable)
-        reference = fresh.costBound(tree);
-
-    auto bound = [&]() {
-        if (!analyzable)
-            return;
-        const uint64_t hits_before = inc.cache().hits();
-        const LowerBound got = memo.costBound(tree);
-        stats.boundHits += inc.cache().hits() - hits_before;
-        ++stats.bounds;
-        EXPECT_TRUE(got.analyzed) << what;
-        EXPECT_TRUE(sameBits(got.cycles, reference.cycles))
-            << what << ": " << got.cycles << " vs " << reference.cycles;
-        EXPECT_TRUE(sameBits(got.computeCycles, reference.computeCycles))
-            << what << ": " << got.computeCycles << " vs "
-            << reference.computeCycles;
-    };
-    auto evaluate = [&]() {
-        const EvalResult got = inc.evaluate(tree);
-        const EvalResult full = model.evaluate(tree);
-        ++stats.evaluations;
-        EXPECT_EQ(got.valid, full.valid) << what;
-        EXPECT_EQ(got.problems, full.problems) << what;
-        EXPECT_TRUE(sameBits(got.cycles, full.cycles))
-            << what << ": " << got.cycles << " vs " << full.cycles;
-        EXPECT_TRUE(sameBits(got.energyPJ, full.energyPJ)) << what;
-        if (analyzable && full.valid && reference.cycles < full.cycles)
-            ++stats.looseBounds;
-    };
-
-    if (step % 2 == 0) {
-        bound();
-        evaluate();
-    } else {
-        evaluate();
-        bound();
-    }
-    if (step % 3 == 0)
-        bound();
-}
-
-/** Change one knob of `choices` to another of its values. */
-void
-mutateOneChoice(const MappingSpace& space, Rng& rng,
-                std::vector<int64_t>& choices)
-{
-    for (int attempt = 0; attempt < 16; ++attempt) {
-        const size_t knob = rng.index(space.knobs().size());
-        const int64_t next = rng.choice(space.knobs()[knob].choices);
-        if (next != choices[knob]) {
-            choices[knob] = next;
-            return;
-        }
-    }
-}
-
-} // namespace
-
-TEST(LowerBound, MemoizedCostBoundBitIdenticalToFresh)
-{
-    // Single-knob mutation streams through one shared SubtreeCache per
-    // stream, both unbounded and at a 16-entry cap (so bound and
-    // evaluation entries also evict each other).
-    Rng rng(0xB0DEu);
-    std::set<int> families;
-    MemoStats stats;
-    for (size_t cap : {size_t(0), size_t(16)}) {
-        for (uint64_t index = 0; index < 28; ++index) {
-            FuzzCase fc = makeFuzzCase(0x3E30u, index);
-            families.insert(fc.kind);
-            const Evaluator model(*fc.workload, fuzzSpec());
-            SubtreeCache cache(cap == 0 ? 16 : 1, cap);
-            const IncrementalEvaluator inc(model, cache);
-            const LowerBoundEvaluator memo(model, &cache);
-            for (int m = 0; m < 8; ++m) {
-                if (m > 0 && !mutateOneKnob(rng, *fc.tree))
-                    break;
-                expectMemoizedBoundMatchesFresh(
-                    model, memo, inc, *fc.tree, m,
-                    concat("cap ", cap, " case ", index, " mutation ", m,
-                           " ", fc.summary),
-                    stats);
-            }
-        }
-    }
-    EXPECT_EQ(families.size(), 7u);
-
-    const ArchSpec edge = makeEdgeArch();
-    const Workload attn = buildAttention(attentionShape("Bert-S"), false);
-    const Workload chain = buildConvChain(convChainShape("CC1"));
-    const MappingSpace attn_space = makeAttentionSpace(attn, edge);
-    const MappingSpace chain_space = makeConvChainSpace(chain, edge);
-    int space_trees = 0;
-    for (const auto& [workload, space] :
-         {std::pair{&attn, &attn_space}, std::pair{&chain, &chain_space}}) {
-        const Evaluator model(*workload, edge);
-        SubtreeCache cache;
-        const IncrementalEvaluator inc(model, cache);
-        const LowerBoundEvaluator memo(model, &cache);
-        for (int stream = 0; stream < 3; ++stream) {
-            std::vector<int64_t> choices = drawChoices(*space, rng);
-            for (int m = 0; m < 10; ++m) {
-                if (m > 0)
-                    mutateOneChoice(*space, rng, choices);
-                AnalysisTree tree(*workload);
-                try {
-                    tree = space->build(choices);
-                } catch (const FatalError&) {
-                    continue;
-                }
-                ++space_trees;
-                expectMemoizedBoundMatchesFresh(
-                    model, memo, inc, tree, m,
-                    concat(workload->name(), " stream ", stream,
-                           " mutation ", m),
-                    stats);
-            }
-        }
-    }
-    EXPECT_GE(space_trees, 40);
-    EXPECT_GT(stats.bounds, 300);
-    EXPECT_GT(stats.boundHits, 0u) << "no memoized bound hit the cache";
-    EXPECT_GT(stats.looseBounds, 0)
-        << "every bound was exact: an aliased entry would go unseen";
 }
 
 TEST(LowerBound, MemoizedBoundsLeaveTheMctsTrajectoryUnchanged)
@@ -1000,6 +831,34 @@ TEST(LowerBound, CandidateAccountingPartitionsExactly)
     EXPECT_GT(memo, 0u);
 }
 
+TEST(LowerBound, TightnessObservesTheRooflineOfEvaluatedCandidates)
+{
+    // Every screened candidate that goes on to a full evaluation
+    // feeds mapper.bound_tightness its roofline, as a percentage of
+    // the exact cycles: never above 100, since the roofline is
+    // admissible.
+    const Workload w = buildAttention(attentionShape("Bert-S"), false);
+    const ArchSpec edge = makeEdgeArch();
+    const Evaluator model(w, edge);
+    const MappingSpace space = makeAttentionSpace(w, edge);
+
+    MetricsRegistry& metrics = MetricsRegistry::global();
+    const Histogram& tightness = metrics.histogram("mapper.bound_tightness");
+    const uint64_t tight0 = tightness.count();
+    const uint64_t evals0 = metrics.counterValue("mapper.evaluations");
+
+    const MapperResult r = exploreSpace(model, space, smallGaConfig());
+    ASSERT_TRUE(r.found);
+    ASSERT_GT(r.boundPruned, 0u);
+
+    const uint64_t tight = tightness.count() - tight0;
+    const uint64_t evals =
+        metrics.counterValue("mapper.evaluations") - evals0;
+    EXPECT_GT(tight, 0u) << "no evaluated candidate fed the histogram";
+    EXPECT_LE(tight, evals);
+    EXPECT_LE(tightness.maxNs(), 100u);
+}
+
 TEST(LowerBound, MctsKillResumeWithPruningIsBitIdentical)
 {
     const Workload w = buildAttention(attentionShape("Bert-S"), false);
@@ -1118,13 +977,14 @@ TEST(LowerBound, PruneTiersPartitionTheTotalAcrossKillResume)
 
 TEST(LowerBound, DeeperTierPruneRefreshesItsMemo)
 {
-    // Seed every mapping of a tiling space with a roofline-tier memo
-    // whose bound (0) never prunes: each candidate the tuner prunes
-    // is then decided by a deeper tier, and its entry must be
-    // replaced by that tier's, so a later replay skips the tiers
-    // already paid for.
+    // Seed every mapping of a tiling space with a roofline memo whose
+    // bound (0) never prunes: each candidate the tuner prunes is then
+    // decided by the capacity screen, and its entry must be replaced
+    // by a capacity entry, so a later replay prunes without building
+    // the tree. The default 4 MB L1 rejects nothing; a 64 KB one
+    // makes the screen fire.
     const Workload w = buildAttention(attentionShape("Bert-S"), false);
-    const ArchSpec edge = makeEdgeArch();
+    const ArchSpec edge = makeEdgeArch(64 * 1024);
     const Evaluator model(w, edge);
     const MappingSpace space = makeAttentionTilingSpace(w, edge);
     const LowerBoundEvaluator lbe(model);
@@ -1132,7 +992,6 @@ TEST(LowerBound, DeeperTierPruneRefreshesItsMemo)
     EvalCache cache;
     CachedEval seed;
     seed.boundOnly = true;
-    seed.boundTier = BoundTier::Roofline;
     seed.boundCycles = 0.0;
     forEachMapping(space, [&](const std::vector<int64_t>& choices) {
         cache.insert(choices, seed);
@@ -1149,14 +1008,12 @@ TEST(LowerBound, DeeperTierPruneRefreshesItsMemo)
     size_t refreshed = 0;
     cache.forEach([&](const std::vector<int64_t>& choices,
                       const CachedEval& value) {
-        if (!value.boundOnly || value.boundTier == BoundTier::Roofline)
+        if (!value.boundOnly || !value.capacityReject)
             return;
         ++refreshed;
-        EXPECT_EQ(value.boundTier, BoundTier::Compulsory);
-        EXPECT_EQ(value.boundCycles,
-                  lbe.costBound(space.build(choices)).cycles);
+        EXPECT_TRUE(lbe.capacityRejects(space.build(choices)));
     });
-    EXPECT_GT(refreshed, 0u) << "no deeper-tier prune replaced its memo";
+    EXPECT_GT(refreshed, 0u) << "no capacity prune replaced its memo";
 }
 
 } // namespace tileflow

@@ -575,11 +575,11 @@ expectSameVerdict(const CachedEval& got, const CachedEval& want,
 }
 
 /**
- * guardedEvaluate with a SubtreeCache (shared, as in a search, by the
- * lower bound) returns the cache-less verdict field for field, over
- * uniform draws, at a +inf threshold (only the capacity screen can
- * prune) and at the candidate's exact cycles (a tight bound prunes).
- * Each draw is checked twice, so the second pass runs warm.
+ * guardedEvaluate with a SubtreeCache returns the cache-less verdict
+ * field for field, over uniform draws, at a +inf threshold (only the
+ * capacity screen can prune) and at the candidate's exact cycles (a
+ * tight roofline prunes). Each draw is checked twice, so the second
+ * pass runs warm.
  */
 void
 expectGuardCacheInvariant(const Workload& workload, const ArchSpec& spec,
@@ -589,8 +589,7 @@ expectGuardCacheInvariant(const Workload& workload, const ArchSpec& spec,
         MetricsRegistry::global().counter("analysis.incremental_evals");
     const Evaluator model(workload, spec);
     SubtreeCache cache;
-    const LowerBoundEvaluator plain_lb(model);
-    const LowerBoundEvaluator cached_lb(model, &cache);
+    const LowerBoundEvaluator lb(model);
     Rng rng(seed);
     int valid = 0;
     int pruned = 0;
@@ -613,12 +612,11 @@ expectGuardCacheInvariant(const Workload& workload, const ArchSpec& spec,
             thresholds.push_back(full.cycles);
         for (const double threshold : thresholds) {
             for (int pass = 0; pass < 2; ++pass) {
-                const BoundPrune without{&plain_lb, threshold};
-                const BoundPrune with{&cached_lb, threshold};
+                const BoundPrune prune{&lb, threshold};
                 const CachedEval want =
-                    guardedEvaluate(model, space, choices, &without);
+                    guardedEvaluate(model, space, choices, &prune);
                 expectSameVerdict(
-                    guardedEvaluate(model, space, choices, &with, &cache),
+                    guardedEvaluate(model, space, choices, &prune, &cache),
                     want,
                     "draw " + std::to_string(draw) + " threshold " +
                         std::to_string(threshold) + " pass " +

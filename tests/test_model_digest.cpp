@@ -10,14 +10,16 @@
  * tpu_like.arch through the front end) plus cases from every oracle
  * fuzz family. Each mapping goes through the full Evaluator, the
  * IncrementalEvaluator (over one cache per space, so later candidates
- * reuse earlier partials) and LowerBoundEvaluator::costBound.
+ * reuse earlier partials) and, when the lower bound can analyze it,
+ * the compute roofline (LatencyModel::rooflineCycles).
  *
  * The full-vs-incremental and prune-on-vs-off checks elsewhere compare
  * two paths of the current code with each other; they cannot see a
  * change that moves every path at once, such as a new floating-point
  * summation order in the shared data-movement core. This digest was
- * computed before the slice geometry moved to inline storage and must
- * not change unless the model's numbers are meant to.
+ * computed on the code before the compulsory-traffic bound was
+ * removed (the roofline fold replaced that bound's), and must not
+ * change unless the model's numbers are meant to.
  */
 
 #include <cstdint>
@@ -28,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/incremental.hpp"
+#include "analysis/latency.hpp"
 #include "analysis/lowerbound.hpp"
 #include "analysis/subtreecache.hpp"
 #include "arch/presets.hpp"
@@ -75,22 +78,14 @@ class Digest
         }
     }
 
-    void
-    add(const LowerBound& b)
-    {
-        add(uint64_t(b.analyzed));
-        add(b.cycles);
-        add(b.computeCycles);
-    }
-
     uint64_t value() const { return hash_; }
 
   private:
     uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
-/** Folds the full, incremental and cost-bound outputs of one
- *  mapping; returns whether the full model accepted it. */
+/** Folds the full, incremental and roofline outputs of one mapping;
+ *  returns whether the full model accepted it. */
 bool
 fold(Digest& digest, const Evaluator& full,
      const IncrementalEvaluator& inc, const LowerBoundEvaluator& lb,
@@ -100,7 +95,8 @@ fold(Digest& digest, const Evaluator& full,
     digest.add(result);
     digest.add(inc.evaluate(tree));
     if (lb.analyzable(tree))
-        digest.add(lb.costBound(tree));
+        digest.add(LatencyModel(full.workload(), full.spec())
+                       .rooflineCycles(tree));
     return result.valid;
 }
 
@@ -114,7 +110,7 @@ foldSpace(Digest& digest, const Workload& workload, const ArchSpec& spec,
     const Evaluator full(workload, spec);
     SubtreeCache cache;
     const IncrementalEvaluator inc(full, cache);
-    const LowerBoundEvaluator lb(full, &cache);
+    const LowerBoundEvaluator lb(full);
     Rng rng(seed);
     for (int i = 0; i < count; ++i) {
         std::vector<int64_t> choices;
@@ -159,13 +155,13 @@ TEST(ModelDigest, PinnedOverBenchmarkSpacesAndFuzzFamilies)
         const Evaluator full(*fc.workload, validation);
         SubtreeCache cache;
         const IncrementalEvaluator inc(full, cache);
-        const LowerBoundEvaluator lb(full, &cache);
+        const LowerBoundEvaluator lb(full);
         valid += fold(digest, full, inc, lb, *fc.tree);
     }
     EXPECT_EQ(families.size(), 7u) << "not every fuzz family was drawn";
     EXPECT_GE(valid, 256) << "too few accepted mappings (" << valid << ")";
 
-    EXPECT_EQ(digest.value(), 0x3d19f17b4d0e31bbull)
+    EXPECT_EQ(digest.value(), 0x3f6d8f9b2ba48183ull)
         << "model outputs changed: 0x" << std::hex << digest.value();
 }
 

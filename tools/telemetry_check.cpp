@@ -549,7 +549,7 @@ checkMetrics(const JsonValue& root)
         os << "mapper.bound_pruned (" << bound_pruned << ") !=";
         const char* sep = " ";
         for (const char* tier :
-             {"roofline", "compulsory", "capacity", "restored"}) {
+             {"roofline", "capacity", "restored"}) {
             const std::string name =
                 std::string("mapper.bound_pruned_") + tier;
             const double n = numberOr(counters->get(name), 0.0);
@@ -598,8 +598,7 @@ checkMetrics(const JsonValue& root)
 
     // Incremental-evaluation counters (DESIGN.md §4.6). The subtree
     // cache performs exactly one lookup per Tile node per incremental
-    // evaluation and per memoized cost bound, so hits and misses must
-    // partition lookups exactly.
+    // evaluation, so hits and misses must partition lookups exactly.
     const double sub_lookups =
         numberOr(counters->get("analysis.subtree_lookups"), 0.0);
     const double sub_hits =
