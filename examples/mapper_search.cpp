@@ -49,8 +49,13 @@
  * TILEFLOW_ALLOC_FAULT (e.g. "rate=0.05,seed=11") injects seeded
  * std::bad_alloc faults under evaluation.
  *
- * With --checkpoint, an interrupted run (budget hit, ^C and rerun, a
- * crash) resumes from PATH bit-identically. Set the environment
+ * With --checkpoint, every evaluator verdict is appended to PATH, a
+ * verdict log (DESIGN.md §4.7). Rerun the same command after an
+ * interruption (budget hit, ^C, a crash) and the search re-runs from
+ * its seed, taking logged verdicts instead of re-evaluating them: the
+ * result is bit-identical to an uninterrupted run at one thread, and
+ * the time budget is charged the logged search time. A log written
+ * for another search, arch or workload is replaced. Set the environment
  * variable TILEFLOW_FAULT_INJECT (e.g. "throw=0.1,nan=0.05,seed=7")
  * to exercise the fault-tolerant evaluation boundary.
  *
@@ -246,10 +251,10 @@ main(int argc, char** argv)
     if (MemoryBudget::global().enabled())
         MemoryBudget::installNewHandler();
 
-    // First ^C / SIGTERM: cancel cooperatively — the engines write a
-    // final checkpoint at the next generation/batch boundary and the
-    // run falls through to telemetry export with best-so-far. A
-    // second signal kills the process immediately.
+    // First ^C / SIGTERM: cancel cooperatively — the engines stop at
+    // the next generation/batch boundary, the checkpoint is synced,
+    // and the run falls through to telemetry export with best-so-far.
+    // A second signal kills the process immediately.
     static CancellationToken cancel;
     installStopSignalHandlers(&cancel);
     cfg.cancel = &cancel;

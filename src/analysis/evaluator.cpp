@@ -13,6 +13,11 @@
 
 namespace tileflow {
 
+namespace {
+
+/** The counter evaluate() bumps per call:
+ *  `analysis.incremental_evals` with a SubtreeCache,
+ *  `analysis.evaluations` without. */
 Counter&
 evaluationCounter(const SubtreeCache* cache)
 {
@@ -22,6 +27,8 @@ evaluationCounter(const SubtreeCache* cache)
         MetricsRegistry::global().counter("analysis.incremental_evals");
     return cache != nullptr ? memoized : full;
 }
+
+} // namespace
 
 EvalResult
 Evaluator::evaluate(const AnalysisTree& tree, SubtreeCache* cache) const

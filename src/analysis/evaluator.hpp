@@ -77,16 +77,7 @@ std::vector<std::string>
 enforcementProblems(const EvalOptions& options,
                     const ResourceResult& resources);
 
-class Counter;
 class SubtreeCache;
-
-/**
- * The counter Evaluator::evaluate bumps per call:
- * `analysis.incremental_evals` with a SubtreeCache,
- * `analysis.evaluations` without. The search engines credit restored
- * evaluations to it on checkpoint resume.
- */
-Counter& evaluationCounter(const SubtreeCache* cache);
 
 /**
  * The performance model of TileFlow.

@@ -9,7 +9,7 @@
  * construction; 0 = unbounded) or its byte cap (unbounded until soft
  * memory pressure sets one). Eviction changes hit rates only, never
  * values: an evicted entry is recomputed on its next lookup, so
- * checkpoint/resume stays bit-identical under any cap.
+ * search results stay bit-identical under any cap.
  *
  * Byte accounting is exact against the cache's own bookkeeping:
  * `Traits::entryBytes` is a pure function of entry sizes (never
@@ -268,8 +268,8 @@ class ShardedFifoCache
 
     /**
      * Drop every entry and zero the instance hits, misses and
-     * evictions, so rates computed after a clear (tuner restart,
-     * rejected checkpoint) never mix fresh lookups with stale totals.
+     * evictions, so rates computed after a clear never mix fresh
+     * lookups with stale totals.
      * The cleared entries count only in the registry's
      * `<prefix>evictions`.
      */
@@ -290,9 +290,9 @@ class ShardedFifoCache
     }
 
     /**
-     * Visit every entry as fn(key, value) (checkpoint serialization).
-     * Each shard is locked while visited, but the walk is not a
-     * snapshot: call it while no workers run. Order is unspecified.
+     * Visit every entry as fn(key, value). Each shard is locked while
+     * visited, but the walk is not a snapshot: call it while no
+     * workers run. Order is unspecified.
      */
     template <class Fn>
     void

@@ -48,21 +48,13 @@ Deadline::remainingMs() const
     return left.count() > 0 ? left.count() : 0;
 }
 
-Deadline
-Deadline::creditedMs(int64_t ms) const
-{
-    Deadline d = *this;
-    if (d.enabled_)
-        d.end_ -= std::chrono::milliseconds(ms);
-    return d;
-}
-
 const char*
-StopControl::stopReason(int64_t evaluations_so_far) const
+StopControl::stopReason(int64_t evaluations_so_far,
+                        bool hold_deadline) const
 {
     if (cancel_ && cancel_->cancelled())
         return "cancelled";
-    if (deadline_.expired())
+    if (!hold_deadline && deadline_.expired())
         return "deadline";
     if (maxEvaluations_ > 0 && evaluations_so_far >= maxEvaluations_)
         return "evaluation budget";

@@ -55,7 +55,7 @@ class Deadline
 
     /**
      * Arm for what is left of a budget partially consumed by earlier
-     * (killed/checkpointed) runs: `budget_ms - elapsed_ms` from now.
+     * (killed) runs: `budget_ms - elapsed_ms` from now.
      * budget_ms <= 0 means unlimited; a non-positive remainder means
      * already expired — NOT unlimited, which is what a naive
      * afterMs(budget - elapsed) would silently grant.
@@ -68,10 +68,6 @@ class Deadline
 
     /** Milliseconds until expiry (clamped at 0); -1 when unlimited. */
     int64_t remainingMs() const;
-
-    /** A copy whose expiry is `ms` milliseconds earlier (crediting
-     *  wall-clock already spent); unlimited stays unlimited. */
-    Deadline creditedMs(int64_t ms) const;
 
   private:
     std::chrono::steady_clock::time_point end_{};
@@ -101,9 +97,12 @@ class StopControl
     /**
      * Why the search should stop, or nullptr to keep going. The
      * returned string is static (usable as a histogram key / result
-     * field without ownership concerns).
+     * field without ownership concerns). `hold_deadline` ignores the
+     * deadline: a resumed search replaying its verdict log runs on to
+     * the first candidate the log cannot serve.
      */
-    const char* stopReason(int64_t evaluations_so_far) const;
+    const char* stopReason(int64_t evaluations_so_far,
+                           bool hold_deadline = false) const;
 
     bool
     shouldStop(int64_t evaluations_so_far) const
@@ -112,17 +111,6 @@ class StopControl
     }
 
     const Deadline& deadline() const { return deadline_; }
-
-    /** A copy whose deadline is `ms` milliseconds closer — used by
-     *  checkpoint resume to charge the pre-kill wall clock against
-     *  the budget instead of silently re-arming it in full. */
-    StopControl
-    withElapsedCredit(int64_t ms) const
-    {
-        StopControl credited = *this;
-        credited.deadline_ = deadline_.creditedMs(ms);
-        return credited;
-    }
 
   private:
     Deadline deadline_;

@@ -8,11 +8,10 @@
  * reference is stable forever, so hot code resolves a handle once
  * (function-local static or member) and afterwards pays one relaxed
  * atomic RMW per update. reset() zeroes every value but invalidates
- * no handle. Counters are *process-cumulative*: search engines that
- * resume from a checkpoint credit the restored pre-kill portion into
- * the registry (see genetic.cpp / mcts.cpp), so at the end of a
- * resumed run the registry totals equal the checkpoint-aware totals
- * in MapperResult.
+ * no handle. Counters are *process-cumulative*. A search resumed
+ * from a checkpoint re-runs from its seed (mapper/verdictlog.hpp), so
+ * its registry deltas equal the totals in MapperResult as for any
+ * other run.
  *
  * Tracing. TraceSpan is an RAII scope marker. When tracing is
  * disabled (the default) constructing one costs a single relaxed

@@ -26,10 +26,11 @@
  * `prescreenRejects`. Wall-clock / evaluation budgets
  * and external cancellation are polled at generation boundaries (and,
  * via the shared StopControl, at each tuner's batch boundaries);
- * tripping them returns best-so-far with `timedOut` set. With
- * `checkpointPath` set, completed generations are persisted
- * atomically and a matching checkpoint resumes the run
- * bit-identically (for a fixed seed and thread count).
+ * tripping them returns best-so-far with `timedOut` set. With a
+ * verdict log set (setVerdictLog), a re-run from the same seed replays
+ * a killed run's evaluations from the log, so the resumed search is
+ * bit-identical to an uninterrupted one (for a fixed seed and thread
+ * count); the log is fsynced at each generation boundary.
  */
 
 #ifndef TILEFLOW_MAPPER_GENETIC_HPP
@@ -81,13 +82,6 @@ struct GeneticConfig
     /** External kill switch (nullable; must outlive run()). */
     const CancellationToken* cancel = nullptr;
 
-    /** Checkpoint file ("" disables). run() resumes from a matching
-     *  checkpoint if one exists, else starts fresh and overwrites. */
-    std::string checkpointPath;
-
-    /** Completed generations between checkpoint writes. */
-    int checkpointEveryGens = 1;
-
     /** Pre-screen offspring with validateTree (cheap structural
      *  checks) and the lower-bound capacity screen before paying full
      *  evaluation. */
@@ -98,10 +92,10 @@ struct GeneticConfig
      * MctsTuner::setBoundPrune): candidates whose admissible lower
      * bound cannot beat the generation-boundary best are discarded
      * without full evaluation. Deliberately NOT part of the
-     * checkpoint config hash: checkpoints written with either setting
-     * interoperate — but the flag IS part of the search trajectory,
-     * so flipping it across a kill/resume continues the run under the
-     * new setting rather than replaying the old one.
+     * checkpoint config hash: a verdict does not depend on it, so a
+     * log written with either setting serves the other — but the
+     * flag IS part of the search trajectory, so flipping it across a
+     * kill/resume replays only the verdicts the new trajectory meets.
      */
     bool boundPrune = true;
 
@@ -138,12 +132,10 @@ struct GeneticResult
     int evaluations = 0;
 
     /** Candidates discarded by the branch-and-bound lower bound —
-     *  never fully evaluated, never counted in `evaluations`
-     *  (checkpoint-aware, like `evaluations`). */
+     *  never fully evaluated, never counted in `evaluations`. */
     uint64_t boundPruned = 0;
 
-    /** EvalCache counters for the run (checkpoint-aware: include the
-     *  pre-kill portion of a resumed run). */
+    /** EvalCache counters for the run. */
     uint64_t cacheHits = 0;
     uint64_t cacheMisses = 0;
 
@@ -151,9 +143,6 @@ struct GeneticResult
      *  `stopReason` says why. Best-so-far fields stay usable. */
     bool timedOut = false;
     std::string stopReason;
-
-    /** True when the run continued from an on-disk checkpoint. */
-    bool resumed = false;
 
     /** Failed (throwing / NaN-poisoned) candidate evaluations, by
      *  reason — runtime infeasibility, distinct from prescreen. */
@@ -163,9 +152,9 @@ struct GeneticResult
      *  any evaluation was paid for. */
     uint64_t prescreenRejects = 0;
 
-    /** Wall-clock consumed by the search, checkpoint-aware: a resumed
-     *  run includes the pre-kill portion. This is the elapsed time the
-     *  time budget is charged against across kill/resume cycles. */
+    /** Wall clock consumed by the search, plus the search time the
+     *  verdict log recorded for earlier (killed) runs: what the time
+     *  budget is charged against across kill/resume cycles. */
     int64_t elapsedMs = 0;
 };
 
@@ -195,10 +184,14 @@ class GeneticMapper
      * per-individual tuner. Crossover and mutation change a handful of
      * structural genes, so offspring keep most of their parents'
      * evaluated subtrees warm in the cache. Results are bit-identical
-     * either way — the search trajectory and checkpoints do not
-     * depend on it.
+     * either way — the search trajectory does not depend on it.
      */
     void setSubtreeCache(SubtreeCache* cache) { subtrees_ = cache; }
+
+    /** Replay and record evaluator verdicts through `log` (nullptr:
+     *  none), shared by every per-individual tuner; see
+     *  mapper/verdictlog.hpp. */
+    void setVerdictLog(VerdictLog* log) { log_ = log; }
 
     GeneticResult run();
 
@@ -209,6 +202,7 @@ class GeneticMapper
     ThreadPool* pool_;
     EvalCache* cache_;
     SubtreeCache* subtrees_ = nullptr;
+    VerdictLog* log_ = nullptr;
 };
 
 } // namespace tileflow

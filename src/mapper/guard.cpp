@@ -7,6 +7,7 @@
 #include "common/logging.hpp"
 #include "common/membudget.hpp"
 #include "common/telemetry.hpp"
+#include "mapper/verdictlog.hpp"
 
 namespace tileflow {
 
@@ -44,7 +45,8 @@ boundOnlyEntry(const CachedEval& pruned)
 CachedEval
 guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
                 const std::vector<int64_t>& choices,
-                const BoundPrune* prune, SubtreeCache* cache)
+                const BoundPrune* prune, SubtreeCache* cache,
+                VerdictLog* log)
 {
     // The single chokepoint every candidate without a cached verdict
     // passes through, in both the GA and MCTS paths. Accounting
@@ -52,16 +54,18 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
     //   mapper.candidates == mapper.bound_pruned + mapper.evaluations
     //   mapper.bound_evals + mapper.bound_memo_hits >= bound_pruned
     //   mapper.bound_pruned == the sum of bound_pruned_{roofline,
-    //       capacity,restored}
+    //       capacity}
     // — every candidate either prunes on the lower bound (computed,
     // or read from a bound-only cache entry) or pays a full
-    // evaluation; `mapper.evaluations`, plus the restored-portion
-    // credit the engines add on checkpoint resume, always equals
+    // evaluation, which a resumed search's verdict log may serve
+    // (mapper.replayed); `mapper.evaluations` always equals
     // MapperResult::evaluations.
     static Counter& candidates =
         MetricsRegistry::global().counter("mapper.candidates");
     static Counter& evals =
         MetricsRegistry::global().counter("mapper.evaluations");
+    static Counter& replayed =
+        MetricsRegistry::global().counter("mapper.replayed");
     static Counter& failed =
         MetricsRegistry::global().counter("mapper.failed_evaluations");
     static Counter& oomFailed =
@@ -118,8 +122,10 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
     }
 
     // A candidate that reaches (or throws before reaching) the full
-    // evaluator counts as an evaluation, pruned ones never do.
+    // evaluator counts as an evaluation, pruned ones never do. Only a
+    // verdict the evaluator itself gave goes into the log.
     bool counted_eval = false;
+    bool fresh = false;
     try {
         // One build serves both the bound screen and the full
         // evaluation (the screen must not double the tree-build cost
@@ -157,18 +163,23 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
 
         counted_eval = true;
         evals.add();
-        const EvalResult full = evaluator.evaluate(tree, cache);
-        if (full.valid &&
-            !(std::isfinite(full.cycles) && full.cycles > 0.0)) {
-            out.failed = true;
-            out.failReason = "non-finite or non-positive cycles";
+        if (log != nullptr && log->replay(choices, out)) {
+            replayed.add();
         } else {
-            out.valid = full.valid;
-            out.cycles = full.cycles;
-            if (have_bound && full.valid && full.cycles > 0.0) {
-                tightness.observe(
-                    uint64_t(100.0 * out.boundCycles / full.cycles));
+            fresh = log != nullptr;
+            const EvalResult full = evaluator.evaluate(tree, cache);
+            if (full.valid &&
+                !(std::isfinite(full.cycles) && full.cycles > 0.0)) {
+                out.failed = true;
+                out.failReason = "non-finite or non-positive cycles";
+            } else {
+                out.valid = full.valid;
+                out.cycles = full.cycles;
             }
+        }
+        if (have_bound && out.valid) {
+            tightness.observe(
+                uint64_t(100.0 * out.boundCycles / out.cycles));
         }
     } catch (const FatalError& e) {
         out.failed = true;
@@ -193,6 +204,8 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
             evals.add();
         failed.add();
     }
+    if (fresh)
+        log->append(choices, out);
     return out;
 }
 

@@ -84,6 +84,8 @@ struct BoundPrune
  */
 CachedEval boundOnlyEntry(const CachedEval& pruned);
 
+class VerdictLog;
+
 /**
  * Build and evaluate `choices`, converting every throw and every
  * non-finite "valid" result into a tagged infeasible CachedEval.
@@ -91,13 +93,17 @@ CachedEval boundOnlyEntry(const CachedEval& pruned);
  * bound-first branch-and-bound screen described above. `cache`
  * (nullable) memoizes the evaluation's per-subtree partials; the
  * verdict is bit-identical with or without it, so it changes a
- * search's throughput, never its outcome.
+ * search's throughput, never its outcome. `log` (nullable) stands in
+ * for the evaluator call: a logged verdict is returned instead
+ * (counted in `mapper.replayed`, and still an evaluation), and a
+ * fresh evaluator verdict is appended to it (mapper/verdictlog.hpp).
  */
 CachedEval guardedEvaluate(const Evaluator& evaluator,
                            const MappingSpace& space,
                            const std::vector<int64_t>& choices,
                            const BoundPrune* prune = nullptr,
-                           SubtreeCache* cache = nullptr);
+                           SubtreeCache* cache = nullptr,
+                           VerdictLog* log = nullptr);
 
 /** Merge `from` into `into` (histogram accumulation). */
 void mergeHistogram(FailureHistogram& into, const FailureHistogram& from);

@@ -14,9 +14,9 @@
  * return non-finite results are recorded as infeasible (see
  * MapperResult::failureHistogram) instead of aborting; wall-clock /
  * evaluation budgets and external cancellation degrade gracefully to
- * best-so-far with `timedOut` set; and with `checkpointPath` set the
- * search state is persisted atomically so an interrupted run resumes
- * bit-identically.
+ * best-so-far with `timedOut` set; and with `checkpointPath` set every
+ * evaluator verdict is logged (mapper/verdictlog.hpp) so an
+ * interrupted run, re-run, resumes bit-identically.
  */
 
 #ifndef TILEFLOW_MAPPER_MAPPER_HPP
@@ -68,17 +68,12 @@ struct MapperConfig
     /** External kill switch (nullable; must outlive the call). */
     const CancellationToken* cancel = nullptr;
 
-    /** Checkpoint file ("" disables). If a checkpoint written by the
-     *  same configuration exists there, the search resumes from it;
-     *  otherwise it starts fresh and overwrites. Writes are atomic
-     *  (tmp + rename): a crash mid-write never corrupts the file. */
+    /** Checkpoint file ("" disables): the search's verdict log (see
+     *  mapper/verdictlog.hpp). If one written by the same search on
+     *  the same model exists there, the search replays its verdicts
+     *  instead of re-evaluating them; otherwise it starts a fresh log.
+     *  A crash loses at most the unwritten tail. */
     std::string checkpointPath;
-
-    /** GA generations between checkpoint writes. */
-    int checkpointEveryRounds = 1;
-
-    /** MCTS batches between checkpoint writes (tiling-only search). */
-    int checkpointEveryBatches = 8;
 
     /** Emit an inform() progress line (best-so-far, evals/sec, cache
      *  hit rate, deadline remaining) at most every this many
@@ -92,10 +87,10 @@ struct MapperConfig
      * provably cannot beat the best-so-far — or provably overflows a
      * buffer — is pruned without full evaluation (counted in
      * `MapperResult::boundPruned`, never in `evaluations`).
-     * Deliberately NOT part of the checkpoint config hash, so
-     * checkpoints interoperate across the setting, although pruning IS
-     * part of the search trajectory (pruned samples feed a 0 reward
-     * back into the search).
+     * Deliberately NOT part of the checkpoint config hash: verdicts do
+     * not depend on it, so a log serves either setting, although
+     * pruning IS part of the search trajectory (pruned samples feed a
+     * 0 reward back into the search).
      */
     bool boundPrune = true;
 
@@ -127,8 +122,7 @@ struct MapperResult
      *  never fully evaluated, never counted in `evaluations`. */
     uint64_t boundPruned = 0;
 
-    /** EvalCache counters for this exploration (a resumed run
-     *  includes the pre-kill portion). */
+    /** EvalCache counters for this exploration. */
     uint64_t cacheHits = 0;
     uint64_t cacheMisses = 0;
 
@@ -138,7 +132,8 @@ struct MapperResult
     bool timedOut = false;
     std::string stopReason;
 
-    /** True when the search resumed from an on-disk checkpoint. */
+    /** True when the search resumed from an on-disk checkpoint: its
+     *  verdict log held verdicts of this search. */
     bool resumed = false;
 
     /** Candidate evaluations that threw or returned non-finite
@@ -153,8 +148,8 @@ struct MapperResult
      *  (counted separately from runtime infeasibility). */
     uint64_t prescreenRejects = 0;
 
-    /** Wall clock consumed by the search, checkpoint-aware: a resumed
-     *  run includes the pre-kill portion, matching what the time
+    /** Wall clock consumed by the search, plus the search time its
+     *  checkpoint recorded for earlier (killed) runs: what the time
      *  budget was charged with. */
     int64_t elapsedMs = 0;
 

@@ -6,12 +6,11 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <sstream>
 
 #include "common/logging.hpp"
 #include "common/membudget.hpp"
 #include "common/telemetry.hpp"
-#include "mapper/checkpoint.hpp"
+#include "mapper/verdictlog.hpp"
 
 namespace tileflow {
 
@@ -57,46 +56,9 @@ struct PendingSample
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-void
-writeNode(CkptWriter& w, const SearchNode& node)
-{
-    w.i64(node.visits);
-    w.d(node.totalReward);
-    w.u64(node.children.size());
-    for (const auto& child : node.children)
-        writeNode(w, *child);
-}
-
 /** Approximate heap bytes of one SearchNode: the node itself, its
  *  unique_ptr slot in the parent, and allocator overhead. */
 constexpr uint64_t kNodeBytes = sizeof(SearchNode) + 32;
-
-uint64_t
-countNodes(const SearchNode& node)
-{
-    uint64_t n = 1;
-    for (const auto& child : node.children)
-        n += countNodes(*child);
-    return n;
-}
-
-bool
-readNode(CkptReader& r, SearchNode& node)
-{
-    node.visits = int(r.i64());
-    node.totalReward = r.d();
-    const uint64_t n = r.u64();
-    if (!r.ok() || n > 4096) // menus are small; bound malformed input
-        return false;
-    node.children.clear();
-    node.children.reserve(size_t(n));
-    for (uint64_t i = 0; i < n; ++i) {
-        node.children.push_back(std::make_unique<SearchNode>());
-        if (!readNode(r, *node.children.back()))
-            return false;
-    }
-    return true;
-}
 
 } // namespace
 
@@ -106,9 +68,7 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
     MctsResult result;
 
     const auto run_start = std::chrono::steady_clock::now();
-    int64_t restored_elapsed_ms = 0;
 
-    MetricsRegistry& metrics = MetricsRegistry::global();
     static Counter& batch_counter =
         MetricsRegistry::global().counter("mcts.batches");
     static Counter& sample_counter =
@@ -117,13 +77,8 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         MetricsRegistry::global().histogram("mcts.batch_ns");
 
     const std::vector<size_t> factor_idx = space_->factorKnobs();
-    // Re-snapshotted after the restore block: a rejected checkpoint
-    // clears the cache, which also zeroes its counters.
-    uint64_t hits_before = cache_ ? cache_->hits() : 0;
-    uint64_t misses_before = cache_ ? cache_->misses() : 0;
-    // Pre-kill counter portion restored from a checkpoint.
-    uint64_t restored_hits = 0;
-    uint64_t restored_misses = 0;
+    const uint64_t hits_before = cache_ ? cache_->hits() : 0;
+    const uint64_t misses_before = cache_ ? cache_->misses() : 0;
 
     if (factor_idx.empty()) {
         // Nothing to tune: evaluate the base directly (once — not
@@ -140,7 +95,9 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
             eval = *cached;
         } else {
             eval = guardedEvaluate(*evaluator_, *space_, base, nullptr,
-                                   subtrees_);
+                                   subtrees_, log_);
+            if (log_)
+                log_->flush();
             result.evaluations += 1;
             if (globalEvals_)
                 globalEvals_->fetch_add(1, std::memory_order_relaxed);
@@ -179,175 +136,22 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         MetricsRegistry::global().gauge("mapper.mcts_tree_bytes");
     tree_gauge.set(double(kNodeBytes));
 
-    uint64_t config_hash = kCkptHashInit;
-    if (!ckptPath_.empty()) {
-        config_hash = ckptHash(config_hash, ckptSalt_);
-        config_hash = ckptHash(config_hash, uint64_t(batch_));
-        config_hash = ckptHash(config_hash, uint64_t(samples));
-        config_hash = ckptHashDouble(config_hash, exploration_);
-        config_hash = ckptHash(config_hash, base.size());
-        for (int64_t c : base)
-            config_hash = ckptHash(config_hash, uint64_t(c));
-        config_hash = ckptHashSpace(config_hash, *space_);
-
-        if (std::optional<CkptReader> r =
-                CkptReader::open(ckptPath_, "mcts", config_hash)) {
-            MctsResult restored;
-            SearchNode restored_root;
-            r->tag("done");
-            const int64_t restored_done = r->i64();
-            r->tag("found");
-            restored.found = r->u64() != 0;
-            r->tag("best");
-            const double restored_best = r->d();
-            r->tag("bestchoices");
-            const uint64_t nbest = r->u64();
-            restored.bestChoices.resize(size_t(nbest));
-            for (auto& c : restored.bestChoices)
-                c = r->i64();
-            r->tag("trace");
-            const uint64_t ntrace = r->u64();
-            restored.trace.resize(size_t(ntrace));
-            for (auto& t : restored.trace)
-                t = r->d();
-            r->tag("evals");
-            restored.evaluations = int(r->i64());
-            // Written unconditionally (0 when pruning is off), so
-            // checkpoints interoperate across the boundPrune setting
-            // — which is deliberately NOT in the config hash.
-            r->tag("bpruned");
-            restored.boundPruned = r->u64();
-            r->tag("elapsedms");
-            const int64_t ckpt_elapsed_ms = r->i64();
-            r->tag("cachedelta");
-            restored_hits = r->u64();
-            restored_misses = r->u64();
-            bool tree_ok = ckptReadHistogram(*r, restored.failureHistogram);
-            r->tag("rng");
-            const std::string rng_state = r->str();
-            r->tag("tree");
-            tree_ok = tree_ok && readNode(*r, restored_root);
-            if (cache_)
-                tree_ok = tree_ok && ckptReadCache(*r, *cache_);
-            if (tree_ok && r->ok()) {
-                result = std::move(restored);
-                result.resumed = true;
-                root = std::move(restored_root);
-                tree_bytes.store(countNodes(root) * kNodeBytes,
-                                 std::memory_order_relaxed);
-                best = restored_best;
-                done = int(restored_done);
-                restored_elapsed_ms = ckpt_elapsed_ms;
-                std::istringstream is(rng_state);
-                is >> rng_->engine();
-                if (globalEvals_) {
-                    globalEvals_->fetch_add(
-                        result.evaluations,
-                        std::memory_order_relaxed);
-                }
-                // Credit the pre-kill portion into the process-wide
-                // metrics (see genetic.cpp for the rationale).
-                metrics.counter("mapper.evaluations")
-                    .add(uint64_t(result.evaluations));
-                metrics.counter("mapper.failed_evaluations")
-                    .add(histogramTotal(result.failureHistogram));
-                // Credit the evaluator-side counter the resumed
-                // portion would have bumped, so the analysis/mapper
-                // reconciliation telemetry_check enforces still holds
-                // after a kill/resume cycle.
-                evaluationCounter(subtrees_).add(
-                    uint64_t(result.evaluations));
-                metrics.counter("evalcache.hits").add(restored_hits);
-                metrics.counter("evalcache.misses").add(restored_misses);
-                // Bound-prune credits keep the candidates identity
-                // (candidates == bound_pruned + evaluations) intact
-                // across kill/resume; the restored prunes' tiers are
-                // not checkpointed, so they form a bucket of their own.
-                metrics.counter("mapper.bound_pruned")
-                    .add(result.boundPruned);
-                metrics.counter("mapper.bound_pruned_restored")
-                    .add(result.boundPruned);
-                metrics.counter("mapper.candidates")
-                    .add(uint64_t(result.evaluations) +
-                         result.boundPruned);
-            } else {
-                warn("mcts checkpoint '", ckptPath_,
-                     "': truncated state; starting fresh");
-                restored_hits = 0;
-                restored_misses = 0;
-                if (cache_)
-                    cache_->clear();
-            }
-        }
-    }
-
-    // Snapshot after the restore (and its possible counter-resetting
-    // clear); arm the stop predicate with only the remaining time
-    // budget — the pre-kill elapsed wall clock is already spent.
-    hits_before = cache_ ? cache_->hits() : 0;
-    misses_before = cache_ ? cache_->misses() : 0;
-    StopControl stop = stop_ ? *stop_ : StopControl();
-    if (restored_elapsed_ms > 0)
-        stop = stop.withElapsedCredit(restored_elapsed_ms);
-
-    auto save_checkpoint = [&]() {
-        if (ckptPath_.empty())
-            return;
-        CkptWriter w("mcts", config_hash);
-        w.tag("done");
-        w.i64(done);
-        w.tag("found");
-        w.u64(result.found ? 1 : 0);
-        w.tag("best");
-        w.d(best);
-        w.tag("bestchoices");
-        w.u64(result.bestChoices.size());
-        for (int64_t c : result.bestChoices)
-            w.i64(c);
-        w.tag("trace");
-        w.u64(result.trace.size());
-        for (double t : result.trace)
-            w.d(t);
-        w.tag("evals");
-        w.i64(result.evaluations);
-        w.tag("bpruned");
-        w.u64(result.boundPruned);
-        w.tag("elapsedms");
-        w.i64(restored_elapsed_ms + msSince(run_start));
-        w.tag("cachedelta");
-        w.u64(restored_hits + (cache_ ? cache_->hits() - hits_before
-                                      : 0));
-        w.u64(restored_misses + (cache_ ? cache_->misses() -
-                                              misses_before
-                                        : 0));
-        ckptWriteHistogram(w, result.failureHistogram);
-        w.tag("rng");
-        std::ostringstream os;
-        os << rng_->engine();
-        w.str(os.str());
-        w.tag("tree");
-        writeNode(w, root);
-        if (cache_)
-            ckptWriteCache(w, *cache_);
-        w.writeTo(ckptPath_);
-    };
+    const StopControl stop = stop_ ? *stop_ : StopControl();
 
     ProgressMeter progress(progressIntervalMs_);
-    const int done_at_start = done;
 
-    int batches_since_ckpt = 0;
     while (done < samples) {
-        // Batches are the atomic unit: stop checks and checkpoints
-        // only happen here, so persisted state is always consistent.
+        // Batches are the atomic unit: stop checks only happen here.
+        // The deadline waits while a verdict log still replays.
         {
             const int64_t charged =
                 globalEvals_
                     ? globalEvals_->load(std::memory_order_relaxed)
                     : result.evaluations;
-            if (const char* why = stop.stopReason(charged)) {
+            if (const char* why = stop.stopReason(
+                    charged, log_ != nullptr && log_->replaying())) {
                 result.timedOut = true;
                 result.stopReason = why;
-                save_checkpoint();
                 break;
             }
         }
@@ -455,7 +259,8 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
                                    sample.memo ? &*sample.memo : nullptr};
             const BoundPrune* armed = boundLb_ ? &prune : nullptr;
             sample.eval = guardedEvaluate(*evaluator_, *space_,
-                                          sample.choices, armed, subtrees_);
+                                          sample.choices, armed, subtrees_,
+                                          log_);
         };
         if (pool_ && to_evaluate.size() > 1) {
             pool_->parallelFor(to_evaluate.size(), evaluate_one);
@@ -463,6 +268,8 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
             for (size_t i = 0; i < to_evaluate.size(); ++i)
                 evaluate_one(i);
         }
+        if (log_)
+            log_->flush();
         // Pruned candidates are not evaluations: they must not charge
         // the evaluation budget, and their verdict depends on this
         // batch's threshold, so only the bound behind it enters the
@@ -531,31 +338,22 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
             inform("progress: sample ", done, "/", samples, " best=",
                    result.found ? concat(uint64_t(best), " cycles")
                                 : std::string("none"),
-                   " (", uint64_t(double(done - done_at_start) / secs),
+                   " (", uint64_t(double(done) / secs),
                    " samples/s) cache-hit=",
                    h + m > 0 ? int(100.0 * double(h) / double(h + m)) : 0,
                    "% deadline=",
                    left < 0 ? std::string("unlimited")
                             : concat(left, "ms"));
         }
-
-        if (!ckptPath_.empty() && ++batches_since_ckpt >= ckptEvery_) {
-            save_checkpoint();
-            batches_since_ckpt = 0;
-        }
     }
-    if (!result.timedOut)
-        save_checkpoint();
     tree_gauge.set(0.0); // the tree dies with this frame
     if (result.found)
         result.bestCycles = best;
     if (cache_) {
-        result.cacheHits =
-            restored_hits + (cache_->hits() - hits_before);
-        result.cacheMisses =
-            restored_misses + (cache_->misses() - misses_before);
+        result.cacheHits = cache_->hits() - hits_before;
+        result.cacheMisses = cache_->misses() - misses_before;
     }
-    result.elapsedMs = restored_elapsed_ms + msSince(run_start);
+    result.elapsedMs = msSince(run_start);
     return result;
 }
 

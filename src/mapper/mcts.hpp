@@ -29,10 +29,10 @@
  * `MctsResult.failureHistogram`, and is cached as a tagged infeasible
  * entry. An optional StopControl is polled at batch boundaries; when
  * it trips, tune() returns best-so-far with `timedOut` set. With
- * setCheckpoint, the full search state (tree statistics, RNG engine,
- * best-so-far, trace, cache) is persisted atomically every N batches,
- * and a matching checkpoint found at tune() start resumes the run
- * bit-identically.
+ * setVerdictLog, fresh evaluator verdicts are written to the log at
+ * each batch end and logged ones stand in for evaluator calls
+ * (mapper/verdictlog.hpp), so a re-run from the same seed resumes a
+ * killed search bit-identically.
  */
 
 #ifndef TILEFLOW_MAPPER_MCTS_HPP
@@ -81,12 +81,10 @@ struct MctsResult
 
     /** Candidates discarded by the branch-and-bound lower bound —
      *  never fully evaluated, never counted in `evaluations`, cached
-     *  only as a bound-only entry (checkpoint-aware, like
-     *  `evaluations`). */
+     *  only as a bound-only entry. */
     uint64_t boundPruned = 0;
 
-    /** EvalCache hits/misses charged to this run (checkpoint-aware:
-     *  includes the pre-kill portion of a resumed run). */
+    /** EvalCache hits/misses charged to this run. */
     uint64_t cacheHits = 0;
     uint64_t cacheMisses = 0;
 
@@ -95,14 +93,10 @@ struct MctsResult
     bool timedOut = false;
     std::string stopReason;
 
-    /** True when the run continued from an on-disk checkpoint. */
-    bool resumed = false;
-
     /** Failed (throwing / NaN-poisoned) samples, by reason. */
     FailureHistogram failureHistogram;
 
-    /** Wall-clock consumed, checkpoint-aware: a resumed run includes
-     *  the pre-kill portion (what the time budget is charged with). */
+    /** Wall clock this tune() call took. */
     int64_t elapsedMs = 0;
 };
 
@@ -130,8 +124,8 @@ class MctsTuner
      * `cache` (nullptr: none). Child expansion then reuses the parent
      * prefix's evaluated subtrees: successive samples share everything
      * but the newly decided factor's spine. Results are bit-identical
-     * either way, so the search trajectory, checkpoints and results do
-     * not depend on this setting — only throughput does.
+     * either way, so the search trajectory and results do not depend
+     * on this setting — only throughput does.
      */
     void setSubtreeCache(SubtreeCache* cache) { subtrees_ = cache; }
 
@@ -181,20 +175,11 @@ class MctsTuner
     }
 
     /**
-     * Persist search state to `path` every `every_batches` completed
-     * batches (atomic tmp+rename), and resume from a matching
-     * checkpoint at tune() start. `salt` folds the caller's seed into
-     * the checkpoint's config hash so a run restarted with a
-     * different seed starts fresh instead of resuming silently.
+     * Replay and record evaluator verdicts through `log` (nullptr:
+     * none; see mapper/verdictlog.hpp): its records are written at
+     * each batch end, and the deadline is held while it replays.
      */
-    void
-    setCheckpoint(const std::string& path, int every_batches,
-                  uint64_t salt)
-    {
-        ckptPath_ = path;
-        ckptEvery_ = every_batches < 1 ? 1 : every_batches;
-        ckptSalt_ = salt;
-    }
+    void setVerdictLog(VerdictLog* log) { log_ = log; }
 
     /** Emit an inform() progress line at most every `interval_ms`
      *  (polled at batch boundaries; <= 0 disables — the default, and
@@ -223,9 +208,7 @@ class MctsTuner
     int batch_ = 1;
     const StopControl* stop_ = nullptr;
     std::atomic<int64_t>* globalEvals_ = nullptr;
-    std::string ckptPath_;
-    int ckptEvery_ = 1;
-    uint64_t ckptSalt_ = 0;
+    VerdictLog* log_ = nullptr;
     int64_t progressIntervalMs_ = 0;
 };
 

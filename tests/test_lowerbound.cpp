@@ -69,7 +69,6 @@ struct PruneTally
     uint64_t total = 0;
     uint64_t roofline = 0;
     uint64_t capacity = 0;
-    uint64_t restored = 0;
 
     static PruneTally
     now()
@@ -77,20 +76,19 @@ struct PruneTally
         const MetricsRegistry& m = MetricsRegistry::global();
         return {m.counterValue("mapper.bound_pruned"),
                 m.counterValue("mapper.bound_pruned_roofline"),
-                m.counterValue("mapper.bound_pruned_capacity"),
-                m.counterValue("mapper.bound_pruned_restored")};
+                m.counterValue("mapper.bound_pruned_capacity")};
     }
 
     PruneTally
     since(const PruneTally& before) const
     {
         return {total - before.total, roofline - before.roofline,
-                capacity - before.capacity, restored - before.restored};
+                capacity - before.capacity};
     }
 
     uint64_t buckets() const
     {
-        return roofline + capacity + restored;
+        return roofline + capacity;
     }
 
     uint64_t
@@ -868,7 +866,6 @@ TEST(LowerBound, MctsKillResumeWithPruningIsBitIdentical)
 
     MapperConfig cfg;
     cfg.threads = 1;
-    cfg.checkpointEveryBatches = 1;
 
     const MapperResult reference =
         exploreTiling(model, space, 300, 42u, cfg);
@@ -936,8 +933,8 @@ TEST(LowerBound, GaKillResumeWithPruningIsBitIdentical)
 TEST(LowerBound, PruneTiersPartitionTheTotalAcrossKillResume)
 {
     // Every prune counts under exactly one bucket: the tier that
-    // decided it, or, for the prunes a resumed search restores from
-    // its checkpoint, mapper.bound_pruned_restored.
+    // decided it. A resumed search re-runs its prunes, so that holds
+    // across kill/resume too.
     const Workload w = buildAttention(attentionShape("Bert-B"), false);
     const ArchSpec edge = makeEdgeArch();
     const Evaluator model(w, edge);
@@ -947,13 +944,12 @@ TEST(LowerBound, PruneTiersPartitionTheTotalAcrossKillResume)
 
     MapperConfig cfg;
     cfg.threads = 1;
-    cfg.checkpointEveryBatches = 1;
     const int full_evals =
         exploreTiling(model, space, 300, 42u, cfg).evaluations;
     cfg.checkpointPath = path;
     MapperConfig killed = cfg;
     // Most candidates prune once the first batch has set a best, so
-    // only a kill at the last evaluation checkpoints some prunes.
+    // a kill at the last evaluation leaves prunes on both sides.
     killed.maxEvaluations = std::max(1, full_evals - 1);
     const PruneTally before_kill = PruneTally::now();
     const MapperResult k = exploreTiling(model, space, 300, 42u, killed);
@@ -961,7 +957,6 @@ TEST(LowerBound, PruneTiersPartitionTheTotalAcrossKillResume)
     ASSERT_TRUE(k.timedOut);
     EXPECT_EQ(kill.total, k.boundPruned);
     EXPECT_EQ(kill.buckets(), kill.total);
-    EXPECT_EQ(kill.restored, 0u);
     EXPECT_GT(kill.roofline, 0u);
 
     const PruneTally before_resume = PruneTally::now();
@@ -970,8 +965,6 @@ TEST(LowerBound, PruneTiersPartitionTheTotalAcrossKillResume)
     ASSERT_TRUE(r.resumed);
     EXPECT_EQ(resumed.total, r.boundPruned);
     EXPECT_EQ(resumed.buckets(), resumed.total);
-    EXPECT_GT(resumed.restored, 0u);
-    EXPECT_LE(resumed.restored, k.boundPruned);
     std::remove(path.c_str());
 }
 

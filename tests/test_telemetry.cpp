@@ -334,22 +334,20 @@ TEST(Telemetry, DeadlineAfterRemainingMsArmsOnlyTheRemainder)
     EXPECT_TRUE(Deadline::afterRemainingMs(1000, 5000).expired());
 }
 
-TEST(Telemetry, StopControlElapsedCreditChargesTheDeadline)
+TEST(Telemetry, StopControlHoldsOnlyTheDeadline)
 {
-    const StopControl unlimited;
-    EXPECT_TRUE(unlimited.withElapsedCredit(10000)
-                    .deadline()
-                    .unlimited());
+    // A resumed search replaying its verdict log holds the deadline,
+    // and nothing else: the evaluation budget and a cancel still stop.
+    const StopControl spent(Deadline::afterRemainingMs(1000, 5000),
+                            nullptr, 10);
+    EXPECT_STREQ(spent.stopReason(0), "deadline");
+    EXPECT_EQ(spent.stopReason(0, true), nullptr);
+    EXPECT_STREQ(spent.stopReason(10, true), "evaluation budget");
 
-    const StopControl stop(Deadline::afterMs(60000), nullptr, 0);
-    const StopControl credited = stop.withElapsedCredit(59999);
-    EXPECT_FALSE(credited.deadline().unlimited());
-    EXPECT_LE(credited.deadline().remainingMs(), 1);
-
-    // Credit exceeding the budget: expired, still not unlimited.
-    EXPECT_TRUE(
-        stop.withElapsedCredit(120000).deadline().expired());
-    EXPECT_NE(stop.withElapsedCredit(120000).stopReason(0), nullptr);
+    CancellationToken cancel;
+    cancel.cancel();
+    const StopControl cancelled(Deadline::alreadyExpired(), &cancel, 0);
+    EXPECT_STREQ(cancelled.stopReason(0, true), "cancelled");
 }
 
 // -------------------------------------------------------------------
@@ -571,19 +569,20 @@ struct MapperTelemetry : testing::Test
         return path;
     }
 
-    /** The search time (ms) stored in the checkpoint at `path`: the
-     *  pre-kill time a resume from it starts from. -1 if the file
-     *  holds no such record. */
+    /** The search time (ms) of the last `s` record in the verdict log
+     *  at `path`: the pre-kill time a resume from it starts from. -1
+     *  if the file holds no such record. */
     static int64_t
     checkpointElapsedMs(const std::string& path)
     {
         std::ifstream in(path);
-        std::string token;
-        while (in >> token) {
-            if (token == "elapsedms" && in >> token)
-                return int64_t(std::stoull(token, nullptr, 16));
+        std::string line;
+        int64_t elapsed = -1;
+        while (std::getline(in, line)) {
+            if (line.rfind("s ", 0) == 0)
+                elapsed = std::stoll(line.substr(2));
         }
-        return -1;
+        return elapsed;
     }
 
     Workload w;
@@ -630,17 +629,15 @@ TEST_F(MapperTelemetry, RegistryDeltasMatchAcrossKillAndResume)
     killed.maxEvaluations = reference.evaluations / 2;
     const MapperResult k = exploreSpace(model, space, killed);
     ASSERT_TRUE(k.timedOut);
-    // The time the resume starts from: the checkpoint's, which ends
-    // at the last full generation. The killed run's own elapsedMs
-    // also counts its cut-short generation, which the resume re-runs
-    // at whatever speed the host allows, so it is no lower bound.
+    // The time the resume starts from: the last one the killed run
+    // logged.
     const int64_t charged = checkpointElapsedMs(path);
     ASSERT_GE(charged, 0);
 
-    // The resumed run credits the restored (pre-kill) portion into
-    // the registry, so the *resume's own delta* equals its
-    // checkpoint-aware totals — the same invariant the schema
-    // checker enforces on mapper_search's --metrics-out.
+    // The resumed run re-runs the search from its seed, replaying the
+    // logged verdicts, so the *resume's own delta* equals its totals —
+    // the same invariant the schema checker enforces on
+    // mapper_search's --metrics-out.
     const uint64_t evals_before = reg.counterValue("mapper.evaluations");
     const uint64_t hits_before = reg.counterValue("evalcache.hits");
     const uint64_t misses_before = reg.counterValue("evalcache.misses");
@@ -658,8 +655,8 @@ TEST_F(MapperTelemetry, RegistryDeltasMatchAcrossKillAndResume)
     EXPECT_EQ(reg.counterValue("evalcache.misses") - misses_before,
               r.cacheMisses);
 
-    // Checkpoint-aware wall clock: the resume includes the elapsed
-    // time of the checkpoint it resumed from, so it never reports less.
+    // The resume's wall clock includes the elapsed time its log
+    // recorded, so it never reports less.
     EXPECT_GE(r.elapsedMs, charged);
     std::remove(path.c_str());
 }
@@ -669,11 +666,10 @@ TEST_F(MapperTelemetry, ResumedRunReArmsOnlyTheRemainingTimeBudget)
     const std::string path = ckptPath("telemetry_budget.ckpt");
 
     // Kill a run via its evaluation budget so some wall clock is
-    // recorded in the checkpoint. A generation cut short is never
-    // checkpointed, so the cap lets generation 0 finish — a one-round
-    // run of the same search makes exactly its evaluations — and
-    // trips one evaluation into generation 1. The search is sized so
-    // that generation 0 takes milliseconds, not microseconds, and
+    // recorded in the checkpoint. The cap lets generation 0 finish — a
+    // one-round run of the same search makes exactly its evaluations —
+    // and trips one evaluation into generation 1. The search is sized
+    // so that generation 0 takes milliseconds, not microseconds, and
     // seeded so that generation 1 evaluates at all (with the fixture's
     // seed every evaluation lands in generation 0).
     MapperConfig search = cfg;
@@ -697,9 +693,10 @@ TEST_F(MapperTelemetry, ResumedRunReArmsOnlyTheRemainingTimeBudget)
     }
 
     // Resume with a time budget the killed run already exceeded: the
-    // fixed re-arm must stop on the deadline at the first poll
-    // instead of granting a fresh full budget (the old bug — worse,
-    // the naive remainder computation made it *unlimited*).
+    // re-arm must stop on the deadline instead of granting a fresh
+    // full budget (the old bug — worse, the naive remainder
+    // computation made it *unlimited*). The deadline is held while the
+    // log replays, so it stops at the first poll after the replay.
     MapperConfig resume = killed;
     resume.maxEvaluations = 0;
     resume.timeBudgetMs = 1;
@@ -707,11 +704,11 @@ TEST_F(MapperTelemetry, ResumedRunReArmsOnlyTheRemainingTimeBudget)
     ASSERT_TRUE(r.resumed);
     EXPECT_TRUE(r.timedOut);
     EXPECT_EQ(r.stopReason, "deadline");
-    // Stopped at the first generation boundary: no work beyond what
-    // the checkpoint held (the killed run's count can be higher — its
-    // final cut-short generation is deliberately not checkpointed).
+    // The replay reaches the kill point, then at most one rollout
+    // batch of new work runs before the stop.
     EXPECT_GT(r.evaluations, 0);
-    EXPECT_LE(r.evaluations, k.evaluations);
+    EXPECT_LE(k.evaluations, r.evaluations);
+    EXPECT_LE(r.evaluations, k.evaluations + search.mctsBatch);
     std::remove(path.c_str());
 }
 

@@ -495,9 +495,9 @@ checkMetrics(const JsonValue& root)
         return 1;
 
     // The cross-consistency contract (DESIGN.md §10): the registry's
-    // process-cumulative counters, which include the restored credit
-    // a resumed search adds, must equal the checkpoint-aware totals
-    // the search itself reports. Exact equality — these are counts.
+    // process-cumulative counters must equal the totals the search
+    // itself reports — a resumed search re-runs from its seed, so this
+    // holds for it too. Exact equality — these are counts.
     struct Pair
     {
         const char* counter;
@@ -541,15 +541,13 @@ checkMetrics(const JsonValue& root)
         check(bound_pruned + mapper_evals_bb == candidates, os.str());
     }
     // Each prune counts under the screen tier that decided it (a memo
-    // prune under its memo's tier); a resumed run's restored prunes
-    // have a bucket of their own. The buckets partition the total.
+    // prune under its memo's tier). The tiers partition the total.
     {
         double tiers = 0.0;
         std::ostringstream os;
         os << "mapper.bound_pruned (" << bound_pruned << ") !=";
         const char* sep = " ";
-        for (const char* tier :
-             {"roofline", "capacity", "restored"}) {
+        for (const char* tier : {"roofline", "capacity"}) {
             const std::string name =
                 std::string("mapper.bound_pruned_") + tier;
             const double n = numberOr(counters->get(name), 0.0);
@@ -562,18 +560,14 @@ checkMetrics(const JsonValue& root)
     // Every prune stands on a bound the guard computed or read from a
     // bound-only EvalCache entry, and a memo hit is one candidate.
     // The guard registers the memo counter with the others, so a
-    // search export that has one has all. A resumed run credits the
-    // killed run's prunes but not the bounds behind them (those were
-    // computed in the killed process), so the first identity is only
-    // checked on unresumed runs.
+    // search export that has one has all.
     const JsonValue* memo_counter = counters->get("mapper.bound_memo_hits");
     check(!counters->get("mapper.candidates") || memo_counter,
           "mapper.candidates present without mapper.bound_memo_hits");
     const double bound_evals =
         numberOr(counters->get("mapper.bound_evals"), 0.0);
     const double memo_hits = numberOr(memo_counter, 0.0);
-    const JsonValue* resumed = result->get("resumed");
-    if (!(resumed && resumed->boolean)) {
+    {
         std::ostringstream os;
         os << "mapper.bound_evals (" << bound_evals
            << ") + mapper.bound_memo_hits (" << memo_hits
@@ -613,32 +607,39 @@ checkMetrics(const JsonValue& root)
         check(sub_hits + sub_misses == sub_lookups, os.str());
     }
 
-    // Every mapper evaluation entered exactly one of the two evaluator
-    // paths (plain or incremental) unless the tree build itself threw
-    // — and those throws are part of mapper.failed_evaluations. The
-    // evaluator-side counts therefore bracket mapper.evaluations.
-    // (Holds for mapper_search exports, which are written before the
-    // reference-dataflow evaluations run.)
+    // Every mapper evaluation the checkpoint did not replay entered
+    // exactly one of the two evaluator paths (plain or incremental)
+    // unless the tree build itself threw — and those throws are part
+    // of mapper.failed_evaluations. The evaluator-side counts
+    // therefore bracket mapper.evaluations - mapper.replayed. (Holds
+    // for mapper_search exports, which are written before the
+    // reference-dataflow evaluations run.) A resumed search must have
+    // replayed something.
     const double full_evals =
         numberOr(counters->get("analysis.evaluations"), 0.0);
     const double inc_evals =
         numberOr(counters->get("analysis.incremental_evals"), 0.0);
     const double mapper_evals =
-        numberOr(counters->get("mapper.evaluations"), 0.0);
+        numberOr(counters->get("mapper.evaluations"), 0.0) -
+        numberOr(counters->get("mapper.replayed"), 0.0);
     const double mapper_failed =
         numberOr(counters->get("mapper.failed_evaluations"), 0.0);
     {
         std::ostringstream os;
         os << "analysis.evaluations (" << full_evals
            << ") + analysis.incremental_evals (" << inc_evals
-           << ") outside [mapper.evaluations - failed, "
-              "mapper.evaluations] = ["
+           << ") outside [mapper.evaluations - replayed - failed, "
+              "mapper.evaluations - replayed] = ["
            << mapper_evals - mapper_failed << ", " << mapper_evals
            << "]";
         check(full_evals + inc_evals >= mapper_evals - mapper_failed &&
                   full_evals + inc_evals <= mapper_evals,
               os.str());
     }
+    const JsonValue* resumed = result->get("resumed");
+    check(!resumed->boolean ||
+              numberOr(counters->get("mapper.replayed"), 0.0) > 0.0,
+          "result.resumed without mapper.replayed > 0");
 
     // Memory-budget identities (DESIGN.md §11). Cache byte gauges are
     // maintained with size-pure estimates whose insert credits equal
