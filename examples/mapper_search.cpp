@@ -11,7 +11,6 @@
  *            [--trace-out FILE] [--metrics-out FILE] [--progress-ms N]
  *            [--no-bound-prune]
  *            [--subtree-cache-cap N] [--eval-cache-cap N]
- *            [--mem-soft-mb N] [--mem-hard-mb N]
  *
  * `rounds` must be a positive integer and every N a non-negative
  * integer; a malformed number or an unknown --option is an error (exit
@@ -22,7 +21,9 @@
  * (counters analysis.subtree_hits/misses say how much re-analysis was
  * skipped; results are bit-identical to evaluation without the
  * cache). --subtree-cache-cap / --eval-cache-cap bound the per-shard
- * entry counts of the two caches (0 = unbounded).
+ * entry counts of the two caches (0 = unbounded); they are the
+ * search's memory bound. A cap changes hit rates only, never results:
+ * an evicted entry is recomputed.
  *
  * Candidates are branch-and-bound screened by default: an admissible
  * lower bound (analysis/lowerbound.hpp) discards candidates that
@@ -40,15 +41,6 @@
  * chain space. The reference-dataflow comparison is skipped when the
  * workload's structure doesn't fit it.
  *
- * --mem-soft-mb / --mem-hard-mb arm the process-wide memory budget
- * (DESIGN.md §11): at soft pressure the caches halve their caps and
- * evict (hit rates change, results don't); at hard pressure caches
- * flush and in-flight evaluations fail as tagged-infeasible "oom"
- * entries instead of crashing the search. The TILEFLOW_MEM_SOFT_MB /
- * TILEFLOW_MEM_HARD_MB environment variables are the fallback, and
- * TILEFLOW_ALLOC_FAULT (e.g. "rate=0.05,seed=11") injects seeded
- * std::bad_alloc faults under evaluation.
- *
  * With --checkpoint, every evaluator verdict is appended to PATH, a
  * verdict log (DESIGN.md §4.7). Rerun the same command after an
  * interruption (budget hit, ^C, a crash) and the search re-runs from
@@ -56,8 +48,10 @@
  * result is bit-identical to an uninterrupted run at one thread, and
  * the time budget is charged the logged search time. A log written
  * for another search, arch or workload is replaced. Set the environment
- * variable TILEFLOW_FAULT_INJECT (e.g. "throw=0.1,nan=0.05,seed=7")
- * to exercise the fault-tolerant evaluation boundary.
+ * variable TILEFLOW_FAULT_INJECT (e.g. "throw=0.1,nan=0.05,oom=0.05,
+ * seed=7") to exercise the fault-tolerant evaluation boundary: an
+ * injected std::bad_alloc, like a real one, fails the candidate as a
+ * tagged-infeasible "oom" (DESIGN.md §11) instead of ending the search.
  *
  * Observability (DESIGN.md §10): --trace-out enables scoped tracing
  * (as does setting TILEFLOW_TRACE) and writes a Chrome trace-event
@@ -73,11 +67,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <new>
 #include <string>
 
 #include "arch/presets.hpp"
 #include "common/logging.hpp"
-#include "common/membudget.hpp"
 #include "common/signalutil.hpp"
 #include "common/telemetry.hpp"
 #include "core/notation.hpp"
@@ -159,8 +153,6 @@ main(int argc, char** argv)
     std::string workload_path;
     std::string trace_path;
     std::string metrics_path;
-    long long mem_soft_mb = 0;
-    long long mem_hard_mb = 0;
     MapperConfig cfg;
     cfg.population = 8;
     cfg.tilingSamples = 30;
@@ -215,10 +207,6 @@ main(int argc, char** argv)
             cfg.subtreeCacheCap = size_t(count());
         } else if (arg == "--eval-cache-cap") {
             cfg.evalCacheCap = size_t(count());
-        } else if (arg == "--mem-soft-mb") {
-            mem_soft_mb = count();
-        } else if (arg == "--mem-hard-mb") {
-            mem_hard_mb = count();
         } else if (arg == "--arch") {
             arch_path = value();
         } else if (arg == "--workload") {
@@ -242,14 +230,6 @@ main(int argc, char** argv)
 
     if (!trace_path.empty())
         setTracingEnabled(true);
-
-    if (mem_soft_mb > 0 || mem_hard_mb > 0) {
-        MemoryBudget::global().configure(
-            mem_soft_mb > 0 ? uint64_t(mem_soft_mb) << 20 : 0,
-            mem_hard_mb > 0 ? uint64_t(mem_hard_mb) << 20 : 0);
-    }
-    if (MemoryBudget::global().enabled())
-        MemoryBudget::installNewHandler();
 
     // First ^C / SIGTERM: cancel cooperatively — the engines stop at
     // the next generation/batch boundary, the checkpoint is synced,
@@ -367,6 +347,9 @@ main(int argc, char** argv)
             } catch (const FatalError&) {
                 std::printf("reference %-12s: not applicable to this "
                             "workload\n",
+                            attentionDataflowName(df).c_str());
+            } catch (const std::bad_alloc&) {
+                std::printf("reference %-12s: out of memory\n",
                             attentionDataflowName(df).c_str());
             }
         }

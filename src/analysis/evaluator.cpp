@@ -60,17 +60,14 @@ Evaluator::evaluate(const AnalysisTree& tree, SubtreeCache* cache) const
             result.valid = true;
             result.cycles = std::numeric_limits<double>::quiet_NaN();
             return result;
-        case FaultKind::None:
-            break;
-        }
-    }
-
-    if (const AllocFaultInjector* alloc = allocFaultInjector()) {
-        if (alloc->decideKey(FaultInjector::treeKey(tree))) {
-            static Counter& allocFaults = MetricsRegistry::global()
-                                              .counter("mem.alloc_faults");
+        case FaultKind::Oom: {
+            static Counter& allocFaults =
+                MetricsRegistry::global().counter("mem.alloc_faults");
             allocFaults.add();
             throw std::bad_alloc();
+        }
+        case FaultKind::None:
+            break;
         }
     }
 

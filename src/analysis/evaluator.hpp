@@ -24,7 +24,6 @@
 #include "analysis/latency.hpp"
 #include "analysis/resource.hpp"
 #include "arch/arch.hpp"
-#include "common/membudget.hpp"
 #include "core/tree.hpp"
 
 namespace tileflow {
@@ -96,9 +95,7 @@ class Evaluator
               EvalOptions options = {})
         : workload_(&workload),
           spec_(&spec),
-          options_(options),
-          envInjector_(FaultInjector::fromEnv()),
-          allocEnvInjector_(AllocFaultInjector::fromEnv())
+          options_(options)
     {
     }
 
@@ -108,10 +105,10 @@ class Evaluator
 
     /**
      * Test/bench hook: make a deterministic, seeded fraction of
-     * evaluate() calls throw FatalError or return NaN cycles (see
-     * faultinject.hpp). nullptr disables. The TILEFLOW_FAULT_INJECT
-     * environment variable (read at construction) is the fallback
-     * when no injector is set programmatically.
+     * evaluate() calls throw FatalError, return NaN cycles or throw
+     * std::bad_alloc (see faultinject.hpp). nullptr disables. The
+     * process-wide TILEFLOW_FAULT_INJECT injector is the fallback
+     * when none is set programmatically.
      */
     void
     setFaultInjector(std::shared_ptr<const FaultInjector> injector)
@@ -122,28 +119,7 @@ class Evaluator
     const FaultInjector*
     faultInjector() const
     {
-        return injector_ ? injector_.get() : envInjector_.get();
-    }
-
-    /**
-     * Seeded std::bad_alloc injection, keyed on the same structural
-     * tree hash as FaultInjector so a candidate faults identically
-     * with or without a SubtreeCache. The TILEFLOW_ALLOC_FAULT
-     * environment variable (read at construction) is the fallback
-     * when no injector is set programmatically.
-     */
-    void
-    setAllocFaultInjector(
-        std::shared_ptr<const AllocFaultInjector> injector)
-    {
-        allocInjector_ = std::move(injector);
-    }
-
-    const AllocFaultInjector*
-    allocFaultInjector() const
-    {
-        return allocInjector_ ? allocInjector_.get()
-                              : allocEnvInjector_.get();
+        return injector_ ? injector_.get() : FaultInjector::env();
     }
 
     /**
@@ -163,9 +139,6 @@ class Evaluator
     const ArchSpec* spec_;
     EvalOptions options_;
     std::shared_ptr<const FaultInjector> injector_;
-    std::shared_ptr<const FaultInjector> envInjector_;
-    std::shared_ptr<const AllocFaultInjector> allocInjector_;
-    std::shared_ptr<const AllocFaultInjector> allocEnvInjector_;
 };
 
 } // namespace tileflow

@@ -31,13 +31,13 @@ clamp01(double v)
 } // namespace
 
 FaultInjector::FaultInjector(double throw_fraction, double nan_fraction,
-                             uint64_t seed)
+                             uint64_t seed, double oom_fraction)
     : throwFraction_(clamp01(throw_fraction)),
-      nanFraction_(clamp01(nan_fraction)),
+      nanFraction_(std::min(clamp01(nan_fraction), 1.0 - throwFraction_)),
+      oomFraction_(std::min(clamp01(oom_fraction),
+                            1.0 - throwFraction_ - nanFraction_)),
       seed_(seed)
 {
-    if (throwFraction_ + nanFraction_ > 1.0)
-        nanFraction_ = 1.0 - throwFraction_;
 }
 
 std::shared_ptr<const FaultInjector>
@@ -48,6 +48,7 @@ FaultInjector::fromEnv()
         return nullptr;
     double throw_fraction = 0.0;
     double nan_fraction = 0.0;
+    double oom_fraction = 0.0;
     uint64_t seed = 1;
     for (const std::string& piece : split(env, ',')) {
         const std::vector<std::string> kv = split(trim(piece), '=');
@@ -62,24 +63,38 @@ FaultInjector::fromEnv()
             throw_fraction = std::strtod(value.c_str(), nullptr);
         } else if (key == "nan") {
             nan_fraction = std::strtod(value.c_str(), nullptr);
+        } else if (key == "oom") {
+            oom_fraction = std::strtod(value.c_str(), nullptr);
         } else if (key == "seed") {
             seed = std::strtoull(value.c_str(), nullptr, 10);
         } else {
             warn("TILEFLOW_FAULT_INJECT: unknown key '", key, "'");
         }
     }
-    if (throw_fraction <= 0.0 && nan_fraction <= 0.0)
+    if (throw_fraction <= 0.0 && nan_fraction <= 0.0 && oom_fraction <= 0.0)
         return nullptr;
-    return std::make_shared<const FaultInjector>(throw_fraction,
-                                                 nan_fraction, seed);
+    return std::make_shared<const FaultInjector>(
+        throw_fraction, nan_fraction, seed, oom_fraction);
+}
+
+const FaultInjector*
+FaultInjector::env()
+{
+    static const std::shared_ptr<const FaultInjector> injector = fromEnv();
+    return injector.get();
 }
 
 uint64_t
 FaultInjector::treeKey(const AnalysisTree& tree)
 {
-    const std::string dump = tree.str();
+    return textKey(tree.str());
+}
+
+uint64_t
+FaultInjector::textKey(const std::string& text)
+{
     uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const char c : dump) {
+    for (const char c : text) {
         hash ^= uint64_t(uint8_t(c));
         hash *= 0x100000001b3ULL;
     }
@@ -96,6 +111,8 @@ FaultInjector::decideKey(uint64_t key) const
         return FaultKind::Throw;
     if (u < throwFraction_ + nanFraction_)
         return FaultKind::Nan;
+    if (u < throwFraction_ + nanFraction_ + oomFraction_)
+        return FaultKind::Oom;
     return FaultKind::None;
 }
 

@@ -21,8 +21,8 @@
  * evaluation without one (the tier-1 property test asserts this per
  * fuzz family).
  *
- * Storage — shards, FIFO caps, byte accounting, memory-pressure
- * shrink — is the shared ShardedFifoCache (common/shardedcache.hpp).
+ * Storage — shards, the FIFO entry cap, byte accounting — is the
+ * shared ShardedFifoCache (common/shardedcache.hpp).
  *
  * Counters (MetricsRegistry): analysis.subtree_lookups / _hits /
  * _misses / _inserts / _evictions. Each Tile node of an evaluated tree
@@ -120,9 +120,7 @@ class SubtreeCache
     /**
      * @param shards              independently-locked map shards
      * @param maxEntriesPerShard  FIFO-evict beyond this many entries
-     *                            per shard; 0 = unbounded. Soft memory
-     *                            pressure halves it and also sets a
-     *                            per-shard byte cap (shrink()).
+     *                            per shard; 0 = unbounded.
      */
     explicit SubtreeCache(size_t shards = 16,
                           size_t maxEntriesPerShard = 4096)

@@ -5,11 +5,11 @@
  *
  * A key hashes to one of `shards` independently-locked maps, so
  * concurrent workers rarely contend. Each shard remembers insertion
- * order and evicts oldest-first past its entry cap (set at
- * construction; 0 = unbounded) or its byte cap (unbounded until soft
- * memory pressure sets one). Eviction changes hit rates only, never
- * values: an evicted entry is recomputed on its next lookup, so
- * search results stay bit-identical under any cap.
+ * order and evicts oldest-first past its entry cap (fixed at
+ * construction; 0 = unbounded). The cap is the cache's memory bound.
+ * Eviction changes hit rates only, never values: an evicted entry is
+ * recomputed on its next lookup, so search results stay bit-identical
+ * under any cap.
  *
  * Byte accounting is exact against the cache's own bookkeeping:
  * `Traits::entryBytes` is a pure function of entry sizes (never
@@ -46,7 +46,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/membudget.hpp"
 #include "common/telemetry.hpp"
 
 namespace tileflow {
@@ -68,10 +67,8 @@ class ShardedFifoCache
 
     ~ShardedFifoCache()
     {
-        // Stop pressure callbacks first, then settle the byte
-        // accounting: the gauge tracks live entries, so a destroyed
-        // cache's bytes count as evicted.
-        budgetReg_.release();
+        // Settle the byte accounting: the gauge tracks live entries, so
+        // a destroyed cache's bytes count as evicted.
         uint64_t freed = 0;
         for (Shard& shard : shards_) {
             std::lock_guard<std::mutex> lock(shard.mutex);
@@ -112,8 +109,9 @@ class ShardedFifoCache
     /**
      * Store an entry (last writer wins on a benign race, unless
      * Traits::keepsOld keeps the stored one), then evict FIFO-oldest
-     * entries of the shard down to its caps. An overwrite debits the
-     * old entry's bytes as evicted but is not counted as an eviction.
+     * entries of the shard down to its entry cap. An overwrite debits
+     * the old entry's bytes as evicted but is not counted as an
+     * eviction.
      * Returns false when the stored entry was kept.
      */
     bool
@@ -139,12 +137,8 @@ class ShardedFifoCache
                 shard.order.push_back(key);
             }
             shard.bytes += newBytes;
-            const size_t entryCap =
-                maxEntriesPerShard_.load(std::memory_order_relaxed);
-            const size_t byteCap =
-                maxBytesPerShard_.load(std::memory_order_relaxed);
-            while (((entryCap > 0 && shard.map.size() > entryCap) ||
-                    (byteCap > 0 && shard.bytes > byteCap)) &&
+            while (maxEntriesPerShard_ > 0 &&
+                   shard.map.size() > maxEntriesPerShard_ &&
                    !shard.order.empty()) {
                 evictedBytes += evictOneLocked(shard);
                 ++evicted;
@@ -200,73 +194,6 @@ class ShardedFifoCache
     }
 
     /**
-     * Memory-pressure hook (registered with MemoryBudget at
-     * construction). Soft: halve the entry and byte caps (a first byte
-     * cap is half the current largest shard) down to floors, and evict
-     * down to the byte cap. Hard: evictAll(). Unlike clear(), the
-     * instance counters are kept, so engines snapshotting deltas stay
-     * consistent when pressure fires mid-run. try_lock per shard: a
-     * shard a worker is touching is skipped rather than risking
-     * deadlock with a reclaim fired inside that worker's insert.
-     * Returns the bytes freed.
-     */
-    uint64_t
-    shrink(MemPressure level)
-    {
-        if (level == MemPressure::Hard)
-            return evictAll();
-        if (level != MemPressure::Soft)
-            return 0;
-
-        size_t largest = 0;
-        for (Shard& shard : shards_) {
-            std::unique_lock<std::mutex> lock(shard.mutex, std::try_to_lock);
-            if (lock.owns_lock())
-                largest = std::max(largest, shard.bytes);
-        }
-        const size_t byteCap =
-            halveCap(maxBytesPerShard_.load(std::memory_order_relaxed),
-                     largest, kMinBytesPerShard);
-        maxBytesPerShard_.store(byteCap, std::memory_order_relaxed);
-        const size_t entryCap =
-            maxEntriesPerShard_.load(std::memory_order_relaxed);
-        if (entryCap > 0)
-            maxEntriesPerShard_.store(
-                halveCap(entryCap, 0, kMinEntriesPerShard),
-                std::memory_order_relaxed);
-
-        uint64_t freed = 0;
-        uint64_t entries = 0;
-        for (Shard& shard : shards_) {
-            std::unique_lock<std::mutex> lock(shard.mutex, std::try_to_lock);
-            if (!lock.owns_lock())
-                continue;
-            while (shard.bytes > byteCap && !shard.order.empty()) {
-                freed += evictOneLocked(shard);
-                ++entries;
-            }
-        }
-        creditEvictions(entries, freed);
-        return freed;
-    }
-
-    /** shrink(Hard): drop every entry (try_lock per shard), keep the
-     *  instance hit/miss counters. Returns the bytes freed. */
-    uint64_t
-    evictAll()
-    {
-        uint64_t entries = 0;
-        uint64_t freed = 0;
-        for (Shard& shard : shards_) {
-            std::unique_lock<std::mutex> lock(shard.mutex, std::try_to_lock);
-            if (lock.owns_lock())
-                dropLocked(shard, entries, freed);
-        }
-        creditEvictions(entries, freed);
-        return freed;
-    }
-
-    /**
      * Drop every entry and zero the instance hits, misses and
      * evictions, so rates computed after a clear never mix fresh
      * lookups with stale totals.
@@ -280,7 +207,11 @@ class ShardedFifoCache
         uint64_t freed = 0;
         for (Shard& shard : shards_) {
             std::lock_guard<std::mutex> lock(shard.mutex);
-            dropLocked(shard, entries, freed);
+            entries += shard.map.size();
+            freed += shard.bytes;
+            shard.map.clear();
+            shard.order.clear();
+            shard.bytes = 0;
         }
         hits_.store(0, std::memory_order_relaxed);
         misses_.store(0, std::memory_order_relaxed);
@@ -331,22 +262,9 @@ class ShardedFifoCache
     {
         mutable std::mutex mutex;
         std::unordered_map<Key, Value, Hasher> map;
-        std::deque<Key> order; ///< insertion order, for the FIFO caps
+        std::deque<Key> order; ///< insertion order, for the FIFO cap
         size_t bytes = 0; ///< sum of entryBytes() over map (under mutex)
     };
-
-    /** Soft-pressure floors: caps ratchet down but never below these,
-     *  so a long-pressured run keeps a minimally useful cache. */
-    static constexpr size_t kMinEntriesPerShard = 64;
-    static constexpr size_t kMinBytesPerShard = 4096;
-
-    /** Halve a cap toward a floor; 0 (unbounded) halves `current`
-     *  into a first real cap instead. */
-    static size_t
-    halveCap(size_t cap, size_t current, size_t floor)
-    {
-        return std::max(floor, (cap > 0 ? cap : current) / 2);
-    }
 
     Shard&
     shardFor(const Key& key)
@@ -370,18 +288,6 @@ class ShardedFifoCache
         return freed;
     }
 
-    /** Empty a locked shard, adding its entries and bytes to the
-     *  running totals. */
-    static void
-    dropLocked(Shard& shard, uint64_t& entries, uint64_t& bytes)
-    {
-        entries += shard.map.size();
-        bytes += shard.bytes;
-        shard.map.clear();
-        shard.order.clear();
-        shard.bytes = 0;
-    }
-
     /** Credit evicted entries (instance + registry) and bytes. */
     void
     creditEvictions(uint64_t entries, uint64_t bytes)
@@ -397,8 +303,7 @@ class ShardedFifoCache
     }
 
     std::vector<Shard> shards_;
-    std::atomic<size_t> maxEntriesPerShard_;
-    std::atomic<size_t> maxBytesPerShard_{0};
+    const size_t maxEntriesPerShard_;
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};
     std::atomic<uint64_t> evictions_{0};
@@ -409,10 +314,6 @@ class ShardedFifoCache
     Counter& metricBytesEvicted_ = counter("bytes_evicted");
     Gauge& metricBytes_ = MetricsRegistry::global().gauge(
         std::string(Traits::kMetricPrefix) + "bytes");
-
-    // Declared last: registered only once every other member exists.
-    MemReclaimRegistration budgetReg_{
-        [this](MemPressure level) { return shrink(level); }};
 };
 
 } // namespace tileflow

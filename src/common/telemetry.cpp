@@ -1,6 +1,5 @@
 #include "common/telemetry.hpp"
 
-#include "common/membudget.hpp"
 
 #include <algorithm>
 #include <bit>
@@ -407,47 +406,10 @@ struct BufferDirectory
     uint32_t nextTid = 1;
 };
 
-BufferDirectory& directory();
-
-/**
- * Memory-pressure shrink for the trace buffers: hard pressure flushes
- * every buffered event (counted as dropped, so the export reports the
- * loss rather than hiding it). Soft pressure is a no-op — buffers are
- * already hard-capped at kMaxEventsPerBuffer. Trace data is
- * observability-only, so flushing never changes computed results.
- */
-uint64_t
-traceShrink(MemPressure level)
-{
-    if (level != MemPressure::Hard)
-        return 0;
-    BufferDirectory& dir = directory();
-    std::unique_lock<std::mutex> lock(dir.mutex, std::try_to_lock);
-    if (!lock.owns_lock())
-        return 0;
-    uint64_t freed = 0;
-    for (const auto& buf : dir.buffers) {
-        std::unique_lock<std::mutex> blk(buf->mutex, std::try_to_lock);
-        if (!blk.owns_lock())
-            continue;
-        freed += buf->events.capacity() * sizeof(TraceEvent);
-        buf->dropped += buf->events.size();
-        buf->clear();
-        buf->events.shrink_to_fit();
-    }
-    return freed;
-}
-
 BufferDirectory&
 directory()
 {
     static BufferDirectory dir;
-    // Registered after `dir` (so the budget's static outlives nothing
-    // it calls back into) and never unregistered: the directory lives
-    // for the whole process.
-    static const int reg =
-        MemoryBudget::global().registerComponent(&traceShrink);
-    (void)reg;
     return dir;
 }
 

@@ -231,7 +231,7 @@ void traceCounter(const char* name, double value);
 size_t traceEventCount();
 
 /** Events lost because a thread buffer hit its cap (a full buffer
- *  overwrites its oldest event) or was flushed under memory pressure. */
+ *  overwrites its oldest event). */
 uint64_t traceDroppedCount();
 
 /** Drop all buffered events (tests; also useful between runs). */

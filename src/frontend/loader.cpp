@@ -4,8 +4,8 @@
 #include <new>
 #include <sstream>
 
+#include "analysis/faultinject.hpp"
 #include "common/logging.hpp"
-#include "common/membudget.hpp"
 #include "common/telemetry.hpp"
 #include "core/notation.hpp"
 
@@ -13,13 +13,14 @@ namespace tileflow {
 
 namespace {
 
-/** TILEFLOW_ALLOC_FAULT hook, keyed on the input text so the same
- *  spec faults identically on every load (and in every process). */
+/** TILEFLOW_FAULT_INJECT `oom=` hook, keyed on the input text so the
+ *  same spec faults identically on every load (and in every process). */
 void
 maybeInjectAllocFault(const std::string& text)
 {
-    const AllocFaultInjector* alloc = AllocFaultInjector::env();
-    if (!alloc || !alloc->decideKey(AllocFaultInjector::textKey(text)))
+    const FaultInjector* faults = FaultInjector::env();
+    if (!faults ||
+        faults->decideKey(FaultInjector::textKey(text)) != FaultKind::Oom)
         return;
     static Counter& allocFaults =
         MetricsRegistry::global().counter("mem.alloc_faults");

@@ -12,8 +12,8 @@
  * pruned leaves a bound-only entry, so a repeat of it skips the build
  * and the bound whenever its threshold still prunes.
  *
- * Storage — shards, FIFO caps, byte accounting, memory-pressure
- * shrink — is the shared ShardedFifoCache (common/shardedcache.hpp).
+ * Storage — shards, the FIFO entry cap, byte accounting — is the
+ * shared ShardedFifoCache (common/shardedcache.hpp).
  * Hit/miss counters are surfaced in MapperResult.
  */
 
@@ -130,8 +130,6 @@ class EvalCache
      * @param shards              independently-locked map shards
      * @param maxEntriesPerShard  FIFO-evict beyond this many entries
      *        per shard; 0 (the default) keeps the cache unbounded.
-     *        Soft memory pressure halves it (to a floor) and also sets
-     *        a per-shard byte cap — see shrink().
      */
     explicit EvalCache(size_t shards = 16, size_t maxEntriesPerShard = 0)
         : ShardedFifoCache(shards, maxEntriesPerShard)

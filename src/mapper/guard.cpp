@@ -5,7 +5,6 @@
 #include <new>
 
 #include "common/logging.hpp"
-#include "common/membudget.hpp"
 #include "common/telemetry.hpp"
 #include "mapper/verdictlog.hpp"
 
@@ -87,22 +86,6 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
     candidates.add();
 
     CachedEval out;
-    // Hard memory pressure sheds the evaluation before it allocates
-    // anything: the candidate is reported as a tagged-infeasible
-    // "oom" failure (never an abort), the budget's reclaim has
-    // already flushed the caches, and the search carries on. The
-    // poll is one relaxed load when no budget is configured. A shed
-    // counts as a (failed) evaluation, exactly as before pruning
-    // existed.
-    if (MemoryBudget::global().poll() == MemPressure::Hard) {
-        out.failed = true;
-        out.failReason = "oom";
-        oomFailed.add();
-        evals.add();
-        failed.add();
-        return out;
-    }
-
     const LowerBoundEvaluator* lbe =
         prune != nullptr ? prune->bound : nullptr;
     const CachedEval* memo = lbe != nullptr ? prune->memo : nullptr;
@@ -185,13 +168,12 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
         out.failed = true;
         out.failReason = e.what();
     } catch (const std::bad_alloc&) {
-        // Allocation failure anywhere under evaluation (including the
-        // TILEFLOW_ALLOC_FAULT injector) is an infeasible candidate,
-        // not a crash. Reclaim hard so the retry path has headroom.
+        // Allocation failure anywhere under evaluation (including an
+        // injected `oom` fault) is an infeasible candidate, not a
+        // crash.
         out.failed = true;
         out.failReason = "oom";
         oomFailed.add();
-        MemoryBudget::global().reclaim(MemPressure::Hard);
     } catch (const std::exception& e) {
         out.failed = true;
         out.failReason = concat("unexpected exception: ", e.what());

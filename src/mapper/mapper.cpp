@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "analysis/subtreecache.hpp"
-#include "common/membudget.hpp"
 #include "common/threadpool.hpp"
 #include "mapper/verdictlog.hpp"
 
@@ -68,11 +67,9 @@ openVerdictLog(const std::string& path, const Evaluator& evaluator,
        << '\n';
     if (const FaultInjector* faults = evaluator.faultInjector()) {
         os << "faults " << faults->throwFraction() << ' '
-           << faults->nanFraction() << ' ' << faults->seed() << '\n';
+           << faults->nanFraction() << ' ' << faults->oomFraction() << ' '
+           << faults->seed() << '\n';
     }
-    if (const AllocFaultInjector* faults = evaluator.allocFaultInjector())
-        os << "alloc faults " << faults->rate() << ' ' << faults->seed()
-           << '\n';
 
     for (const Knob& knob : space.knobs()) {
         os << "knob " << knob.name << ' ' << knob.structural;

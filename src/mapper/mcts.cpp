@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "common/logging.hpp"
-#include "common/membudget.hpp"
 #include "common/telemetry.hpp"
 #include "mapper/verdictlog.hpp"
 
@@ -127,10 +126,8 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
     int done = 0;
 
     // Search-tree bytes, reported through the mapper.mcts_tree_bytes
-    // gauge. The tree is search *state*, not a cache — pruning it would
-    // change the trajectory — so it does not register with the
-    // MemoryBudget: pressure relief comes from the caches and from
-    // guardedEvaluate shedding evaluations at hard pressure.
+    // gauge. The tree is search *state*, not a cache: pruning it would
+    // change the trajectory, so it has no cap.
     std::atomic<uint64_t> tree_bytes{kNodeBytes};
     static Gauge& tree_gauge =
         MetricsRegistry::global().gauge("mapper.mcts_tree_bytes");
@@ -326,7 +323,6 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         done += batch;
         tree_gauge.set(
             double(tree_bytes.load(std::memory_order_relaxed)));
-        MemoryBudget::global().poll();
 
         if (progress.due()) {
             const double secs =
