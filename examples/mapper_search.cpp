@@ -63,11 +63,13 @@
  */
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <new>
+#include <optional>
 #include <string>
 
 #include "arch/presets.hpp"
@@ -330,27 +332,46 @@ main(int argc, char** argv)
 
         // Compare against the canned reference dataflows. A custom
         // workload may lack the op structure they assume; skip the
-        // comparison rather than die after a successful search.
+        // comparison rather than die after a successful search. Only
+        // a builder failure means that: an evaluation that throws or
+        // returns non-finite cycles is a failed reference.
         for (AttentionDataflow df : {AttentionDataflow::Layerwise,
                                      AttentionDataflow::FlatHGran,
                                      AttentionDataflow::TileFlowDF}) {
+            const std::string name = attentionDataflowName(df);
+            std::optional<AnalysisTree> tree;
             try {
-                const EvalResult r = model.evaluate(
-                    buildAttentionDataflow(workload, arch, df));
-                if (r.valid) {
-                    std::printf(
-                        "reference %-12s: %.0f cycles (%.2fx of "
-                        "best)\n",
-                        attentionDataflowName(df).c_str(), r.cycles,
-                        r.cycles / result.bestCycles);
-                }
+                tree = buildAttentionDataflow(workload, arch, df);
             } catch (const FatalError&) {
                 std::printf("reference %-12s: not applicable to this "
                             "workload\n",
-                            attentionDataflowName(df).c_str());
+                            name.c_str());
+                continue;
             } catch (const std::bad_alloc&) {
                 std::printf("reference %-12s: out of memory\n",
-                            attentionDataflowName(df).c_str());
+                            name.c_str());
+                continue;
+            }
+            try {
+                const EvalResult r = model.evaluate(*tree);
+                if (!r.valid)
+                    continue;
+                if (!std::isfinite(r.cycles) || r.cycles <= 0.0) {
+                    std::printf("reference %-12s: failed (POISONED: "
+                                "non-finite or non-positive cycles)\n",
+                                name.c_str());
+                    continue;
+                }
+                std::printf("reference %-12s: %.0f cycles (%.2fx of "
+                            "best)\n",
+                            name.c_str(), r.cycles,
+                            r.cycles / result.bestCycles);
+            } catch (const FatalError& err) {
+                std::printf("reference %-12s: failed (%s)\n",
+                            name.c_str(), err.what());
+            } catch (const std::bad_alloc&) {
+                std::printf("reference %-12s: out of memory\n",
+                            name.c_str());
             }
         }
         return 0;

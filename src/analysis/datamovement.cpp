@@ -503,8 +503,8 @@ simulateTile(const Workload& workload, const ArchSpec& spec,
 
     double load = 0.0;
     double store = 0.0;
-    std::vector<double>& child_fill = s.out.childFill;
-    std::vector<double>& child_drain = s.out.childDrain;
+    auto& child_fill = s.out.childFill;
+    auto& child_drain = s.out.childDrain;
     child_fill.assign(num_children, 0.0);
     child_drain.assign(num_children, 0.0);
     StepTraffic& traffic = s.traffic;
@@ -602,9 +602,11 @@ DataMovementAnalyzer::analyze(const AnalysisTree& tree,
     const size_t num_dims = workload_->dims().size();
     TreeSizes sizes;
     measureTree(*workload_, tree.root(), sizes);
-    DmScratch scratch;
-    reserveScratch(scratch, sizes, num_dims);
     result.perNode.reserve(sizes.tiles);
+    // Reserved at the first node the slots do not serve, so a tree
+    // served whole from the SubtreeCache allocates no scratch.
+    DmScratch scratch;
+    bool reserved = false;
 
     // Compute op counts once. The spans are cheap and exact (int64),
     // so op counts are always recomputed, never cached.
@@ -634,6 +636,10 @@ DataMovementAnalyzer::analyze(const AnalysisTree& tree,
         const DmNodePartial* partial =
             slots ? slots->dmLookup(node) : nullptr;
         if (partial == nullptr) {
+            if (!reserved) {
+                reserveScratch(scratch, sizes, num_dims);
+                reserved = true;
+            }
             simulateTile(*workload_, *spec_, node, executions, scratch);
             if (slots)
                 slots->dmRecord(node, scratch.out);

@@ -31,6 +31,7 @@
 
 #include "analysis/nodetable.hpp"
 #include "arch/arch.hpp"
+#include "common/smallbuf.hpp"
 #include "core/tree.hpp"
 
 namespace tileflow {
@@ -97,10 +98,12 @@ struct DmNodePartial
     double storeBytes = 0.0;
 
     /** Per child-group slot: bytes filled into / drained out of the
-     *  child's buffer, and the child's memory level (-1 = op leaf). */
-    std::vector<double> childFill;
-    std::vector<double> childDrain;
-    std::vector<int> childLevels;
+     *  child's buffer, and the child's memory level (-1 = op leaf).
+     *  Inline up to four slots, so copying a partial out of the
+     *  SubtreeCache allocates nothing. */
+    SmallVector<double, 4> childFill;
+    SmallVector<double, 4> childDrain;
+    SmallVector<int, 4> childLevels;
 };
 
 /**
@@ -126,9 +129,11 @@ class DataMovementAnalyzer
      * One scratch serves every Tile node of the call: the node's access
      * plan (the per-access facts the step simulation reads), the
      * resident table and the traffic buffers are reserved once for the
-     * whole tree, so the call makes a fixed number of allocations
-     * however many nodes the tree has. A node's partial is copied out
-     * of the scratch only when `slots` records it.
+     * whole tree, at the first node `slots` does not serve, so the call
+     * makes a fixed number of allocations however many nodes the tree
+     * has, and none for scratch when the cache serves every node. A
+     * node's partial is copied out of the scratch only when `slots`
+     * records it.
      */
     DataMovementResult analyze(const AnalysisTree& tree,
                                SubtreeSlots* slots = nullptr) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "core/tree.hpp"
@@ -10,17 +11,6 @@
 namespace tileflow {
 
 namespace {
-
-/** splitmix64 finalizer: spreads the key bits before the threshold
- *  comparison so structurally-similar trees fault independently. */
-uint64_t
-mix64(uint64_t z)
-{
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 double
 clamp01(double v)
@@ -104,7 +94,9 @@ FaultInjector::textKey(const std::string& text)
 FaultKind
 FaultInjector::decideKey(uint64_t key) const
 {
-    // 53-bit mantissa draw in [0, 1), pure in (seed, key).
+    // 53-bit mantissa draw in [0, 1), pure in (seed, key); mixing
+    // spreads the key bits so structurally similar trees fault
+    // independently.
     const uint64_t bits = mix64(key ^ mix64(seed_));
     const double u = double(bits >> 11) * 0x1.0p-53;
     if (u < throwFraction_)

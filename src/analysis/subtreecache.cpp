@@ -7,17 +7,28 @@ namespace tileflow {
 template class ShardedFifoCache<SubtreeKey, SubtreePartial,
                                 SubtreeCacheTraits>;
 
+namespace {
+
+/** Heap bytes of a per-child list past its inline slots; sizes, not
+ *  capacities, so insert credits == eviction debits. */
+template <typename T, size_t N>
+size_t
+spilledBytes(const SmallVector<T, N>& list)
+{
+    return list.size() > N ? list.size() * sizeof(T) : 0;
+}
+
+} // namespace
+
 size_t
 SubtreeCacheTraits::entryBytes(const SubtreeKey& key,
                                const SubtreePartial& value)
 {
     (void)key;
-    // Sizes, not capacities, so insert credits == eviction debits.
-    return 2 * sizeof(SubtreeKey) + sizeof(SubtreePartial) +
-           (value.dm.childFill.size() + value.dm.childDrain.size()) *
-               sizeof(double) +
-           value.dm.childLevels.size() * sizeof(int) +
-           kCacheEntryOverheadBytes;
+    return sizeof(SubtreeKey) + sizeof(uint64_t) + sizeof(SubtreePartial) +
+           spilledBytes(value.dm.childFill) +
+           spilledBytes(value.dm.childDrain) +
+           spilledBytes(value.dm.childLevels) + kCacheEntryOverheadBytes;
 }
 
 SubtreeSlots::SubtreeSlots(SubtreeCache* cache, const AnalysisTree& tree)

@@ -97,8 +97,9 @@ struct SubtreeCacheTraits
         return key.hash ^ (key.context * 0x9e3779b97f4a7c15ULL);
     }
 
-    /** Size-pure entry estimate (see ShardedFifoCache): the key counted
-     *  twice — map entry + FIFO copy — plus the partial's vectors. */
+    /** Size-pure entry estimate (see ShardedFifoCache): the stored key
+     *  and its hash once (the FIFO order points at it), plus the
+     *  partial and any per-child entries past its inline slots. */
     static size_t entryBytes(const SubtreeKey& key,
                              const SubtreePartial& value);
 

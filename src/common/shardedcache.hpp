@@ -4,9 +4,12 @@
  * SubtreeCache (DESIGN.md §4.6).
  *
  * A key hashes to one of `shards` independently-locked maps, so
- * concurrent workers rarely contend. Each shard remembers insertion
- * order and evicts oldest-first past its entry cap (fixed at
- * construction; 0 = unbounded). The cap is the cache's memory bound.
+ * concurrent workers rarely contend. The key is hashed once per call:
+ * the same 64-bit value picks the shard and, stored beside the key,
+ * the map bucket. Each shard remembers insertion order as pointers to
+ * its map's keys (map nodes never move, not even on a rehash) and
+ * evicts oldest-first past its entry cap (fixed at construction;
+ * 0 = unbounded). The cap is the cache's memory bound.
  * Eviction changes hit rates only, never values: an evicted entry is
  * recomputed on its next lookup, so search results stay bit-identical
  * under any cap.
@@ -21,7 +24,7 @@
  * `Traits` supplies what differs between the caches:
  *
  *     static constexpr const char* kMetricPrefix;   // "evalcache."
- *     static uint64_t hash(const Key&);             // shard + bucket
+ *     static uint64_t hash(const Key&);             // shard and bucket
  *     static size_t entryBytes(const Key&, const Value&);
  *     static bool countsAsHit(const Value&);
  *     static bool keepsOld(const Value& old, const Value& incoming);
@@ -51,8 +54,8 @@
 namespace tileflow {
 
 /** Per-entry overhead both caches' entryBytes add: the unordered_map
- *  node (hash + next pointer + bucket share) and the FIFO deque slot,
- *  amortized. */
+ *  node (stored hash + next pointer + bucket share) and the FIFO
+ *  order's key pointer, amortized. */
 constexpr size_t kCacheEntryOverheadBytes = 64;
 
 template <class Key, class Value, class Traits>
@@ -88,11 +91,12 @@ class ShardedFifoCache
     std::optional<Value>
     lookup(const Key& key)
     {
-        Shard& shard = shardFor(key);
+        const Probe probe{&key, Traits::hash(key)};
+        Shard& shard = shardFor(probe.hash);
         std::optional<Value> found;
         {
             std::lock_guard<std::mutex> lock(shard.mutex);
-            const auto it = shard.map.find(key);
+            const auto it = shard.map.find(probe);
             if (it != shard.map.end())
                 found = it->second;
         }
@@ -120,21 +124,23 @@ class ShardedFifoCache
         const size_t newBytes = Traits::entryBytes(key, value);
         uint64_t evicted = 0;
         uint64_t evictedBytes = 0;
-        Shard& shard = shardFor(key);
+        const Probe probe{&key, Traits::hash(key)};
+        Shard& shard = shardFor(probe.hash);
         {
             std::lock_guard<std::mutex> lock(shard.mutex);
-            const auto it = shard.map.find(key);
+            const auto it = shard.map.find(probe);
             if (it != shard.map.end()) {
                 if (Traits::keepsOld(it->second, value))
                     return false;
                 const size_t oldBytes =
-                    Traits::entryBytes(it->first, it->second);
+                    Traits::entryBytes(it->first.key, it->second);
                 evictedBytes += oldBytes;
                 shard.bytes -= std::min(shard.bytes, oldBytes);
                 it->second = std::move(value);
             } else {
-                shard.map.emplace(key, std::move(value));
-                shard.order.push_back(key);
+                const auto added = shard.map.emplace(
+                    StoredKey{key, probe.hash}, std::move(value));
+                shard.order.push_back(&added.first->first);
             }
             shard.bytes += newBytes;
             while (maxEntriesPerShard_ > 0 &&
@@ -152,11 +158,10 @@ class ShardedFifoCache
     }
 
     /**
-     * Instance counters since construction or the last clear().
-     * Searches that need totals scoped to one run snapshot these
-     * around the run and report the delta (see genetic.cpp /
-     * mcts.cpp). The process-cumulative view lives in the global
-     * MetricsRegistry (`<prefix>hits` …), which clear() does not reset.
+     * Instance counters since construction. Searches that need totals
+     * scoped to one run snapshot these around the run and report the
+     * delta (see genetic.cpp / mcts.cpp). The process-cumulative view
+     * lives in the global MetricsRegistry (`<prefix>hits` …).
      */
     uint64_t hits() const { return hits_.load(); }
     uint64_t misses() const { return misses_.load(); }
@@ -194,33 +199,6 @@ class ShardedFifoCache
     }
 
     /**
-     * Drop every entry and zero the instance hits, misses and
-     * evictions, so rates computed after a clear never mix fresh
-     * lookups with stale totals.
-     * The cleared entries count only in the registry's
-     * `<prefix>evictions`.
-     */
-    void
-    clear()
-    {
-        uint64_t entries = 0;
-        uint64_t freed = 0;
-        for (Shard& shard : shards_) {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            entries += shard.map.size();
-            freed += shard.bytes;
-            shard.map.clear();
-            shard.order.clear();
-            shard.bytes = 0;
-        }
-        hits_.store(0, std::memory_order_relaxed);
-        misses_.store(0, std::memory_order_relaxed);
-        evictions_.store(0, std::memory_order_relaxed);
-        metricEvictions_.add(entries);
-        creditEvictions(0, freed);
-    }
-
-    /**
      * Visit every entry as fn(key, value). Each shard is locked while
      * visited, but the walk is not a snapshot: call it while no
      * workers run. Order is unspecified.
@@ -231,8 +209,8 @@ class ShardedFifoCache
     {
         for (const Shard& shard : shards_) {
             std::lock_guard<std::mutex> lock(shard.mutex);
-            for (const auto& [key, value] : shard.map)
-                fn(key, value);
+            for (const auto& [stored, value] : shard.map)
+                fn(stored.key, value);
         }
     }
 
@@ -244,32 +222,69 @@ class ShardedFifoCache
             std::string(Traits::kMetricPrefix) + name);
     }
 
-    // Process-cumulative mirrors (survive clear(); DESIGN.md §10).
+    // Process-cumulative mirrors (DESIGN.md §10).
     Counter& metricHits_ = counter("hits");
     Counter& metricMisses_ = counter("misses");
 
   private:
+    /** A map key with its hash, computed once at insert. */
+    struct StoredKey
+    {
+        Key key;
+        uint64_t hash;
+    };
+
+    /** A caller's key with its hash, computed once per call. */
+    struct Probe
+    {
+        const Key* key;
+        uint64_t hash;
+    };
+
+    /** Buckets by the carried hash; never rehashes a key. */
     struct Hasher
     {
-        size_t
-        operator()(const Key& key) const
+        using is_transparent = void;
+        size_t operator()(const StoredKey& k) const noexcept
         {
-            return size_t(Traits::hash(key));
+            return size_t(k.hash);
+        }
+        size_t operator()(const Probe& p) const noexcept
+        {
+            return size_t(p.hash);
+        }
+    };
+
+    struct Equal
+    {
+        using is_transparent = void;
+        bool operator()(const StoredKey& a, const StoredKey& b) const
+        {
+            return a.hash == b.hash && a.key == b.key;
+        }
+        bool operator()(const Probe& a, const StoredKey& b) const
+        {
+            return a.hash == b.hash && *a.key == b.key;
+        }
+        bool operator()(const StoredKey& a, const Probe& b) const
+        {
+            return (*this)(b, a);
         }
     };
 
     struct Shard
     {
         mutable std::mutex mutex;
-        std::unordered_map<Key, Value, Hasher> map;
-        std::deque<Key> order; ///< insertion order, for the FIFO cap
+        std::unordered_map<StoredKey, Value, Hasher, Equal> map;
+        /** Insertion order, for the FIFO cap: the map's own keys. */
+        std::deque<const StoredKey*> order;
         size_t bytes = 0; ///< sum of entryBytes() over map (under mutex)
     };
 
     Shard&
-    shardFor(const Key& key)
+    shardFor(uint64_t hash)
     {
-        return shards_[Hasher{}(key) % shards_.size()];
+        return shards_[hash % shards_.size()];
     }
 
     /** Pop the FIFO-oldest entry of a locked shard; returns its bytes
@@ -277,14 +292,11 @@ class ShardedFifoCache
     static size_t
     evictOneLocked(Shard& shard)
     {
-        size_t freed = 0;
-        const auto it = shard.map.find(shard.order.front());
-        if (it != shard.map.end()) {
-            freed = Traits::entryBytes(it->first, it->second);
-            shard.bytes -= std::min(shard.bytes, freed);
-            shard.map.erase(it);
-        }
+        const auto it = shard.map.find(*shard.order.front());
         shard.order.pop_front();
+        const size_t freed = Traits::entryBytes(it->first.key, it->second);
+        shard.bytes -= std::min(shard.bytes, freed);
+        shard.map.erase(it);
         return freed;
     }
 

@@ -35,14 +35,21 @@ divisors(int64_t n)
 std::vector<int64_t>
 splitBalanced(int64_t extent, int parts)
 {
+    std::vector<int64_t> out(size_t(std::max(parts, 0)));
+    splitBalanced(extent, parts, out.data());
+    return out;
+}
+
+void
+splitBalanced(int64_t extent, int parts, int64_t* out)
+{
     if (parts <= 0)
         fatal("splitBalanced: parts must be positive");
-    std::vector<int64_t> out;
-    out.reserve(size_t(parts));
     int64_t remaining = extent;
     for (int left = parts; left >= 1; --left) {
+        int64_t& slot = out[parts - left];
         if (left == 1) {
-            out.push_back(remaining);
+            slot = remaining;
             break;
         }
         const double target = std::pow(double(remaining), 1.0 / left);
@@ -71,10 +78,9 @@ splitBalanced(int64_t extent, int parts)
         if (best_divisor > 2 * best || best_divisor * 2 < best)
             factor = best;
         factor = std::max<int64_t>(1, factor);
-        out.push_back(factor);
+        slot = factor;
         remaining = ceilDiv(remaining, factor);
     }
-    return out;
 }
 
 TilingTable::TilingTable(size_t num_dims, int num_levels)

@@ -32,6 +32,9 @@ std::vector<int64_t> divisors(int64_t n);
  */
 std::vector<int64_t> splitBalanced(int64_t extent, int parts);
 
+/** The same factors written to `out[0 .. parts)` (no allocation). */
+void splitBalanced(int64_t extent, int parts, int64_t* out);
+
 /** Per-(dim, level) loop trip counts. Unset entries default to 1. */
 class TilingTable
 {

@@ -21,12 +21,21 @@ nodeTypeName(NodeType type)
 }
 
 std::unique_ptr<Node>
-Node::makeTile(int mem_level, std::vector<Loop> loops)
+Node::makeTile(int mem_level, std::initializer_list<Loop> loops)
+{
+    return makeTile(mem_level, std::span<const Loop>(loops.begin(),
+                                                     loops.size()));
+}
+
+std::unique_ptr<Node>
+Node::makeTile(int mem_level, std::span<const Loop> loops)
 {
     auto node = std::unique_ptr<Node>(new Node());
     node->type_ = NodeType::Tile;
     node->memLevel_ = mem_level;
-    node->loops_ = std::move(loops);
+    node->loops_.reserve(loops.size());
+    for (const Loop& loop : loops)
+        node->loops_.push_back(loop);
     return node;
 }
 

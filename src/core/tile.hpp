@@ -18,10 +18,13 @@
 #ifndef TILEFLOW_CORE_TILE_HPP
 #define TILEFLOW_CORE_TILE_HPP
 
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/smallbuf.hpp"
 #include "core/loop.hpp"
 #include "ir/operator.hpp"
 
@@ -31,13 +34,27 @@ enum class NodeType { Tile, Scope, Op };
 
 std::string nodeTypeName(NodeType type);
 
+class Node;
+
+/**
+ * A Tile node's loops and a node's children, inline up to the sizes
+ * the benchmark trees need (at most 6 loops and 3 children per node),
+ * so building a node costs one allocation: the Node itself. Longer
+ * lists spill to the heap.
+ */
+using LoopList = SmallVector<Loop, 6>;
+using ChildList = SmallVector<std::unique_ptr<Node>, 3>;
+
 /** One node of an analysis tree. */
 class Node
 {
   public:
-    /** Build a Tile node at the given memory level. */
+    /** Build a Tile node at the given memory level; builders append
+     *  further loops straight into loops(). */
+    static std::unique_ptr<Node>
+    makeTile(int mem_level, std::initializer_list<Loop> loops = {});
     static std::unique_ptr<Node> makeTile(int mem_level,
-                                          std::vector<Loop> loops);
+                                          std::span<const Loop> loops);
 
     /** Build a Scope node with the given binding primitive. */
     static std::unique_ptr<Node> makeScope(ScopeKind kind);
@@ -55,8 +72,8 @@ class Node
     void setMemLevel(int level) { memLevel_ = level; }
 
     /** Tile: loops, ordered outer-first. */
-    const std::vector<Loop>& loops() const { return loops_; }
-    std::vector<Loop>& loops() { return loops_; }
+    const LoopList& loops() const { return loops_; }
+    LoopList& loops() { return loops_; }
 
     /** Scope: the inter-tile binding primitive. */
     ScopeKind scopeKind() const { return scopeKind_; }
@@ -68,10 +85,7 @@ class Node
     /** Append a child; returns a raw observer pointer. */
     Node* addChild(std::unique_ptr<Node> child);
 
-    const std::vector<std::unique_ptr<Node>>& children() const
-    {
-        return children_;
-    }
+    const ChildList& children() const { return children_; }
 
     Node* parent() const { return parent_; }
 
@@ -102,10 +116,10 @@ class Node
 
     NodeType type_ = NodeType::Tile;
     int memLevel_ = 0;
-    std::vector<Loop> loops_;
+    LoopList loops_;
     ScopeKind scopeKind_ = ScopeKind::Seq;
     OpId op_ = -1;
-    std::vector<std::unique_ptr<Node>> children_;
+    ChildList children_;
     Node* parent_ = nullptr;
 };
 

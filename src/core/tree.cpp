@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 
 namespace tileflow {
@@ -158,17 +159,17 @@ equalTrees(const AnalysisTree& a, const AnalysisTree& b)
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-
-/** Fold one 64-bit value into an FNV-1a hash, byte by byte (the same
- *  scheme EvalCache::hashChoices uses, so hash quality is known). */
+/** Fold a Tile's memory level and loop list (dim, kind, extent, in
+ *  order); a loop's dim and kind share one word. */
 uint64_t
-fnvMix(uint64_t hash, uint64_t value)
+hashTileFields(uint64_t hash, const Node* tile)
 {
-    for (int byte = 0; byte < 8; ++byte) {
-        hash ^= value & 0xffULL;
-        hash *= 0x100000001b3ULL;
-        value >>= 8;
+    hash = hashWord(hash, uint64_t(tile->memLevel()));
+    hash = hashWord(hash, uint64_t(tile->loops().size()));
+    for (const Loop& loop : tile->loops()) {
+        hash = hashWord(hash, uint64_t(uint32_t(loop.dim)) << 32 |
+                                  uint64_t(loop.kind));
+        hash = hashWord(hash, uint64_t(loop.extent));
     }
     return hash;
 }
@@ -177,41 +178,28 @@ fnvMix(uint64_t hash, uint64_t value)
 uint64_t
 hashOwnFields(const Node* node)
 {
-    uint64_t hash = fnvMix(kFnvOffset, uint64_t(node->type()));
+    uint64_t hash = hashWord(kHashSeed, uint64_t(node->type()));
     switch (node->type()) {
       case NodeType::Tile:
-        hash = fnvMix(hash, uint64_t(node->memLevel()));
-        hash = fnvMix(hash, uint64_t(node->loops().size()));
-        for (const Loop& loop : node->loops()) {
-            hash = fnvMix(hash, uint64_t(loop.dim));
-            hash = fnvMix(hash, uint64_t(loop.kind));
-            hash = fnvMix(hash, uint64_t(loop.extent));
-        }
+        hash = hashTileFields(hash, node);
         break;
       case NodeType::Scope:
-        hash = fnvMix(hash, uint64_t(node->scopeKind()));
+        hash = hashWord(hash, uint64_t(node->scopeKind()));
         break;
       case NodeType::Op:
-        hash = fnvMix(hash, uint64_t(int64_t(node->op())));
+        hash = hashWord(hash, uint64_t(int64_t(node->op())));
         break;
     }
-    return fnvMix(hash, uint64_t(node->numChildren()));
+    return hashWord(hash, uint64_t(node->numChildren()));
 }
 
 /** Extend a context hash by one ancestor (the child's view of it). */
 uint64_t
 extendContext(uint64_t hash, const Node* ancestor)
 {
-    hash = fnvMix(hash, uint64_t(ancestor->type()));
-    if (ancestor->isTile()) {
-        hash = fnvMix(hash, uint64_t(ancestor->memLevel()));
-        hash = fnvMix(hash, uint64_t(ancestor->loops().size()));
-        for (const Loop& loop : ancestor->loops()) {
-            hash = fnvMix(hash, uint64_t(loop.dim));
-            hash = fnvMix(hash, uint64_t(loop.kind));
-            hash = fnvMix(hash, uint64_t(loop.extent));
-        }
-    }
+    hash = hashWord(hash, uint64_t(ancestor->type()));
+    if (ancestor->isTile())
+        hash = hashTileFields(hash, ancestor);
     // Scope kinds are deliberately NOT hashed — see tree.hpp.
     return hash;
 }
@@ -228,7 +216,8 @@ collectTileKeys(const Node* node, uint64_t context,
     const uint64_t child_context = extendContext(context, node);
     uint64_t hash = hashOwnFields(node);
     for (const auto& child : node->children())
-        hash = fnvMix(hash, collectTileKeys(child.get(), child_context, out));
+        hash = hashWord(hash,
+                        collectTileKeys(child.get(), child_context, out));
     if (node->isTile())
         out[slot].hash = hash;
     return hash;
@@ -241,7 +230,7 @@ subtreeHash(const Node* node)
 {
     uint64_t hash = hashOwnFields(node);
     for (const auto& child : node->children())
-        hash = fnvMix(hash, subtreeHash(child.get()));
+        hash = hashWord(hash, subtreeHash(child.get()));
     return hash;
 }
 
@@ -250,15 +239,10 @@ contextSignature(const Node* node)
 {
     // Ancestors are hashed root-first so the signature reflects the
     // chain's order, not just its contents.
-    std::vector<const Node*> chain;
-    for (const Node* cursor = node->parent(); cursor != nullptr;
-         cursor = cursor->parent())
-        chain.push_back(cursor);
-
-    uint64_t hash = kFnvOffset;
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it)
-        hash = extendContext(hash, *it);
-    return hash;
+    const Node* parent = node->parent();
+    return parent == nullptr
+               ? kHashSeed
+               : extendContext(contextSignature(parent), parent);
 }
 
 std::vector<TileKey>

@@ -104,13 +104,15 @@ bool equalTrees(const AnalysisTree& a, const AnalysisTree& b);
 
 /**
  * 64-bit Merkle hash over exactly the attributes equalTrees compares:
- * a node's hash is the FNV-1a fold of its own fields (node type,
- * memory level, loop list (dim, kind, extent, order), scope kind, op
- * id, child count) followed by each child's subtreeHash in child
- * order. Therefore equalTrees(a, b) implies
- * subtreeHash(a) == subtreeHash(b). The incremental evaluator
+ * a node's hash is the word-wise fold (hashWord, common/hash.hpp) of
+ * its own fields (node type, memory level, loop list (dim, kind,
+ * extent, order), scope kind, op id, child count) followed by each
+ * child's subtreeHash in child order. Therefore equalTrees(a, b)
+ * implies subtreeHash(a) == subtreeHash(b). The incremental evaluator
  * (analysis/incremental.hpp) keys its per-node partial cache on this
- * hash.
+ * hash and never compares the trees themselves, so the converse is
+ * trusted to the 64-bit mixer; tier-1 checks it on every fuzz family
+ * and on draws from the benchmark spaces.
  */
 uint64_t subtreeHash(const Node* node);
 
@@ -140,7 +142,7 @@ struct TileKey
  * subtreeHash and contextSignature of every Tile node at or under
  * `root`, in preorder, from ONE walk: hashes are folded bottom-up from
  * the children's hashes, contexts top-down by extending the parent's
- * FNV state. The values equal the single-node functions'.
+ * hash state. The values equal the single-node functions'.
  */
 std::vector<TileKey> tileKeys(const Node* root);
 

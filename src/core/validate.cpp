@@ -33,7 +33,7 @@ visit(const Workload& workload, const ArchSpec* spec, const Node* node,
                         concat("tile level L", level,
                                " is above its parent tile L",
                                parent_level));
-        const std::vector<Loop>& loops = node->loops();
+        const auto& loops = node->loops();
         for (size_t i = 0; i < loops.size(); ++i) {
             const Loop& loop = loops[i];
             if (loop.dim < 0 ||

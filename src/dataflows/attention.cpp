@@ -37,16 +37,6 @@ attentionDims(const Workload& w)
     return d;
 }
 
-/** Ops between QK and LV (the softmax chain, expanded or not). */
-std::vector<OpId>
-softmaxOps(const Workload& w)
-{
-    std::vector<OpId> ops;
-    for (size_t i = 1; i + 1 < w.numOps(); ++i)
-        ops.push_back(OpId(i));
-    return ops;
-}
-
 } // namespace
 
 std::string
@@ -151,7 +141,7 @@ buildAttentionTree(const Workload& w, const ArchSpec& spec,
     if (!grain.fused) {
         // Layerwise: one complete per-op hierarchy at a time.
         AnalysisTree tree(w);
-        Node* root = tree.setRoot(Node::makeTile(dram, {}));
+        Node* root = tree.setRoot(Node::makeTile(dram));
         for (size_t i = 0; i < w.numOps(); ++i)
             root->addChild(buildSingleOpSubtree(w, spec, OpId(i), dram));
         return tree;
@@ -186,7 +176,8 @@ buildAttentionTree(const Workload& w, const ArchSpec& spec,
     const int64_t sm =
         std::min(budget, ceilDiv(ceilDiv(d.M, tM), m0));
 
-    std::vector<Loop> root_loops;
+    auto root = Node::makeTile(dram);
+    LoopList& root_loops = root->loops();
     appendLoop(root_loops, d.b, sb, LoopKind::Spatial);
     appendLoop(root_loops, d.h, sh, LoopKind::Spatial);
     appendLoop(root_loops, d.m, sm, LoopKind::Spatial);
@@ -216,44 +207,42 @@ buildAttentionTree(const Workload& w, const ArchSpec& spec,
 
     const OpId qk_op = 0;
     const OpId lv_op = OpId(w.numOps() - 1);
-    const std::vector<OpId> sm_ops = softmaxOps(w);
 
-    std::vector<Loop> qk_loops;
-    appendLoop(qk_loops, d.m, m0, LoopKind::Spatial);
-    appendLoop(qk_loops, d.l, l0_l, LoopKind::Spatial);
-    appendLoop(qk_loops, d.k, d.K, LoopKind::Temporal);
-    auto qk_tile = Node::makeTile(0, std::move(qk_loops));
+    auto qk_tile = Node::makeTile(0);
+    appendLoop(qk_tile->loops(), d.m, m0, LoopKind::Spatial);
+    appendLoop(qk_tile->loops(), d.l, l0_l, LoopKind::Spatial);
+    appendLoop(qk_tile->loops(), d.k, d.K, LoopKind::Temporal);
     qk_tile->addChild(Node::makeOp(qk_op));
 
-    std::vector<std::unique_ptr<Node>> sm_tiles;
-    for (OpId op : sm_ops) {
-        std::vector<Loop> loops;
+    // The ops between QK and LV: the softmax chain, expanded or not.
+    auto softmax_tile = [&](OpId op) {
+        auto tile = Node::makeTile(0);
+        LoopList& loops = tile->loops();
         appendLoop(loops, d.m, lanes, LoopKind::Spatial);
         if (lanes < m0)
             appendLoop(loops, d.m, ceilDiv(m0, lanes),
                        LoopKind::Temporal);
         appendLoop(loops, d.l, l0_l, LoopKind::Temporal);
-        auto tile = Node::makeTile(0, std::move(loops));
         tile->addChild(Node::makeOp(op));
-        sm_tiles.push_back(std::move(tile));
-    }
+        return tile;
+    };
 
-    std::vector<Loop> lv_loops;
-    appendLoop(lv_loops, d.m, m0, LoopKind::Spatial);
-    appendLoop(lv_loops, d.n, lv_n, LoopKind::Spatial);
-    appendLoop(lv_loops, d.n, ceilDiv(d.N, lv_n), LoopKind::Temporal);
-    appendLoop(lv_loops, d.l, l0_l, LoopKind::Temporal);
-    auto lv_tile = Node::makeTile(0, std::move(lv_loops));
+    auto lv_tile = Node::makeTile(0);
+    appendLoop(lv_tile->loops(), d.m, m0, LoopKind::Spatial);
+    appendLoop(lv_tile->loops(), d.n, lv_n, LoopKind::Spatial);
+    appendLoop(lv_tile->loops(), d.n, ceilDiv(d.N, lv_n),
+               LoopKind::Temporal);
+    appendLoop(lv_tile->loops(), d.l, l0_l, LoopKind::Temporal);
     lv_tile->addChild(Node::makeOp(lv_op));
 
     // --- Fusion scope ------------------------------------------------------
     std::unique_ptr<Node> sm_group;
-    if (sm_tiles.size() == 1) {
-        sm_group = std::move(sm_tiles.front());
+    if (w.numOps() == 3) {
+        sm_group = softmax_tile(1);
     } else {
         sm_group = Node::makeScope(ScopeKind::Shar);
-        for (auto& tile : sm_tiles)
-            sm_group->addChild(std::move(tile));
+        for (size_t i = 1; i + 1 < w.numOps(); ++i)
+            sm_group->addChild(softmax_tile(OpId(i)));
     }
 
     std::unique_ptr<Node> fusion;
@@ -289,13 +278,13 @@ buildAttentionTree(const Workload& w, const ArchSpec& spec,
         const int64_t f_l =
             grain.rowResident ? l_blocks : std::min<int64_t>(4, l_blocks);
 
-        std::vector<Loop> l1_loops;
-        appendLoop(l1_loops, d.m, f_m, LoopKind::Temporal);
-        appendLoop(l1_loops, d.l, f_l, LoopKind::Temporal);
-        auto l1 = Node::makeTile(1, std::move(l1_loops));
+        auto l1 = Node::makeTile(1);
+        appendLoop(l1->loops(), d.m, f_m, LoopKind::Temporal);
+        appendLoop(l1->loops(), d.l, f_l, LoopKind::Temporal);
         l1->addChild(std::move(fusion));
 
-        std::vector<Loop> l2_loops;
+        inner = Node::makeTile(2);
+        LoopList& l2_loops = inner->loops();
         appendLoop(l2_loops, d.h, sh2, LoopKind::Spatial);
         appendLoop(l2_loops, d.m, sm2, LoopKind::Spatial);
         appendLoop(l2_loops, d.b, Bc, LoopKind::Temporal);
@@ -303,22 +292,21 @@ buildAttentionTree(const Workload& w, const ArchSpec& spec,
         appendLoop(l2_loops, d.m, ceilDiv(mb2, f_m), LoopKind::Temporal);
         appendLoop(l2_loops, d.l, ceilDiv(l_blocks, f_l),
                    LoopKind::Temporal);
-        inner = Node::makeTile(2, std::move(l2_loops));
         inner->addChild(std::move(l1));
     } else {
         // Edge-style: everything interior lives at L1.
-        std::vector<Loop> l1_loops;
+        inner = Node::makeTile(1);
+        LoopList& l1_loops = inner->loops();
         appendLoop(l1_loops, d.b, Bc, LoopKind::Temporal);
         appendLoop(l1_loops, d.h, Hc, LoopKind::Temporal);
         appendLoop(l1_loops, d.m, m_blocks, LoopKind::Temporal);
         appendLoop(l1_loops, d.l, l_blocks, LoopKind::Temporal);
-        inner = Node::makeTile(1, std::move(l1_loops));
         inner->addChild(std::move(fusion));
     }
 
-    AnalysisTree tree(w);
-    Node* root = tree.setRoot(Node::makeTile(dram, std::move(root_loops)));
     root->addChild(std::move(inner));
+    AnalysisTree tree(w);
+    tree.setRoot(std::move(root));
     return tree;
 }
 

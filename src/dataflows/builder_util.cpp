@@ -9,8 +9,7 @@
 namespace tileflow {
 
 void
-appendLoop(std::vector<Loop>& loops, DimId dim, int64_t extent,
-           LoopKind kind)
+appendLoop(LoopList& loops, DimId dim, int64_t extent, LoopKind kind)
 {
     if (extent > 1)
         loops.push_back(Loop{dim, extent, kind});
@@ -18,15 +17,8 @@ appendLoop(std::vector<Loop>& loops, DimId dim, int64_t extent,
 
 std::unique_ptr<Node>
 buildSingleOpSubtree(const Workload& workload, const ArchSpec& spec,
-                     OpId op_id, int top_level)
-{
-    return buildSingleOpSubtree(workload, spec, op_id, top_level, {});
-}
-
-std::unique_ptr<Node>
-buildSingleOpSubtree(const Workload& workload, const ArchSpec& spec,
                      OpId op_id, int top_level,
-                     const std::vector<int64_t>& outer_coverage)
+                     std::span<const int64_t> outer_coverage)
 {
     const Operator& op = workload.op(op_id);
     const size_t num_dims = workload.dims().size();
@@ -51,12 +43,21 @@ buildSingleOpSubtree(const Workload& workload, const ArchSpec& spec,
         fatal("buildSingleOpSubtree: op ", op.name(),
               " has no parallel dims");
 
+    // The tile chain, top level first, with the op under L0; the
+    // phases below append each level's loops straight into its node.
+    auto top = Node::makeTile(top_level);
+    SmallBuffer<Node*, 8> tiles(size_t(top_level) + 1, nullptr);
+    tiles[size_t(top_level)] = top.get();
+    for (int level = top_level - 1; level >= 0; --level)
+        tiles[size_t(level)] =
+            tiles[size_t(level) + 1]->addChild(Node::makeTile(level));
+    tiles[0]->addChild(Node::makeOp(op_id));
+    auto loops_at = [&](int level) -> LoopList& {
+        return tiles[size_t(level)]->loops();
+    };
+
     // --- L0: spatial mapping onto the PE array -------------------------
     SmallBuffer<int64_t, 16> l0_cov(num_dims, 1);
-    // At most one L0 loop per op dim; above L0, one spatial and one
-    // temporal loop per dim and level.
-    std::vector<Loop> l0_loops;
-    l0_loops.reserve(op.dims().size());
     if (op.kind() == ComputeKind::Matrix && num_parallel >= 2) {
         const DimId row_dim = parallel[num_parallel - 2];
         const DimId col_dim = parallel[num_parallel - 1];
@@ -64,8 +65,8 @@ buildSingleOpSubtree(const Workload& workload, const ArchSpec& spec,
             std::min<int64_t>(spec.peRows(), residual(row_dim));
         const int64_t cols =
             std::min<int64_t>(spec.peCols(), residual(col_dim));
-        appendLoop(l0_loops, row_dim, rows, LoopKind::Spatial);
-        appendLoop(l0_loops, col_dim, cols, LoopKind::Spatial);
+        appendLoop(loops_at(0), row_dim, rows, LoopKind::Spatial);
+        appendLoop(loops_at(0), col_dim, cols, LoopKind::Spatial);
         l0_cov[size_t(row_dim)] = rows;
         l0_cov[size_t(col_dim)] = cols;
     } else {
@@ -74,12 +75,12 @@ buildSingleOpSubtree(const Workload& workload, const ArchSpec& spec,
             op.kind() == ComputeKind::Matrix ? spec.pesPerSubCore()
                                              : spec.vectorLanes(),
             residual(lane_dim));
-        appendLoop(l0_loops, lane_dim, lanes, LoopKind::Spatial);
+        appendLoop(loops_at(0), lane_dim, lanes, LoopKind::Spatial);
         l0_cov[size_t(lane_dim)] = lanes;
     }
     for (DimId d : op.reductionDims()) {
         const int64_t f0 = std::min<int64_t>(16, residual(d));
-        appendLoop(l0_loops, d, f0, LoopKind::Temporal);
+        appendLoop(loops_at(0), d, f0, LoopKind::Temporal);
         l0_cov[size_t(d)] = f0;
     }
 
@@ -89,9 +90,6 @@ buildSingleOpSubtree(const Workload& workload, const ArchSpec& spec,
         rem[size_t(d)] = ceilDiv(residual(d), l0_cov[size_t(d)]);
 
     // --- Spatial fanout, outermost level first -------------------------
-    std::vector<std::vector<Loop>> level_loops(size_t(top_level) + 1);
-    for (int level = 1; level <= top_level; ++level)
-        level_loops[size_t(level)].reserve(2 * op.dims().size());
     for (int level = top_level; level >= 1; --level) {
         int64_t budget = spec.level(level).fanout;
         if (budget <= 1)
@@ -102,8 +100,7 @@ buildSingleOpSubtree(const Workload& workload, const ArchSpec& spec,
                 break;
             const int64_t s = std::min(budget, rem[size_t(d)]);
             if (s > 1) {
-                appendLoop(level_loops[size_t(level)], d, s,
-                           LoopKind::Spatial);
+                appendLoop(loops_at(level), d, s, LoopKind::Spatial);
                 rem[size_t(d)] = ceilDiv(rem[size_t(d)], s);
                 budget /= s;
             }
@@ -111,29 +108,18 @@ buildSingleOpSubtree(const Workload& workload, const ArchSpec& spec,
     }
 
     // --- Temporal splits of the leftovers -------------------------------
+    SmallBuffer<int64_t, 8> factors(size_t(std::max(top_level, 1)), 1);
     for (DimId d : op.dims()) {
         if (rem[size_t(d)] <= 1)
             continue;
-        const std::vector<int64_t> factors =
-            splitBalanced(rem[size_t(d)], top_level);
+        splitBalanced(rem[size_t(d)], top_level, factors.data());
         // factors are outermost-first: factors[0] -> top_level.
         for (int level = top_level; level >= 1; --level) {
             const int64_t f = factors[size_t(top_level - level)];
-            appendLoop(level_loops[size_t(level)], d, f,
-                       LoopKind::Temporal);
+            appendLoop(loops_at(level), d, f, LoopKind::Temporal);
         }
     }
-
-    // --- Assemble inside-out --------------------------------------------
-    auto tile = Node::makeTile(0, std::move(l0_loops));
-    tile->addChild(Node::makeOp(op_id));
-    for (int level = 1; level <= top_level; ++level) {
-        auto parent =
-            Node::makeTile(level, std::move(level_loops[size_t(level)]));
-        parent->addChild(std::move(tile));
-        tile = std::move(parent);
-    }
-    return tile;
+    return top;
 }
 
 } // namespace tileflow

@@ -9,7 +9,7 @@
 #define TILEFLOW_DATAFLOWS_BUILDER_UTIL_HPP
 
 #include <memory>
-#include <vector>
+#include <span>
 
 #include "arch/arch.hpp"
 #include "core/tile.hpp"
@@ -18,7 +18,7 @@
 namespace tileflow {
 
 /** Append a loop unless its extent is 1 (keeps trees readable). */
-void appendLoop(std::vector<Loop>& loops, DimId dim, int64_t extent,
+void appendLoop(LoopList& loops, DimId dim, int64_t extent,
                 LoopKind kind);
 
 /**
@@ -33,23 +33,17 @@ void appendLoop(std::vector<Loop>& loops, DimId dim, int64_t extent,
  *    dims with the most remaining iterations;
  *  - leftover trip counts are split balanced across the temporal
  *    levels.
- */
-std::unique_ptr<Node> buildSingleOpSubtree(const Workload& workload,
-                                           const ArchSpec& spec, OpId op,
-                                           int top_level);
-
-/**
- * Variant for subtrees nested under already-tiled ancestors:
+ *
+ * For subtrees nested under already-tiled ancestors,
  * `outer_coverage[dim]` is the trip count the enclosing loops cover,
  * so this subtree sizes itself to the residual
  * ceilDiv(extent, outer_coverage) per dim instead of the full extent.
- * An empty vector means no outer coverage (equivalent to the overload
- * above).
+ * Dims past its end (all of them, by default) have no outer coverage.
  */
 std::unique_ptr<Node>
 buildSingleOpSubtree(const Workload& workload, const ArchSpec& spec,
                      OpId op, int top_level,
-                     const std::vector<int64_t>& outer_coverage);
+                     std::span<const int64_t> outer_coverage = {});
 
 } // namespace tileflow
 

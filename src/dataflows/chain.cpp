@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "common/smallbuf.hpp"
 #include "core/mapping.hpp"
 #include "dataflows/builder_util.hpp"
 
@@ -49,7 +50,7 @@ buildChainTree(const Workload& workload, const ArchSpec& spec,
 
     if (!grain.fused || workload.numOps() < 2) {
         AnalysisTree tree(workload);
-        Node* root = tree.setRoot(Node::makeTile(dram, {}));
+        Node* root = tree.setRoot(Node::makeTile(dram));
         for (size_t i = 0; i < workload.numOps(); ++i)
             root->addChild(
                 buildSingleOpSubtree(workload, spec, OpId(i), dram));
@@ -65,8 +66,9 @@ buildChainTree(const Workload& workload, const ArchSpec& spec,
     // factors; coverage accumulates so each factor is clamped to the
     // trip count actually left.
     const size_t num_dims = workload.dims().size();
-    std::vector<int64_t> coverage(num_dims, 1);
-    std::vector<Loop> root_loops;
+    SmallBuffer<int64_t, 16> coverage(num_dims, 1);
+    auto root = Node::makeTile(dram);
+    LoopList& root_loops = root->loops();
     if (grain.spatialCores && !grain.dims.empty()) {
         const DimId d0 = grain.dims.front();
         const int64_t s =
@@ -94,13 +96,13 @@ buildChainTree(const Workload& workload, const ArchSpec& spec,
     auto fusion = Node::makeScope(grain.pipeline ? ScopeKind::Pipe
                                                  : ScopeKind::Shar);
     for (size_t i = 0; i < workload.numOps(); ++i)
-        fusion->addChild(buildSingleOpSubtree(workload, spec, OpId(i),
-                                              top_level, coverage));
+        fusion->addChild(buildSingleOpSubtree(
+            workload, spec, OpId(i), top_level,
+            std::span<const int64_t>(coverage.data(), num_dims)));
 
-    AnalysisTree tree(workload);
-    Node* root =
-        tree.setRoot(Node::makeTile(dram, std::move(root_loops)));
     root->addChild(std::move(fusion));
+    AnalysisTree tree(workload);
+    tree.setRoot(std::move(root));
     return tree;
 }
 

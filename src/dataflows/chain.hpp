@@ -15,6 +15,7 @@
 #ifndef TILEFLOW_DATAFLOWS_CHAIN_HPP
 #define TILEFLOW_DATAFLOWS_CHAIN_HPP
 
+#include <span>
 #include <vector>
 
 #include "arch/arch.hpp"
@@ -26,9 +27,10 @@ namespace tileflow {
 struct ChainGrain
 {
     /** Dims tiled temporally at the DRAM root, with their trip
-     *  counts; parallel vectors. Typically chainSharedDims(). */
-    std::vector<DimId> dims;
-    std::vector<int64_t> factors;
+     *  counts; parallel views of the caller's arrays (typically
+     *  chainSharedDims() and a choice vector's tail). */
+    std::span<const DimId> dims;
+    std::span<const int64_t> factors;
 
     /** Split the first (largest) shared dim spatially across cores. */
     bool spatialCores = true;

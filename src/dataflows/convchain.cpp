@@ -110,7 +110,7 @@ buildConvChainTree(const Workload& w, const ArchSpec& spec,
 
     if (!grain.fused) {
         AnalysisTree tree(w);
-        Node* root = tree.setRoot(Node::makeTile(dram, {}));
+        Node* root = tree.setRoot(Node::makeTile(dram));
         for (size_t i = 0; i < w.numOps(); ++i)
             root->addChild(buildSingleOpSubtree(w, spec, OpId(i), dram));
         return tree;
@@ -201,7 +201,8 @@ buildConvChainTree(const Workload& w, const ArchSpec& spec,
     // Order: spatial, h/w tiles, then l innermost so the staged Out
     // block stays resident while l sweeps. k2 is never tiled in shared
     // temporal ancestors — that would force conv1 to idle per k2 block.
-    std::vector<Loop> root_loops;
+    auto root = Node::makeTile(dram);
+    LoopList& root_loops = root->loops();
     appendLoop(root_loops, d.h, sh_core, LoopKind::Spatial);
     appendLoop(root_loops, d.w, sw_core, LoopKind::Spatial);
     appendLoop(root_loops, d.k2, sk2_core, LoopKind::Spatial);
@@ -210,16 +211,17 @@ buildConvChainTree(const Workload& w, const ArchSpec& spec,
     appendLoop(root_loops, d.l, grain.tL, LoopKind::Temporal);
 
     // --- L0 tiles ------------------------------------------------------------
-    std::vector<Loop> c1_loops;
+    auto conv1_tile = Node::makeTile(0);
+    LoopList& c1_loops = conv1_tile->loops();
     appendLoop(c1_loops, d.w, a, LoopKind::Spatial);
     appendLoop(c1_loops, d.l, b1, LoopKind::Spatial);
     appendLoop(c1_loops, d.c, d.C, LoopKind::Temporal);
     appendLoop(c1_loops, d.r, 3, LoopKind::Temporal);
     appendLoop(c1_loops, d.s, 3, LoopKind::Temporal);
-    auto conv1_tile = Node::makeTile(0, std::move(c1_loops));
     conv1_tile->addChild(Node::makeOp(w.opId("conv1")));
 
-    std::vector<Loop> c2_loops;
+    auto conv2_tile = Node::makeTile(0);
+    LoopList& c2_loops = conv2_tile->loops();
     appendLoop(c2_loops, d.w, a, LoopKind::Spatial);
     appendLoop(c2_loops, d.k2, b2, LoopKind::Spatial);
     if (grain.pipeline)
@@ -227,7 +229,6 @@ buildConvChainTree(const Workload& w, const ArchSpec& spec,
     appendLoop(c2_loops, d.l, b1, LoopKind::Temporal);
     appendLoop(c2_loops, d.u, 3, LoopKind::Temporal);
     appendLoop(c2_loops, d.v, 3, LoopKind::Temporal);
-    auto conv2_tile = Node::makeTile(0, std::move(c2_loops));
     conv2_tile->addChild(Node::makeOp(w.opId("conv2")));
 
     auto fusion = Node::makeScope(grain.pipeline ? ScopeKind::Pipe
@@ -241,38 +242,38 @@ buildConvChainTree(const Workload& w, const ArchSpec& spec,
         const int64_t f_h = std::min<int64_t>(4, Hc);
         const int64_t f_w = std::min<int64_t>(4, w_blocks);
 
-        std::vector<Loop> l1_loops;
+        auto l1 = Node::makeTile(1);
+        LoopList& l1_loops = l1->loops();
         appendLoop(l1_loops, d.h, f_h, LoopKind::Temporal);
         appendLoop(l1_loops, d.w, f_w, LoopKind::Temporal);
         if (!grain.pipeline)
             appendLoop(l1_loops, d.k2, k2_blocks, LoopKind::Temporal);
         appendLoop(l1_loops, d.l, l_blocks, LoopKind::Temporal);
-        auto l1 = Node::makeTile(1, std::move(l1_loops));
         l1->addChild(std::move(fusion));
 
-        std::vector<Loop> l2_loops;
+        inner = Node::makeTile(2);
+        LoopList& l2_loops = inner->loops();
         appendLoop(l2_loops, d.h, sh_sub, LoopKind::Spatial);
         appendLoop(l2_loops, d.w, sw_sub, LoopKind::Spatial);
         appendLoop(l2_loops, d.k2, sk2_sub, LoopKind::Spatial);
         appendLoop(l2_loops, d.h, ceilDiv(Hc, f_h), LoopKind::Temporal);
         appendLoop(l2_loops, d.w, ceilDiv(w_blocks, f_w),
                    LoopKind::Temporal);
-        inner = Node::makeTile(2, std::move(l2_loops));
         inner->addChild(std::move(l1));
     } else {
-        std::vector<Loop> l1_loops;
+        inner = Node::makeTile(1);
+        LoopList& l1_loops = inner->loops();
         appendLoop(l1_loops, d.h, Hc, LoopKind::Temporal);
         appendLoop(l1_loops, d.w, w_blocks, LoopKind::Temporal);
         if (!grain.pipeline)
             appendLoop(l1_loops, d.k2, k2_blocks, LoopKind::Temporal);
         appendLoop(l1_loops, d.l, l_blocks, LoopKind::Temporal);
-        inner = Node::makeTile(1, std::move(l1_loops));
         inner->addChild(std::move(fusion));
     }
 
-    AnalysisTree tree(w);
-    Node* root = tree.setRoot(Node::makeTile(dram, std::move(root_loops)));
     root->addChild(std::move(inner));
+    AnalysisTree tree(w);
+    tree.setRoot(std::move(root));
     return tree;
 }
 

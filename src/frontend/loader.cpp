@@ -1,5 +1,6 @@
 #include "frontend/loader.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <new>
 #include <sstream>
@@ -50,17 +51,25 @@ readSpecFile(const std::string& path, DiagnosticEngine& diags,
                     concat("cannot open ", quoted(path)));
         return std::nullopt;
     }
-    std::string text;
     // Read one byte past the cap so oversized files are detected
-    // without slurping arbitrarily large input.
-    text.resize(limits.maxInputBytes + 1);
-    in.read(&text[0], std::streamsize(text.size()));
+    // without slurping arbitrarily large input. The text grows as it
+    // is read: a cap-sized buffer up front would zero-fill megabytes
+    // of memory for a spec of a few hundred bytes.
+    std::string text;
+    char chunk[4096];
+    while (text.size() <= limits.maxInputBytes) {
+        const size_t want = std::min(sizeof(chunk),
+                                     limits.maxInputBytes + 1 - text.size());
+        in.read(chunk, std::streamsize(want));
+        text.append(chunk, size_t(in.gcount()));
+        if (size_t(in.gcount()) < want)
+            break;
+    }
     if (in.bad()) {
         diags.error("F602", SourceLoc{},
                     concat("read failure on ", quoted(path)));
         return std::nullopt;
     }
-    text.resize(size_t(in.gcount()));
     if (text.size() > limits.maxInputBytes) {
         diags.error("F603", SourceLoc{},
                     concat(quoted(path), " exceeds the input limit of ",

@@ -184,7 +184,7 @@ makeChainSpace(const Workload& workload, const ArchSpec& spec)
         grain.pipeline = c[1] != 0;
         grain.spatialCores = c[2] != 0;
         grain.dims = shared;
-        grain.factors.assign(c.begin() + 3, c.end());
+        grain.factors = std::span<const int64_t>(c).subspan(3);
         return buildChainTree(workload, spec, grain);
     };
     return MappingSpace(std::move(knobs), builder);

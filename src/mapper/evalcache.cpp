@@ -1,5 +1,7 @@
 #include "mapper/evalcache.hpp"
 
+#include "common/hash.hpp"
+
 namespace tileflow {
 
 template class ShardedFifoCache<std::vector<int64_t>, CachedEval,
@@ -8,16 +10,9 @@ template class ShardedFifoCache<std::vector<int64_t>, CachedEval,
 uint64_t
 EvalCacheTraits::hash(const std::vector<int64_t>& choices)
 {
-    // FNV-1a, 64-bit.
-    uint64_t hash = 0xcbf29ce484222325ULL;
-    for (int64_t choice : choices) {
-        uint64_t bits = uint64_t(choice);
-        for (int byte = 0; byte < 8; ++byte) {
-            hash ^= bits & 0xffULL;
-            hash *= 0x100000001b3ULL;
-            bits >>= 8;
-        }
-    }
+    uint64_t hash = kHashSeed;
+    for (int64_t choice : choices)
+        hash = hashWord(hash, uint64_t(choice));
     return hash;
 }
 
@@ -25,12 +20,11 @@ size_t
 EvalCacheTraits::entryBytes(const std::vector<int64_t>& choices,
                             const CachedEval& value)
 {
-    // Sizes, not capacities: the stored copies allocate exactly
-    // size() elements.
-    return 2 * (sizeof(std::vector<int64_t>) +
-                choices.size() * sizeof(int64_t)) +
-           sizeof(CachedEval) + value.failReason.size() +
-           kCacheEntryOverheadBytes;
+    // Sizes, not capacities: the stored key allocates exactly size()
+    // elements.
+    return sizeof(std::vector<int64_t>) + sizeof(uint64_t) +
+           choices.size() * sizeof(int64_t) + sizeof(CachedEval) +
+           value.failReason.size() + kCacheEntryOverheadBytes;
 }
 
 void

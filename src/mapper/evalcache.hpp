@@ -5,8 +5,9 @@
  * The GA resamples structural genes and the MCTS revisits tiling
  * prefixes, so the same complete choice vector is evaluated many times
  * per search (Sec. 7.2's budget counts every one). The cache keys on
- * the full choice vector — hashed with FNV-1a over its int64 entries,
- * compared element-wise on collision — and stores just the verdict the
+ * the full choice vector — hashed once per call, word by word
+ * (hashWord, common/hash.hpp), compared element-wise on collision —
+ * and stores just the verdict the
  * search loop needs (valid + cycles), so a repeated sample skips the
  * tree build and the entire analysis. A candidate the lower bound
  * pruned leaves a bound-only entry, so a repeat of it skips the build
@@ -89,13 +90,13 @@ struct EvalCacheTraits
 {
     static constexpr const char* kMetricPrefix = "evalcache.";
 
-    /** FNV-1a over the bytes of the choice vector's int64 entries. */
+    /** The word-wise fold of the choice vector's int64 entries. */
     static uint64_t hash(const std::vector<int64_t>& choices);
 
     /**
-     * Size-pure entry estimate (see ShardedFifoCache): the key counted
-     * twice — the map entry and the FIFO deque copy — plus the verdict
-     * and its failure reason.
+     * Size-pure entry estimate (see ShardedFifoCache): the stored key
+     * and its hash (the FIFO order points at it, so it is counted
+     * once), plus the verdict and its failure reason.
      */
     static size_t entryBytes(const std::vector<int64_t>& choices,
                              const CachedEval& value);

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <memory>
 
 #include "common/logging.hpp"
 #include "common/telemetry.hpp"
@@ -23,12 +22,15 @@ msSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** One node of the search tree: a prefix of factor decisions. */
+/** One node of the search tree: a prefix of factor decisions. An
+ *  expansion creates all of a node's children at once, in one
+ *  allocation; the vector never grows after that, so pointers to
+ *  the children stay valid. */
 struct SearchNode
 {
     int visits = 0;
     double totalReward = 0.0;
-    std::vector<std::unique_ptr<SearchNode>> children;
+    std::vector<SearchNode> children;
 
     double
     ucb(int parent_visits, double exploration) const
@@ -42,7 +44,8 @@ struct SearchNode
     }
 };
 
-/** One selected-but-not-yet-scored rollout. */
+/** One selected-but-not-yet-scored rollout. A tuner reuses these
+ *  across batches, so the vectors keep their capacity. */
 struct PendingSample
 {
     std::vector<int64_t> choices;
@@ -55,9 +58,9 @@ struct PendingSample
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-/** Approximate heap bytes of one SearchNode: the node itself, its
- *  unique_ptr slot in the parent, and allocator overhead. */
-constexpr uint64_t kNodeBytes = sizeof(SearchNode) + 32;
+/** Approximate heap bytes of one SearchNode: the node itself in
+ *  its parent's child array, with a share of allocator overhead. */
+constexpr uint64_t kNodeBytes = sizeof(SearchNode) + 8;
 
 } // namespace
 
@@ -137,6 +140,11 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
 
     ProgressMeter progress(progressIntervalMs_);
 
+    // Batch buffers, reused by every batch.
+    std::vector<PendingSample> pending;
+    std::vector<int> copy_from;
+    std::vector<size_t> to_evaluate;
+
     while (done < samples) {
         // Batches are the atomic unit: stop checks only happen here.
         // The deadline waits while a verdict log still replays.
@@ -160,8 +168,7 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         const int batch =
             std::min(batch_, samples - done);
         sample_counter.add(uint64_t(batch));
-        std::vector<PendingSample> pending;
-        pending.reserve(size_t(batch));
+        pending.resize(size_t(batch)); // smaller only for the last batch
 
         // Selection + expansion, serially, under virtual loss: each
         // selected path's visit counts are bumped immediately so the
@@ -169,8 +176,11 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         // randomness also stays serial, so the trajectory is
         // independent of how the batch is later scheduled.
         for (int k = 0; k < batch; ++k) {
-            PendingSample sample;
+            PendingSample& sample = pending[size_t(k)];
             sample.choices = base;
+            sample.path.clear();
+            sample.eval = CachedEval();
+            sample.memo.reset();
             SearchNode* node = &root;
             node->visits += 1; // virtual loss
             sample.path.push_back(node);
@@ -179,8 +189,6 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
                 const Knob& knob = space_->knobs()[factor_idx[depth]];
                 if (node->children.empty()) {
                     node->children.resize(knob.choices.size());
-                    for (auto& child : node->children)
-                        child = std::make_unique<SearchNode>();
                     tree_bytes.fetch_add(knob.choices.size() *
                                              kNodeBytes,
                                          std::memory_order_relaxed);
@@ -189,7 +197,7 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
                 double best_ucb =
                     -std::numeric_limits<double>::infinity();
                 for (size_t i = 0; i < node->children.size(); ++i) {
-                    const double u = node->children[i]->ucb(
+                    const double u = node->children[i].ucb(
                         node->visits, exploration_);
                     if (u > best_ucb) {
                         best_ucb = u;
@@ -197,7 +205,7 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
                     }
                 }
                 sample.choices[factor_idx[depth]] = knob.choices[pick];
-                node = node->children[pick].get();
+                node = &node->children[pick];
                 const bool fresh = node->visits == 0;
                 node->visits += 1; // virtual loss
                 sample.path.push_back(node);
@@ -212,15 +220,14 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
                 sample.choices[factor_idx[depth]] =
                     rng_->choice(knob.choices);
             }
-            pending.push_back(std::move(sample));
         }
 
         // Resolve the batch against the cache, deduplicating repeats
         // within the batch so each distinct mapping is evaluated at
         // most once; only the leftovers reach the guard, carrying any
         // bound-only entry the lookup found.
-        std::vector<int> copy_from(pending.size(), -1);
-        std::vector<size_t> to_evaluate;
+        copy_from.assign(pending.size(), -1);
+        to_evaluate.clear();
         for (size_t k = 0; k < pending.size(); ++k) {
             std::optional<CachedEval> cached =
                 cache_ ? cache_->lookup(pending[k].choices)
@@ -303,7 +310,7 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         // added at selection time, so only rewards accumulate here.
         // Pruned samples take the same reward-0 path as infeasible
         // ones: the bound proved they cannot beat the current best.
-        for (PendingSample& sample : pending) {
+        for (const PendingSample& sample : pending) {
             double reward = 0.0;
             if (sample.eval.failed) {
                 result.failureHistogram[sample.eval.failReason] += 1;

@@ -9,7 +9,11 @@
  * prunes at the roofline, and the workload's producer/consumer
  * lookups. A full data-movement analysis and a capacity screen that
  * passes do allocate (their results and scratch), but a fixed number
- * of times however large the tree is. It runs over seeded draws from the benchmark's mapping spaces
+ * of times however large the tree is. Building a tree costs at most
+ * one allocation per node, an evaluation the SubtreeCache serves
+ * costs no more than an uncached one, and a whole Bert-S/Edge search
+ * stays under a fixed cap. It runs over seeded draws from the
+ * benchmark's mapping spaces
  * (Bert-S/B attention on Edge and Cloud, the CC1 conv chain on Cloud
  * and Edge, fig4.wl on Edge and tpu_like.arch) and over every
  * differential-fuzz family.
@@ -25,6 +29,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -39,7 +44,9 @@
 #include "frontend/loader.hpp"
 #include "ir/builders.hpp"
 #include "ir/shapes.hpp"
+#include "analysis/subtreecache.hpp"
 #include "mapper/encoding.hpp"
+#include "mapper/mapper.hpp"
 #include "oracle/fuzz.hpp"
 
 namespace {
@@ -418,6 +425,85 @@ TEST(AllocGate, CapacityScreenThatPassesDoesNotScaleWithTheTree)
         kinds.insert(c.kind);
     }
     EXPECT_EQ(kinds.size(), 7u);
+}
+
+/** Nodes at and under `node`. */
+uint64_t
+countNodes(const Node* node)
+{
+    uint64_t count = 1;
+    for (const auto& child : node->children())
+        count += countNodes(child.get());
+    return count;
+}
+
+TEST(AllocGate, TreeBuildAllocatesAtMostOncePerNode)
+{
+    // A node's loops and children live inline, so building a tree
+    // costs the Node objects and nothing else.
+    uint64_t seed = 1;
+    for (const Space& s : benchmarkSpaces()) {
+        SCOPED_TRACE(s.label);
+        Rng rng(seed++);
+        (void)s.space->build(s.space->defaultChoices()); // warm statics
+        for (int i = 0; i < kDrawsPerSpace; ++i) {
+            const std::vector<int64_t> choices = drawChoices(*s.space, rng);
+            std::optional<AnalysisTree> tree;
+            const uint64_t n =
+                allocationsOf([&] { tree.emplace(s.space->build(choices)); });
+            EXPECT_LE(n, countNodes(tree->root())) << tree->str();
+        }
+    }
+}
+
+TEST(AllocGate, CachedEvaluationAllocatesNoMoreThanAnUncachedOne)
+{
+    // An evaluation the SubtreeCache serves whole (every Tile node a
+    // hit) allocates no more than an uncached evaluation of the same
+    // tree, nor than the evaluation that filled the cache: a hit
+    // copies an inline partial and needs no analysis scratch.
+    uint64_t seed = 1;
+    for (const Space& s : benchmarkSpaces()) {
+        SCOPED_TRACE(s.label);
+        int compared = 0;
+        for (const AnalysisTree& tree : drawTrees(s, seed++)) {
+            if (!validateTree(tree, s.arch.get()).empty())
+                continue;
+            (void)s.model->evaluate(tree); // warm the function statics
+            const uint64_t uncached =
+                allocationsOf([&] { (void)s.model->evaluate(tree); });
+            SubtreeCache cache;
+            const uint64_t filling =
+                allocationsOf([&] { (void)s.model->evaluate(tree, &cache); });
+            const uint64_t served =
+                allocationsOf([&] { (void)s.model->evaluate(tree, &cache); });
+            EXPECT_LE(served, uncached) << tree.str();
+            EXPECT_LE(served, filling) << tree.str();
+            ++compared;
+        }
+        EXPECT_GT(compared, 0) << "no draw validated clean";
+    }
+}
+
+TEST(AllocGate, BertSEdgeSearchStaysUnderItsAllocationCap)
+{
+    // One 1-thread search at mapper_search's defaults (10 rounds,
+    // population 8, 30 tiling samples): ~2,400 candidates built,
+    // screened, looked up and backpropagated.
+    const Space& s = benchmarkSpaces().front();
+    ASSERT_EQ(s.label, "Bert-S/Edge");
+    MapperConfig cfg;
+    cfg.rounds = 10;
+    cfg.population = 8;
+    cfg.tilingSamples = 30;
+    cfg.threads = 1;
+    cfg.seed = 3;
+    (void)exploreSpace(*s.model, *s.space, cfg); // warm statics
+    MapperResult result(*s.workload);
+    const uint64_t n = allocationsOf(
+        [&] { result = exploreSpace(*s.model, *s.space, cfg); });
+    ASSERT_TRUE(result.found);
+    EXPECT_LE(n, 30000u);
 }
 
 TEST(AllocGate, CounterSeesTheLibrarysAllocations)

@@ -33,7 +33,7 @@ compulsoryBytes(const Workload& w)
 
 TEST(BuilderUtil, AppendLoopSkipsUnitExtents)
 {
-    std::vector<Loop> loops;
+    LoopList loops;
     appendLoop(loops, 0, 1, LoopKind::Temporal);
     EXPECT_TRUE(loops.empty());
     appendLoop(loops, 0, 4, LoopKind::Spatial);

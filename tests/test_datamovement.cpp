@@ -252,7 +252,9 @@ expectPartial(const DmNodePartial& partial, double load, double store,
         expectBits(partial.childFill[j], fill[j], "childFill");
         expectBits(partial.childDrain[j], drain[j], "childDrain");
     }
-    EXPECT_EQ(partial.childLevels, levels);
+    EXPECT_EQ(std::vector<int>(partial.childLevels.begin(),
+                               partial.childLevels.end()),
+              levels);
 }
 
 TEST(DataMovement, RegisterFeedingNodeSplitsRetainedAndStreamedAccesses)

@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "arch/presets.hpp"
 #include "common/logging.hpp"
@@ -124,6 +126,32 @@ TEST(Frontend, MissingFileIsADiagnosticNotACrash)
     EXPECT_FALSE(spec.has_value());
     ASSERT_EQ(diags.diagnostics().size(), 1u);
     EXPECT_EQ(diags.diagnostics()[0].code, "F601");
+}
+
+TEST(Frontend, SpecFileReadStopsOneByteAfterTheInputLimit)
+{
+    // The read spans several chunks; a file at the limit loads whole,
+    // one byte over it is F603.
+    const std::string path = testing::TempDir() + "limit.wl";
+    ParseLimits limits;
+    limits.maxInputBytes = 10000;
+    for (size_t size : {size_t(10000), size_t(10001), size_t(50000)}) {
+        SCOPED_TRACE(size);
+        std::ofstream(path, std::ios::binary | std::ios::trunc)
+            << std::string(size, '#');
+        DiagnosticEngine diags;
+        const auto text = readSpecFile(path, diags, limits);
+        if (size <= limits.maxInputBytes) {
+            ASSERT_TRUE(text.has_value());
+            EXPECT_EQ(*text, std::string(size, '#'));
+            EXPECT_TRUE(diags.diagnostics().empty());
+        } else {
+            EXPECT_FALSE(text.has_value());
+            ASSERT_EQ(diags.diagnostics().size(), 1u);
+            EXPECT_EQ(diags.diagnostics()[0].code, "F603");
+        }
+    }
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------- //

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -25,6 +26,10 @@
 #include "arch/presets.hpp"
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
+#include "frontend/loader.hpp"
+#include "ir/builders.hpp"
+#include "ir/shapes.hpp"
+#include "mapper/encoding.hpp"
 #include "mapper/evalcache.hpp"
 #include "oracle/diff.hpp"
 #include "oracle/fuzz.hpp"
@@ -377,6 +382,164 @@ TEST(SubtreeHash, OneWalkKeysEqualSingleNodeFunctions)
 }
 
 // -------------------------------------------------------------------
+// Hash quality: a SubtreeKey is equal by hash alone (no structural
+// compare), and so is an EvalCache bucket until its element compare
+// -------------------------------------------------------------------
+
+/** The same ancestor chain as far as contextSignature reads it: node
+ *  types, and each Tile ancestor's memory level and loops. */
+bool
+sameAncestorLoops(const Node* a, const Node* b)
+{
+    auto same_loop = [](const Loop& x, const Loop& y) {
+        return x.dim == y.dim && x.kind == y.kind && x.extent == y.extent;
+    };
+    const Node* pa = a->parent();
+    const Node* pb = b->parent();
+    for (; pa != nullptr && pb != nullptr;
+         pa = pa->parent(), pb = pb->parent()) {
+        if (pa->type() != pb->type())
+            return false;
+        if (pa->isTile() &&
+            (pa->memLevel() != pb->memLevel() ||
+             !std::equal(pa->loops().begin(), pa->loops().end(),
+                         pb->loops().begin(), pb->loops().end(),
+                         same_loop)))
+            return false;
+    }
+    return pa == nullptr && pb == nullptr;
+}
+
+/** The benchmark's eight mapping spaces, with what they refer to. */
+struct HashSpace
+{
+    std::unique_ptr<Workload> workload;
+    std::unique_ptr<ArchSpec> arch;
+    std::unique_ptr<MappingSpace> space;
+};
+
+std::vector<HashSpace>
+benchmarkSpaces()
+{
+    std::vector<HashSpace> out;
+    auto add = [&](Workload w, ArchSpec arch,
+                   MappingSpace (*make)(const Workload&, const ArchSpec&)) {
+        HashSpace s;
+        s.workload = std::make_unique<Workload>(std::move(w));
+        s.arch = std::make_unique<ArchSpec>(std::move(arch));
+        s.space = std::make_unique<MappingSpace>(make(*s.workload, *s.arch));
+        out.push_back(std::move(s));
+    };
+    for (const char* shape : {"Bert-S", "Bert-B"}) {
+        add(buildAttention(attentionShape(shape), false), makeEdgeArch(),
+            &makeAttentionSpace);
+        add(buildAttention(attentionShape(shape), false), makeCloudArch(),
+            &makeAttentionSpace);
+    }
+    const Workload cc1 = buildConvChain(convChainShape("CC1"));
+    add(cc1, makeCloudArch(), &makeConvChainSpace);
+    add(cc1, makeEdgeArch(), &makeConvChainSpace);
+    const std::string specs = TILEFLOW_SPECS_DIR;
+    const Workload fig4 = loadWorkloadSpecOrDie(specs + "/fig4.wl");
+    add(fig4, makeEdgeArch(), &makeChainSpace);
+    add(fig4, loadArchSpecOrDie(specs + "/tpu_like.arch"), &makeChainSpace);
+    return out;
+}
+
+TEST(SubtreeHash, EqualKeysMeanEqualSubtreesUnderEqualAncestorLoops)
+{
+    // Every Tile key of every tree below goes into one table; a key
+    // seen before must name an equal subtree under the same ancestor
+    // loops, or a cache would serve another node's partials.
+    std::map<std::pair<uint64_t, uint64_t>, const Node*> seen;
+    uint64_t repeats = 0;
+    auto check = [&](const AnalysisTree& tree) {
+        for (const TileKey& key : tileKeys(tree.root())) {
+            const auto [it, fresh] =
+                seen.emplace(std::make_pair(key.hash, key.context), key.node);
+            if (fresh)
+                continue;
+            ++repeats;
+            ASSERT_TRUE(equalTrees(it->second, key.node))
+                << it->second->str() << "vs\n" << key.node->str();
+            ASSERT_TRUE(sameAncestorLoops(it->second, key.node))
+                << key.node->str();
+        }
+    };
+
+    // Every fuzz family, with single-knob mutation streams.
+    Rng rng(0x4A54u);
+    std::set<int> families;
+    std::vector<FuzzCase> cases;
+    for (uint64_t index = 0; index < 96; ++index) {
+        FuzzCase fc = makeFuzzCase(0xC01u, index);
+        families.insert(fc.kind);
+        check(*fc.tree);
+        cases.push_back(std::move(fc));
+        for (int m = 0; m < 4; ++m) {
+            FuzzCase copy;
+            copy.tree =
+                std::make_unique<AnalysisTree>(cases.back().tree->clone());
+            if (!mutateOneKnob(rng, *copy.tree))
+                break;
+            check(*copy.tree);
+            cases.push_back(std::move(copy));
+        }
+    }
+    EXPECT_EQ(families.size(), 7u);
+
+    // 2,000 uniform draws from the benchmark spaces.
+    const std::vector<HashSpace> spaces = benchmarkSpaces();
+    std::vector<AnalysisTree> trees;
+    constexpr int kDrawsPerSpace = 250;
+    for (const HashSpace& s : spaces) {
+        for (int i = 0; i < kDrawsPerSpace; ++i) {
+            std::vector<int64_t> choices;
+            for (const Knob& knob : s.space->knobs()) {
+                choices.push_back(
+                    knob.choices[rng.index(knob.choices.size())]);
+            }
+            trees.push_back(s.space->build(choices));
+            check(trees.back());
+        }
+    }
+    EXPECT_GE(trees.size(), 2000u);
+    EXPECT_GT(repeats, 1000u); // equal keys did occur and were checked
+    EXPECT_GT(seen.size(), 1000u);
+}
+
+TEST(EvalCacheHash, NoCollisionOverTheFullAttentionSpaces)
+{
+    const ArchSpec edge = makeEdgeArch();
+    for (const auto& [shape, expected] :
+         {std::pair<const char*, size_t>{"Bert-S", 3200},
+          std::pair<const char*, size_t>{"Bert-B", 4000}}) {
+        SCOPED_TRACE(shape);
+        const Workload w = buildAttention(attentionShape(shape), false);
+        const MappingSpace space = makeAttentionSpace(w, edge);
+        // Every choice vector, as a mixed-radix counter over the knobs.
+        std::vector<size_t> digit(space.numKnobs(), 0);
+        std::vector<int64_t> choices(space.numKnobs());
+        std::set<uint64_t> hashes;
+        size_t vectors = 0;
+        for (bool more = true; more; ++vectors) {
+            for (size_t k = 0; k < digit.size(); ++k)
+                choices[k] = space.knobs()[k].choices[digit[k]];
+            hashes.insert(EvalCache::hashChoices(choices));
+            more = false;
+            for (size_t k = 0; k < digit.size() && !more; ++k) {
+                if (++digit[k] < space.knobs()[k].choices.size())
+                    more = true;
+                else
+                    digit[k] = 0;
+            }
+        }
+        EXPECT_EQ(vectors, expected);
+        EXPECT_EQ(hashes.size(), vectors);
+    }
+}
+
+// -------------------------------------------------------------------
 // SubtreeCache unit tests
 // -------------------------------------------------------------------
 
@@ -409,11 +572,6 @@ TEST(SubtreeCache, LookupInsertHitMissCounters)
     EXPECT_FALSE(cache.lookup(other).has_value());
     cache.insert(other, partial);
     EXPECT_EQ(cache.size(), 2u);
-
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.hits(), 0u);
-    EXPECT_EQ(cache.misses(), 0u);
 }
 
 TEST(SubtreeCache, PerShardCapEvictsFifo)
@@ -453,28 +611,8 @@ TEST(SubtreeCache, ReinsertDoesNotEvict)
     EXPECT_TRUE(cache.lookup(k1)->hasLatency);
 }
 
-TEST(SubtreeCache, ClearZeroesEvictionsAndCreditsOnlyTheRegistry)
-{
-    Counter& registry_evictions =
-        MetricsRegistry::global().counter("analysis.subtree_evictions");
-    SubtreeCache cache(1, 2);
-    SubtreePartial partial;
-    for (uint64_t i = 1; i <= 3; ++i)
-        cache.insert(SubtreeKey{i, 0}, partial);
-    EXPECT_EQ(cache.evictions(), 1u);
-    const uint64_t reg_before = registry_evictions.value();
-
-    // Instance counters run since construction or the last clear(), so
-    // clear() zeroes evictions too; the two cleared entries go to the
-    // process-cumulative registry counter only.
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.evictions(), 0u);
-    EXPECT_EQ(registry_evictions.value(), reg_before + 2);
-}
-
 // -------------------------------------------------------------------
-// EvalCache: bounded eviction + concurrent clear (satellite fixes)
+// EvalCache: bounded eviction, and eviction racing lookups
 // -------------------------------------------------------------------
 
 std::vector<int64_t>
@@ -531,146 +669,89 @@ TEST(EvalCacheBounded, DefaultCapIsUnbounded)
     EXPECT_EQ(cache.evictions(), 0u);
 }
 
-TEST(EvalCacheBounded, ClearZeroesEvictionsAndCreditsOnlyTheRegistry)
+/**
+ * Hammer a capped cache from four threads: 64 keys over 4 shards of 8
+ * entries each, so inserts evict while other threads look up. Each
+ * value carries its key's tag (`tag_of(value)`, built by `make(tag)`),
+ * so a torn or misfiled entry shows as a wrong tag.
+ */
+template <class Cache, class KeyOf, class TagOf, class Make>
+void
+raceCappedInsertsAgainstLookups(Cache& cache, KeyOf key_of, TagOf tag_of,
+                                Make make)
 {
-    Counter& registry_evictions =
-        MetricsRegistry::global().counter("evalcache.evictions");
-    EvalCache cache(1, 2);
-    CachedEval v;
-    for (int64_t i = 1; i <= 3; ++i)
-        cache.insert(choiceVec(i), v);
-    EXPECT_EQ(cache.evictions(), 1u);
-    const uint64_t reg_before = registry_evictions.value();
-
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.evictions(), 0u);
-    EXPECT_EQ(registry_evictions.value(), reg_before + 2);
-}
-
-TEST(EvalCacheConcurrency, CountersStayConsistentUnderConcurrentClear)
-{
-    EvalCache cache(4, 8);
     constexpr int kWorkers = 4;
     constexpr int kOpsPerWorker = 2000;
-    std::atomic<bool> stop{false};
-
     std::vector<std::thread> workers;
     for (int w = 0; w < kWorkers; ++w) {
-        workers.emplace_back([&cache, w]() {
-            for (int i = 0; i < kOpsPerWorker; ++i) {
-                const std::vector<int64_t> key =
-                    choiceVec(int64_t((w * kOpsPerWorker + i) % 64));
-                const std::optional<CachedEval> found =
-                    cache.lookup(key);
-                if (found) {
-                    // Values are never torn: an entry for key(tag) was
-                    // inserted with cycles == tag.
-                    EXPECT_EQ(found->cycles, double(key[0]));
-                } else {
-                    CachedEval v;
-                    v.valid = true;
-                    v.cycles = double(key[0]);
-                    cache.insert(key, v);
-                }
-            }
-        });
-    }
-    std::thread clearer([&cache, &stop]() {
-        while (!stop.load()) {
-            cache.clear();
-            std::this_thread::yield();
-        }
-    });
-    for (std::thread& t : workers)
-        t.join();
-    stop.store(true);
-    clearer.join();
-
-    // clear() only ever resets the instance counters, so they can
-    // never exceed the lookups actually issued.
-    EXPECT_LE(cache.hits() + cache.misses(),
-              uint64_t(kWorkers) * kOpsPerWorker);
-
-    // Deterministic tail: from a clean slate the counters partition
-    // lookups exactly.
-    cache.clear();
-    for (int64_t i = 0; i < 10; ++i)
-        EXPECT_FALSE(cache.lookup(choiceVec(1000 + i)).has_value());
-    CachedEval v;
-    for (int64_t i = 0; i < 10; ++i)
-        cache.insert(choiceVec(1000 + i), v);
-    for (int64_t i = 0; i < 10; ++i)
-        EXPECT_TRUE(cache.lookup(choiceVec(1000 + i)).has_value());
-    EXPECT_EQ(cache.misses(), 10u);
-    EXPECT_EQ(cache.hits(), 10u);
-}
-
-TEST(SubtreeCacheConcurrency, CountersStayConsistentUnderConcurrentClear)
-{
-    SubtreeCache cache(4, 8);
-    constexpr int kWorkers = 4;
-    constexpr int kOpsPerWorker = 2000;
-    std::atomic<bool> stop{false};
-    auto keyOf = [](uint64_t tag) {
-        return SubtreeKey{tag, tag * 7};
-    };
-
-    std::vector<std::thread> workers;
-    for (int w = 0; w < kWorkers; ++w) {
-        workers.emplace_back([&cache, &keyOf, w]() {
+        workers.emplace_back([&, w]() {
             for (int i = 0; i < kOpsPerWorker; ++i) {
                 const uint64_t tag = uint64_t((w * kOpsPerWorker + i) % 64);
-                const std::optional<SubtreePartial> found =
-                    cache.lookup(keyOf(tag));
-                if (found) {
-                    // Values are never torn: the entry for tag was
-                    // inserted with footprintBytes == tag and a
-                    // tag-long fill vector.
-                    EXPECT_EQ(found->footprintBytes, int64_t(tag));
-                    EXPECT_EQ(found->dm.childFill.size(), size_t(tag));
-                } else {
-                    SubtreePartial partial;
-                    partial.footprintBytes = int64_t(tag);
-                    partial.dm.childFill.assign(tag, double(tag));
-                    cache.insert(keyOf(tag), partial);
-                }
+                if (const auto found = cache.lookup(key_of(tag)))
+                    EXPECT_EQ(tag_of(*found), tag);
+                else
+                    cache.insert(key_of(tag), make(tag));
             }
         });
     }
-    std::thread clearer([&cache, &stop]() {
-        while (!stop.load()) {
-            cache.clear();
-            std::this_thread::yield();
-        }
-    });
     for (std::thread& t : workers)
         t.join();
-    stop.store(true);
-    clearer.join();
 
-    EXPECT_LE(cache.hits() + cache.misses(),
+    // Every lookup counted once; every key was inserted at least once
+    // and at most 32 stay, so at least 32 were evicted.
+    EXPECT_EQ(cache.hits() + cache.misses(),
               uint64_t(kWorkers) * kOpsPerWorker);
-    EXPECT_LE(cache.evictions(), uint64_t(kWorkers) * kOpsPerWorker);
+    EXPECT_LE(cache.size(), 32u);
+    EXPECT_GE(cache.evictions(), 64u - cache.size());
 
-    // Deterministic tail: from a clean slate the counters partition
-    // lookups exactly, and the byte count matches the entries held.
-    cache.clear();
-    EXPECT_EQ(cache.evictions(), 0u);
-    EXPECT_EQ(cache.bytes(), 0u);
-    for (uint64_t i = 0; i < 10; ++i)
-        EXPECT_FALSE(cache.lookup(keyOf(1000 + i)).has_value());
-    SubtreePartial partial;
-    uint64_t expected_bytes = 0;
-    for (uint64_t i = 0; i < 10; ++i) {
-        cache.insert(keyOf(1000 + i), partial);
-        expected_bytes += SubtreeCache::entryBytes(keyOf(1000 + i), partial);
+    // The FIFO order and the map still agree: the bytes held are
+    // exactly those of the entries held, and each entry is found.
+    uint64_t held_bytes = 0;
+    std::vector<uint64_t> held;
+    cache.forEach([&](const auto& key, const auto& value) {
+        held_bytes += Cache::entryBytes(key, value);
+        held.push_back(tag_of(value));
+    });
+    EXPECT_EQ(held.size(), cache.size());
+    EXPECT_EQ(cache.bytes(), held_bytes);
+    for (uint64_t tag : held) {
+        const auto found = cache.lookup(key_of(tag));
+        ASSERT_TRUE(found.has_value()) << tag;
+        EXPECT_EQ(tag_of(*found), tag);
     }
-    for (uint64_t i = 0; i < 10; ++i)
-        EXPECT_TRUE(cache.lookup(keyOf(1000 + i)).has_value());
-    EXPECT_EQ(cache.misses(), 10u);
-    EXPECT_EQ(cache.hits(), 10u);
-    EXPECT_EQ(cache.bytes(), expected_bytes);
+}
+
+TEST(EvalCacheConcurrency, CappedInsertsRaceLookups)
+{
+    EvalCache cache(4, 8);
+    raceCappedInsertsAgainstLookups(
+        cache, [](uint64_t tag) { return choiceVec(int64_t(tag)); },
+        [](const CachedEval& v) { return uint64_t(v.cycles); },
+        [](uint64_t tag) {
+            CachedEval v;
+            v.valid = true;
+            v.cycles = double(tag);
+            return v;
+        });
+}
+
+TEST(SubtreeCacheConcurrency, CappedInsertsRaceLookups)
+{
+    SubtreeCache cache(4, 8);
+    raceCappedInsertsAgainstLookups(
+        cache, [](uint64_t tag) { return SubtreeKey{tag, tag * 7}; },
+        [](const SubtreePartial& p) {
+            // A tag-long fill list rides with footprintBytes == tag.
+            return p.dm.childFill.size() == size_t(p.footprintBytes)
+                       ? uint64_t(p.footprintBytes)
+                       : ~uint64_t(0);
+        },
+        [](uint64_t tag) {
+            SubtreePartial partial;
+            partial.footprintBytes = int64_t(tag);
+            partial.dm.childFill.assign(tag, double(tag));
+            return partial;
+        });
 }
 
 // -------------------------------------------------------------------

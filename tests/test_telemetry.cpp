@@ -270,44 +270,6 @@ TEST(Telemetry, ProgressMeterRateLimits)
 }
 
 // -------------------------------------------------------------------
-// EvalCache counter lifetime (the clear() staleness fix)
-// -------------------------------------------------------------------
-
-TEST(Telemetry, EvalCacheClearResetsCountersAndCountsEvictions)
-{
-    const uint64_t evictions_before =
-        MetricsRegistry::global().counterValue("evalcache.evictions");
-
-    EvalCache cache;
-    cache.insert({1}, {true, 10.0, false, ""});
-    cache.insert({2}, {true, 20.0, false, ""});
-    EXPECT_TRUE(cache.lookup({1}).has_value());
-    EXPECT_FALSE(cache.lookup({3}).has_value());
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 1u);
-    ASSERT_EQ(cache.size(), 2u);
-
-    // The fixed contract: clear() drops the entries AND zeroes the
-    // instance counters, so per-run deltas snapshotted after a clear
-    // never mix in pre-clear traffic (the old behaviour reported
-    // phantom hits after a rejected checkpoint).
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.hits(), 0u);
-    EXPECT_EQ(cache.misses(), 0u);
-
-    // The dropped entries are accounted as evictions in the
-    // process-cumulative registry, not silently forgotten.
-    EXPECT_EQ(
-        MetricsRegistry::global().counterValue("evalcache.evictions"),
-        evictions_before + 2);
-
-    // Post-clear traffic counts from zero.
-    EXPECT_FALSE(cache.lookup({1}).has_value());
-    EXPECT_EQ(cache.misses(), 1u);
-}
-
-// -------------------------------------------------------------------
 // Deadline re-arming (the resumed-budget fix)
 // -------------------------------------------------------------------
 
